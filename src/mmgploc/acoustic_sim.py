@@ -3,38 +3,36 @@
 Multichannel measurements are rendered with the mirror-image method for
 rectangular rooms: every wall reflection is represented by an image source
 whose tap lands at the rounded sample delay with 1/(4*pi*d) spherical
-attenuation.  The inner accumulation loop runs in a compiled extension when
-available and in a vectorized NumPy fallback otherwise.
+attenuation.  The image sum is accumulated by one vectorized NumPy kernel,
+``_accumulate_images``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, fftconvolve, sosfilt
-
-if os.environ.get("MMGPLOC_PURE_PYTHON"):
-    from . import _imagesource_np as _imagesource
-    _BACKEND = "numpy"
-else:
-    try:
-        from . import _imagesource  # type: ignore[no-redef]
-        _BACKEND = "cython"
-    except ImportError:
-        from . import _imagesource_np as _imagesource
-        _BACKEND = "numpy"
 
 # tail beyond the nominal decay time kept in each impulse response, so the
 # -60 dB point stays resolvable after truncation
 _TAIL_FACTOR = 1.25
 
+_FOUR_PI = 4.0 * np.pi
+
+# the 8 mirror-flip combinations, last axis fastest
+_FLIPS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
+_SIGNS = 1 - 2 * _FLIPS
+
+# lattice points processed per vectorized block, bounds peak memory
+_CHUNK = 1 << 16
+
 
 def image_source_backend() -> str:
-    """Name of the active image-source backend ("cython" or "numpy")."""
-    return _BACKEND
+    """Name of the image-source kernel; there is only the NumPy one."""
+    return "numpy"
 
 
 @dataclass
@@ -119,18 +117,6 @@ class SourceSetSpec:
         return self.positions.shape[0]
 
 
-class LabeledSpec(SourceSetSpec):
-    pass
-
-
-class UnlabeledSpec(SourceSetSpec):
-    pass
-
-
-class TestSpec(SourceSetSpec):
-    pass
-
-
 @dataclass
 class MeasurementRecord:
     """One simulated acoustic event captured by every microphone.
@@ -208,16 +194,14 @@ def rir_duration(scene: SceneConfig, source_pos, mic_pos) -> float:
     return d / scene.sound_speed + _TAIL_FACTOR * scene.t60 + 8.0 / scene.sample_rate
 
 
-def simulate_rir(scene: SceneConfig, source_pos, mic_pos, backend=None) -> np.ndarray:
-    """Room impulse response between one source and one microphone.
-
-    ``backend`` overrides the import-time kernel selection; it must expose
-    ``accumulate_images`` with the shared signature.
-    """
+def simulate_rir(scene: SceneConfig, source_pos, mic_pos) -> np.ndarray:
+    """Room impulse response between one source and one microphone."""
     source_pos = np.asarray(source_pos, dtype=float)
     mic_pos = np.asarray(mic_pos, dtype=float)
     _check_inside(source_pos, scene.room_dims, "source")
     _check_inside(mic_pos, scene.room_dims, "microphone")
+    # no image is nearer the microphone than the source itself, so this
+    # check also keeps every image distance in the kernel positive
     if np.linalg.norm(source_pos - mic_pos) < 1e-9:
         raise ValueError("degenerate geometry: source coincides with microphone")
 
@@ -228,18 +212,51 @@ def simulate_rir(scene: SceneConfig, source_pos, mic_pos, backend=None) -> np.nd
     # length (plus one wrap for the mirrored offsets) cannot land in it
     half = [int(math.ceil(n / (2.0 * L * samples_per_meter))) + 1 for L in scene.room_dims]
 
-    kernel = backend if backend is not None else _imagesource
     rir = np.zeros(n)
-    rc = kernel.accumulate_images(
-        rir,
-        scene.room_dims[0], scene.room_dims[1], scene.room_dims[2],
-        source_pos[0], source_pos[1], source_pos[2],
-        mic_pos[0], mic_pos[1], mic_pos[2],
-        beta, half[0], half[1], half[2], max_order, samples_per_meter,
-    )
-    if rc != 0:
-        raise ValueError("degenerate geometry: an image source coincides with the microphone")
+    _accumulate_images(rir, scene.room_dims, source_pos, mic_pos, beta, half,
+                       max_order, samples_per_meter)
     return rir
+
+
+def _accumulate_images(rir, dims, src, mic, beta, half, max_order, samples_per_meter):
+    """Add every image-source tap of one source/mic pair to ``rir`` in place.
+
+    ``half`` holds the lattice half-extents per axis and ``max_order`` the
+    reflection-order cap (negative disables it).  Images are visited
+    lattice point outer, mirror flips inner, and each tap is added with
+    ``np.add.at`` in that order; the output bits depend on that order and
+    on the exact form of the amplitude ``bpow[e] / (4 pi d)``.
+    """
+    n = rir.shape[0]
+    n1, n2, n3 = half
+
+    emax = 2 * (n1 + n2 + n3) + 3
+    bpow = np.empty(emax + 1)
+    bpow[0] = 1.0  # covers the anechoic direct path when beta == 0
+    np.cumprod(np.full(emax, beta), out=bpow[1:])
+
+    gx, gy, gz = np.meshgrid(np.arange(-n1, n1 + 1), np.arange(-n2, n2 + 1),
+                             np.arange(-n3, n3 + 1), indexing="ij")
+    lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+    for start in range(0, lattice.shape[0], _CHUNK):
+        idx = lattice[start:start + _CHUNK]
+        rm = 2.0 * idx * dims
+        delta = _SIGNS * src + rm[:, None, :] - mic
+        d = np.sqrt((delta * delta).sum(axis=2)).ravel()
+        if max_order >= 0:
+            order = np.abs(2 * idx[:, None, :] - _FLIPS).sum(axis=2).ravel()
+            keep = order <= max_order
+        else:
+            keep = np.ones(d.size, dtype=bool)
+        # round half up; d is never negative
+        tap = np.floor(d * samples_per_meter + 0.5).astype(np.int64)
+        keep &= tap < n
+        if not np.any(keep):
+            continue
+        e = (np.abs(idx[:, None, :] - _FLIPS)
+             + np.abs(idx)[:, None, :]).sum(axis=2).ravel()
+        np.add.at(rir, tap[keep], bpow[e[keep]] / (_FOUR_PI * d[keep]))
 
 
 def white_noise_signal(duration_s: float, sample_rate: float, rng) -> np.ndarray:
@@ -333,8 +350,8 @@ def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> M
     )
 
 
-def generate_dataset(scene: SceneConfig, labeled: LabeledSpec, unlabeled: UnlabeledSpec,
-                     test: TestSpec, out_dir, spectral=None, config_hash: str = "") -> str:
+def generate_dataset(scene: SceneConfig, labeled: SourceSetSpec, unlabeled: SourceSetSpec,
+                     test: SourceSetSpec, out_dir, spectral=None, config_hash: str = "") -> str:
     """Render every record of the three sets and write the dataset directory.
 
     Returns the manifest path.  Record ids are stable and the rendering of

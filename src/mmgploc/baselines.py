@@ -62,11 +62,6 @@ def fit_mean_of_nodes(training_set, labelled_positions, hp: Hyperparameters) -> 
     return MeanOfNodesModel(node_models=models)
 
 
-def mean_of_nodes(training_set, labelled_positions, hp: Hyperparameters, h_t) -> np.ndarray:
-    """Average of the M single-node position estimates for one test sample."""
-    return fit_mean_of_nodes(training_set, labelled_positions, hp).predict(h_t).position
-
-
 # ---------------------------------------------------------------------------
 # product-kernel GP
 
@@ -132,11 +127,6 @@ def fit_kernel_product(training_set, labelled_positions, hp: Hyperparameters) ->
         gamma=gamma,
         weights=gamma @ centered,
     )
-
-
-def kernel_product_gp(training_set, labelled_positions, hp: Hyperparameters, h_t) -> np.ndarray:
-    """Product-kernel GP position estimate for one test sample."""
-    return fit_kernel_product(training_set, labelled_positions, hp).predict(h_t).position
 
 
 def _sample_block(h_t, num_nodes: int) -> np.ndarray:

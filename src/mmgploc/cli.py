@@ -185,14 +185,13 @@ def cmd_simulate(cfg: dict, out_dir) -> str:
     scene = scene_from_dict(cfg["scene"])
     spectral = spectral_from_dict(cfg["spectral"])
     specs = {}
-    for role, cls in (("labeled", sim.LabeledSpec), ("unlabeled", sim.UnlabeledSpec),
-                      ("test", sim.TestSpec)):
+    for role in ("labeled", "unlabeled", "test"):
         sec = cfg[role]
-        specs[role] = cls(positions=_positions_for(sec, role),
-                          signal_kind=sec["signal"]["kind"],
-                          duration_s=sec["signal"]["duration_s"],
-                          seed=sec["seed"],
-                          audio_path=sec["signal"].get("path"))
+        specs[role] = sim.SourceSetSpec(positions=_positions_for(sec, role),
+                                        signal_kind=sec["signal"]["kind"],
+                                        duration_s=sec["signal"]["duration_s"],
+                                        seed=sec["seed"],
+                                        audio_path=sec["signal"].get("path"))
     return sim.generate_dataset(scene, specs["labeled"], specs["unlabeled"],
                                 specs["test"], out_dir, spectral=spectral,
                                 config_hash=config_fingerprint(cfg))

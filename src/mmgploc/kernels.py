@@ -91,18 +91,6 @@ def _sq_dists_symmetric(x: np.ndarray) -> np.ndarray:
     return np.clip(nn[:, None] + nn[None, :] - 2.0 * g, 0.0, None)
 
 
-def gaussian_kernel(h_i, h_j, eps_m: float) -> float:
-    """exp(-||h_i - h_j||^2 / eps_m) for two same-node RTF vectors."""
-    if eps_m <= 0:
-        raise ValueError("eps_m must be positive")
-    if h_i.node_index != h_j.node_index:
-        raise ValueError("kernel arguments must come from the same node")
-    if h_i.dim != h_j.dim:
-        raise ValueError("dimension mismatch")
-    delta = h_i.values - h_j.values
-    return float(np.exp(-np.sum(delta.real**2 + delta.imag**2) / eps_m))
-
-
 def gram_stack(a_samples, b_samples, hp: Hyperparameters) -> GramStack:
     """All M per-node Gram matrices between two sample sets and their sum.
 
@@ -121,30 +109,6 @@ def gram_stack(a_samples, b_samples, hp: Hyperparameters) -> GramStack:
         d2 = _sq_dists_symmetric(a[:, m, :]) if symmetric else _sq_dists(a[:, m, :], b[:, m, :])
         per_node[m] = np.exp(-d2 / hp.eps[m])
     return GramStack(per_node=per_node, summed=per_node.sum(axis=0))
-
-
-def node_manifold_kernel(r, l, training_set, m: int, hp: Hyperparameters) -> float:
-    """Single-node manifold covariance: sum_i k_m(h_r, h_i) k_m(h_l, h_i).
-
-    ``m`` is the 1-based node index; the sum runs over the whole training
-    pool (labelled and unlabelled alike).
-    """
-    return cross_node_kernel(r, l, m, m, training_set, hp)
-
-
-def cross_node_kernel(r, l, q: int, w: int, training_set, hp: Hyperparameters) -> float:
-    """Cross-node covariance term: sum_i k_q(h^q_r, h^q_i) k_w(h^w_l, h^w_i).
-
-    Symmetric under swapping (r, q) with (l, w), not under (q, w) alone.
-    """
-    pool = stack_features(training_set)
-    if pool.shape[0] == 0:
-        raise ValueError("empty training set")
-    if not (1 <= q <= hp.num_nodes and 1 <= w <= hp.num_nodes):
-        raise ValueError("node indices are 1-based")
-    kr = np.exp(-_sq_dists(r.stack()[None, q - 1], pool[:, q - 1, :]) / hp.eps[q - 1])[0]
-    kl = np.exp(-_sq_dists(l.stack()[None, w - 1], pool[:, w - 1, :]) / hp.eps[w - 1])[0]
-    return float(kr @ kl)
 
 
 def mmgp_covariance(a_samples, b_samples, training_set, hp: Hyperparameters) -> np.ndarray:

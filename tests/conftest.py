@@ -19,12 +19,48 @@ def make_set(rng, n, num_nodes, dim):
     return [make_artf(rng, num_nodes, dim) for _ in range(n)]
 
 
+def gaussian_kernel(h_i, h_j, eps_m: float) -> float:
+    """exp(-||h_i - h_j||^2 / eps_m) for two same-node RTF vectors."""
+    if eps_m <= 0:
+        raise ValueError("eps_m must be positive")
+    if h_i.node_index != h_j.node_index:
+        raise ValueError("kernel arguments must come from the same node")
+    if h_i.dim != h_j.dim:
+        raise ValueError("dimension mismatch")
+    delta = h_i.values - h_j.values
+    return float(np.exp(-np.sum(delta.real**2 + delta.imag**2) / eps_m))
+
+
+def node_manifold_kernel(r, l, training_set, m: int, hp) -> float:
+    """Single-node manifold covariance: sum_i k_m(h_r, h_i) k_m(h_l, h_i).
+
+    ``m`` is the 1-based node index; the sum runs over the whole training
+    pool (labelled and unlabelled alike).
+    """
+    return cross_node_kernel(r, l, m, m, training_set, hp)
+
+
+def cross_node_kernel(r, l, q: int, w: int, training_set, hp) -> float:
+    """Cross-node covariance term: sum_i k_q(h^q_r, h^q_i) k_w(h^w_l, h^w_i).
+
+    Symmetric under swapping (r, q) with (l, w), not under (q, w) alone.
+    """
+    pool = kn.stack_features(training_set)
+    if pool.shape[0] == 0:
+        raise ValueError("empty training set")
+    if not (1 <= q <= hp.num_nodes and 1 <= w <= hp.num_nodes):
+        raise ValueError("node indices are 1-based")
+    kr = np.exp(-kn._sq_dists(r.stack()[None, q - 1], pool[:, q - 1, :]) / hp.eps[q - 1])[0]
+    kl = np.exp(-kn._sq_dists(l.stack()[None, w - 1], pool[:, w - 1, :]) / hp.eps[w - 1])[0]
+    return float(kr @ kl)
+
+
 def brute_cross_node(r, l, q, w, pool, hp):
     """Literal sum over the pool of per-node kernel products (1-based q, w)."""
     total = 0.0
     for s in pool:
-        total += (kn.gaussian_kernel(r.per_node[q - 1], s.per_node[q - 1], hp.eps[q - 1])
-                  * kn.gaussian_kernel(l.per_node[w - 1], s.per_node[w - 1], hp.eps[w - 1]))
+        total += (gaussian_kernel(r.per_node[q - 1], s.per_node[q - 1], hp.eps[q - 1])
+                  * gaussian_kernel(l.per_node[w - 1], s.per_node[w - 1], hp.eps[w - 1]))
     return total
 
 

@@ -6,10 +6,8 @@ tap placement, Schroeder decay, SNR calibration) are checked on their own
 terms.
 """
 
+import hashlib
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -87,42 +85,29 @@ def test_matches_brute_force_enumeration():
         max_order = int(rng.integers(-1, 6))
         expected = brute_force_rir(n, room, src, mic, beta, half, max_order, fs, c)
         got = np.zeros(n)
-        rc = ac._imagesource.accumulate_images(
-            got, room[0], room[1], room[2], src[0], src[1], src[2],
-            mic[0], mic[1], mic[2], beta, half[0], half[1], half[2],
-            max_order, spm)
-        assert rc == 0
+        ac._accumulate_images(got, room, src, mic, beta, half, max_order, spm)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
-def test_backends_bit_identical():
-    from mmgploc import _imagesource_np as fallback
-    if ac.image_source_backend() != "cython":
-        pytest.skip("compiled backend unavailable")
-    rng = np.random.default_rng(31)
-    for _ in range(3):
-        room = rng.uniform(3.0, 6.0, 3)
-        src = rng.uniform(0.2, 0.8, 3) * room
-        mic = rng.uniform(0.2, 0.8, 3) * room
-        beta, spm, n = 0.7, 16000.0 / 343.0, 2500
-        half = [int(math.ceil(n / (2.0 * L * spm))) + 1 for L in room]
-        a = np.zeros(n)
-        b = np.zeros(n)
-        rc1 = ac._imagesource.accumulate_images(
-            a, *room, *src, *mic, beta, half[0], half[1], half[2], 40, spm)
-        rc2 = fallback.accumulate_images(
-            b, *room, *src, *mic, beta, half[0], half[1], half[2], 40, spm)
-        assert rc1 == rc2 == 0
-        assert np.array_equal(a, b)
+# sha256 of simulate_rir(...).tobytes(); the responses feed every dataset,
+# so any change to the kernel's arithmetic or summation order must show here
+GOLDEN_RIRS = [
+    # the desk room at T60 0.4 s
+    (dict(t60=0.4), [2.0, 2.5, 1.5], [0.5, 1.0, 1.5], 8107,
+     "d22da0d7cae6424a75e546d37ebe27c5a8358c9020cc5d3f5572d3f9748939c7"),
+    (dict(t60=0.0), [2.0, 2.5, 1.5], [0.5, 1.0, 1.5], 107,
+     "50b4e03857befe5bc762e5a7a21813434ac3ba08d9ac59352489833740188fee"),
+    (dict(room=(3.5, 4.2, 2.8), t60=0.3, fs=8000.0, max_reflection_order=3),
+     [1.2, 3.1, 0.9], [2.4, 0.7, 1.9], 3075,
+     "a759d345070ffbacfa0e43b9600efa0c01c39b3657ed8f3f6f1489794444fba7"),
+]
 
 
-def test_pure_python_env_override():
-    code = ("import mmgploc.acoustic_sim as ac; "
-            "print(ac.image_source_backend())")
-    env = dict(os.environ, MMGPLOC_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+@pytest.mark.parametrize("kw, src, mic, size, digest", GOLDEN_RIRS)
+def test_golden_rir_bits(kw, src, mic, size, digest):
+    rir = ac.simulate_rir(_scene(**kw), src, mic)
+    assert rir.size == size
+    assert hashlib.sha256(rir.tobytes()).hexdigest() == digest
 
 
 def test_first_tap_at_direct_delay():
@@ -291,7 +276,7 @@ def test_source_set_spec_validation():
         ac.SourceSetSpec(positions=[[1, 1, 1]], signal_kind="hum")
     with pytest.raises(ValueError):
         ac.SourceSetSpec(positions=[[1, 1, 1]], signal_kind="file")
-    spec = ac.TestSpec(positions=[[1, 1, 1], [2, 2, 1]])
+    spec = ac.SourceSetSpec(positions=[[1, 1, 1], [2, 2, 1]])
     assert spec.count == 2
 
 

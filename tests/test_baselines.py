@@ -53,7 +53,7 @@ def test_mean_of_nodes_identical_features_equal_single_node():
          for m in range(3)])
     hp3 = kn.Hyperparameters(eps=[2.5, 2.5, 2.5], sigma2=0.2)
     hp1 = kn.Hyperparameters(eps=[2.5], sigma2=0.2)
-    got = bl.mean_of_nodes(pool, positions, hp3, probe3)
+    got = bl.fit_mean_of_nodes(pool, positions, hp3).predict(probe3).position
     want = mm.fit(single, positions, hp1).predict(probe).position
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -71,7 +71,7 @@ def test_mean_of_nodes_two_nodes_explicit_average():
         parts.append(mm.fit(stacked[:, m:m + 1, :], positions, node_hp)
                      .predict(t[:, m:m + 1, :]).position)
     want = 0.5 * (parts[0] + parts[1])
-    got = bl.mean_of_nodes(pool, positions, hp, test)
+    got = bl.fit_mean_of_nodes(pool, positions, hp).predict(test).position
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -137,7 +137,7 @@ def test_kernel_product_matches_conditional_oracle():
         k = gram[:n_l, n_l]
         mean = positions.mean(axis=0)
         want = k @ np.linalg.solve(a, positions - mean) + mean
-        got = bl.kernel_product_gp(pool, positions, hp, test)
+        got = bl.fit_kernel_product(pool, positions, hp).predict(test).position
         assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -147,8 +147,8 @@ def test_kernel_product_ignores_unlabelled_samples():
     extra = pool + make_set(rng, 4, 2, 4)
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.1)
     test = make_artf(rng, 2, 4)
-    a = bl.kernel_product_gp(pool, positions, hp, test)
-    b = bl.kernel_product_gp(extra, positions, hp, test)
+    a = bl.fit_kernel_product(pool, positions, hp).predict(test).position
+    b = bl.fit_kernel_product(extra, positions, hp).predict(test).position
     np.testing.assert_array_equal(a, b)
 
 
@@ -201,7 +201,7 @@ def test_srp_phat_simulated_anechoic_scene():
         room_dims=(4.0, 5.0, 3.0),
         mic_positions=room_mics().reshape(3, 2, 3),
         t60=0.0, snr_db=float("inf"), sample_rate=16000.0)
-    spec = sim.TestSpec(positions=[[2.0, 2.5, 1.5]], signal_kind="wgn",
+    spec = sim.SourceSetSpec(positions=[[2.0, 2.5, 1.5]], signal_kind="wgn",
                         duration_s=1.0, seed=41)
     record = sim.render_measurement(scene, spec.positions[0],
                                     sim.make_signal(spec, 0, scene.sample_rate),

@@ -181,11 +181,11 @@ def test_manifest_validation(tmp_path):
 
 def test_generate_dataset_is_deterministic(tmp_path):
     scene = small_scene()
-    labeled = sim.LabeledSpec(positions=[[1.0, 2.0, 1.5], [2.0, 3.0, 1.5]],
-                              duration_s=0.05, seed=10)
-    unlabeled = sim.UnlabeledSpec(positions=[[1.5, 2.5, 1.5]],
+    labeled = sim.SourceSetSpec(positions=[[1.0, 2.0, 1.5], [2.0, 3.0, 1.5]],
+                                duration_s=0.05, seed=10)
+    unlabeled = sim.SourceSetSpec(positions=[[1.5, 2.5, 1.5]],
                                   duration_s=0.05, seed=11)
-    test = sim.TestSpec(positions=[[2.5, 2.0, 1.5]], duration_s=0.05, seed=12)
+    test = sim.SourceSetSpec(positions=[[2.5, 2.0, 1.5]], duration_s=0.05, seed=12)
     paths = []
     for name in ("a", "b"):
         paths.append(sim.generate_dataset(scene, labeled, unlabeled, test,

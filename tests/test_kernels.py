@@ -8,6 +8,7 @@ are exercised on seeded random instances.
 
 import numpy as np
 import pytest
+from conftest import cross_node_kernel, gaussian_kernel, node_manifold_kernel
 
 from mmgploc import kernels as kn
 from mmgploc import rtf_features as rf
@@ -42,13 +43,13 @@ def test_hyperparameters_validation():
 def test_gaussian_kernel_identity_and_scale():
     rng = np.random.default_rng(2)
     v = make_artf(rng, 1, 8).per_node[0]
-    assert kn.gaussian_kernel(v, v, 0.5) == 1.0
+    assert gaussian_kernel(v, v, 0.5) == 1.0
     # construct a pair at exactly squared distance eps
     a = rf.RtfVector(values=np.zeros(4, complex), node_index=1,
                      bin_frequencies=np.arange(4.0))
     b = rf.RtfVector(values=np.array([1.0, 1j, 0, 0]), node_index=1,
                      bin_frequencies=np.arange(4.0))
-    assert kn.gaussian_kernel(a, b, 2.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
+    assert gaussian_kernel(a, b, 2.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
 
 
 def test_gaussian_kernel_matches_scalar_recomputation():
@@ -61,17 +62,17 @@ def test_gaussian_kernel_matches_scalar_recomputation():
         vx = rf.RtfVector(values=x, node_index=1, bin_frequencies=np.arange(dim, dtype=float))
         vy = rf.RtfVector(values=y, node_index=1, bin_frequencies=np.arange(dim, dtype=float))
         expected = np.exp(-sum(abs(x[i] - y[i]) ** 2 for i in range(dim)) / eps)
-        assert kn.gaussian_kernel(vx, vy, eps) == pytest.approx(expected, rel=1e-13)
-        assert 0 < kn.gaussian_kernel(vx, vy, eps) <= 1
+        assert gaussian_kernel(vx, vy, eps) == pytest.approx(expected, rel=1e-13)
+        assert 0 < gaussian_kernel(vx, vy, eps) <= 1
 
 
 def test_gaussian_kernel_errors():
     rng = np.random.default_rng(1)
     a = make_artf(rng, 2, 4)
     with pytest.raises(ValueError, match="positive"):
-        kn.gaussian_kernel(a.per_node[0], a.per_node[0], 0.0)
+        gaussian_kernel(a.per_node[0], a.per_node[0], 0.0)
     with pytest.raises(ValueError, match="same node"):
-        kn.gaussian_kernel(a.per_node[0], a.per_node[1], 1.0)
+        gaussian_kernel(a.per_node[0], a.per_node[1], 1.0)
 
 
 def test_gram_stack_singleton_and_symmetry():
@@ -101,7 +102,7 @@ def test_gram_stack_matches_elementwise_kernel():
     for m in range(2):
         for i, a in enumerate(a_set):
             for j, b in enumerate(b_set):
-                want = kn.gaussian_kernel(a.per_node[m], b.per_node[m], hp.eps[m])
+                want = gaussian_kernel(a.per_node[m], b.per_node[m], hp.eps[m])
                 assert g.per_node[m, i, j] == pytest.approx(want, rel=1e-12)
     np.testing.assert_allclose(g.summed, g.per_node.sum(axis=0), atol=0)
 
@@ -121,8 +122,8 @@ def test_gram_stack_shape_errors():
 def brute_cross_node(r, l, q, w, pool, hp):
     total = 0.0
     for s in pool:
-        total += (kn.gaussian_kernel(r.per_node[q - 1], s.per_node[q - 1], hp.eps[q - 1])
-                  * kn.gaussian_kernel(l.per_node[w - 1], s.per_node[w - 1], hp.eps[w - 1]))
+        total += (gaussian_kernel(r.per_node[q - 1], s.per_node[q - 1], hp.eps[q - 1])
+                  * gaussian_kernel(l.per_node[w - 1], s.per_node[w - 1], hp.eps[w - 1]))
     return total
 
 
@@ -130,9 +131,9 @@ def test_node_manifold_kernel_small_cases():
     rng = np.random.default_rng(19)
     hp = kn.Hyperparameters(eps=[1.5])
     sole = make_artf(rng, 1, 4)
-    assert kn.node_manifold_kernel(sole, sole, [sole], 1, hp) == pytest.approx(1.0, rel=1e-14)
+    assert node_manifold_kernel(sole, sole, [sole], 1, hp) == pytest.approx(1.0, rel=1e-14)
     pool = [sole] + make_set(rng, 5, 1, 4)
-    assert kn.node_manifold_kernel(sole, sole, pool, 1, hp) >= 1.0
+    assert node_manifold_kernel(sole, sole, pool, 1, hp) >= 1.0
 
 
 def test_cross_node_kernel_brute_force_and_symmetry():
@@ -145,12 +146,12 @@ def test_cross_node_kernel_brute_force_and_symmetry():
         r, l = make_artf(rng, num_nodes, dim), make_artf(rng, num_nodes, dim)
         q = int(rng.integers(1, num_nodes + 1))
         w = int(rng.integers(1, num_nodes + 1))
-        got = kn.cross_node_kernel(r, l, q, w, pool, hp)
+        got = cross_node_kernel(r, l, q, w, pool, hp)
         assert got == pytest.approx(brute_cross_node(r, l, q, w, pool, hp), rel=1e-12)
-        swapped = kn.cross_node_kernel(l, r, w, q, pool, hp)
+        swapped = cross_node_kernel(l, r, w, q, pool, hp)
         assert got == pytest.approx(swapped, rel=1e-12)
-        same = kn.cross_node_kernel(r, l, q, q, pool, hp)
-        assert same == pytest.approx(kn.node_manifold_kernel(r, l, pool, q, hp), rel=1e-13)
+        same = cross_node_kernel(r, l, q, q, pool, hp)
+        assert same == pytest.approx(node_manifold_kernel(r, l, pool, q, hp), rel=1e-13)
 
 
 def test_cross_node_kernel_saturates_at_pool_size():
@@ -158,7 +159,7 @@ def test_cross_node_kernel_saturates_at_pool_size():
     hp = kn.Hyperparameters(eps=[1e12, 1e12])
     pool = make_set(rng, 6, 2, 4)
     r, l = make_artf(rng, 2, 4), make_artf(rng, 2, 4)
-    assert kn.cross_node_kernel(r, l, 1, 2, pool, hp) == pytest.approx(6.0, rel=1e-9)
+    assert cross_node_kernel(r, l, 1, 2, pool, hp) == pytest.approx(6.0, rel=1e-9)
 
 
 def test_cross_node_kernel_errors():
@@ -166,9 +167,9 @@ def test_cross_node_kernel_errors():
     hp = kn.Hyperparameters(eps=[1.0, 1.0])
     r = make_artf(rng, 2, 4)
     with pytest.raises(ValueError, match="empty"):
-        kn.cross_node_kernel(r, r, 1, 1, [], hp)
+        cross_node_kernel(r, r, 1, 1, [], hp)
     with pytest.raises(ValueError, match="1-based"):
-        kn.cross_node_kernel(r, r, 0, 1, [r], hp)
+        cross_node_kernel(r, r, 0, 1, [r], hp)
 
 
 def brute_mmgp(a_set, b_set, pool, hp):
@@ -265,7 +266,7 @@ def test_mmgp_covariance_m1_reduces_to_node_kernel():
     cov = kn.mmgp_covariance(a_set, a_set, pool, hp)
     for i, a in enumerate(a_set):
         for j, b in enumerate(a_set):
-            want = kn.node_manifold_kernel(a, b, pool, 1, hp)
+            want = node_manifold_kernel(a, b, pool, 1, hp)
             assert cov[i, j] == pytest.approx(want, rel=1e-12)
 
 
