@@ -3,8 +3,12 @@
 Multichannel measurements are rendered with the mirror-image method for
 rectangular rooms: every wall reflection is represented by an image source
 whose tap lands at the rounded sample delay with 1/(4*pi*d) spherical
-attenuation.  The image sum is accumulated by one vectorized NumPy kernel,
-``_accumulate_images``.
+attenuation.  The image sum is built by one vectorized NumPy kernel,
+``_accumulate_images``: it drops every lattice point whose images all
+exceed the reflection-order cap before any per-image arithmetic, and adds
+all taps with a single ``np.bincount``, which sums them in the same order
+as a tap-by-tap accumulation and so keeps the output bits of the
+unpruned kernel.
 """
 
 from __future__ import annotations
@@ -212,51 +216,56 @@ def simulate_rir(scene: SceneConfig, source_pos, mic_pos) -> np.ndarray:
     # length (plus one wrap for the mirrored offsets) cannot land in it
     half = [int(math.ceil(n / (2.0 * L * samples_per_meter))) + 1 for L in scene.room_dims]
 
-    rir = np.zeros(n)
-    _accumulate_images(rir, scene.room_dims, source_pos, mic_pos, beta, half,
-                       max_order, samples_per_meter)
-    return rir
+    return _accumulate_images(n, scene.room_dims, source_pos, mic_pos, beta, half,
+                              max_order, samples_per_meter)
 
 
-def _accumulate_images(rir, dims, src, mic, beta, half, max_order, samples_per_meter):
-    """Add every image-source tap of one source/mic pair to ``rir`` in place.
+def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_meter):
+    """Sum every image-source tap of one source/mic pair into an n-sample response.
 
     ``half`` holds the lattice half-extents per axis and ``max_order`` the
-    reflection-order cap (negative disables it).  Images are visited
-    lattice point outer, mirror flips inner, and each tap is added with
-    ``np.add.at`` in that order; the output bits depend on that order and
-    on the exact form of the amplitude ``bpow[e] / (4 pi d)``.
+    reflection-order cap (negative disables it).  Lattice points whose
+    8 images all exceed the cap are dropped before any per-image
+    arithmetic; the rest are visited in lexicographic order, mirror flips
+    inner, in blocks of ``_CHUNK`` points.  The taps of all blocks go
+    through one ``np.bincount`` from zeros, which adds them in visiting
+    order, so the output bits equal a tap-by-tap ``np.add.at`` into a zero
+    buffer.  Summing per block and adding the partial sums would not:
+    ``r + (a + b)`` and ``(r + a) + b`` can differ in the last bit.  The
+    bits also depend on the exact form of the amplitude
+    ``bpow[e] / (4 pi d)``.
     """
-    n = rir.shape[0]
-    n1, n2, n3 = half
-
-    emax = 2 * (n1 + n2 + n3) + 3
+    emax = 2 * sum(half) + 3
     bpow = np.empty(emax + 1)
     bpow[0] = 1.0  # covers the anechoic direct path when beta == 0
     np.cumprod(np.full(emax, beta), out=bpow[1:])
 
-    gx, gy, gz = np.meshgrid(np.arange(-n1, n1 + 1), np.arange(-n2, n2 + 1),
-                             np.arange(-n3, n3 + 1), indexing="ij")
-    lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    if max_order < 0:
+        within = np.ones([2 * h + 1 for h in half], dtype=bool)
+    else:
+        # along one axis, lattice index i with flip a has order |2i - a|;
+        # the lowest over both flips bounds the point's 8 images from below
+        lowest = [np.minimum(np.abs(2 * i), np.abs(2 * i - 1))
+                  for i in (np.arange(-h, h + 1) for h in half)]
+        within = lowest[0][:, None, None] + lowest[1][:, None] + lowest[2] <= max_order
+    lattice = np.argwhere(within) - half
 
+    taps, amps = [], []
     for start in range(0, lattice.shape[0], _CHUNK):
         idx = lattice[start:start + _CHUNK]
         rm = 2.0 * idx * dims
         delta = _SIGNS * src + rm[:, None, :] - mic
         d = np.sqrt((delta * delta).sum(axis=2)).ravel()
-        if max_order >= 0:
-            order = np.abs(2 * idx[:, None, :] - _FLIPS).sum(axis=2).ravel()
-            keep = order <= max_order
-        else:
-            keep = np.ones(d.size, dtype=bool)
         # round half up; d is never negative
         tap = np.floor(d * samples_per_meter + 0.5).astype(np.int64)
-        keep &= tap < n
-        if not np.any(keep):
-            continue
+        keep = tap < n
+        if max_order >= 0:
+            keep &= np.abs(2 * idx[:, None, :] - _FLIPS).sum(axis=2).ravel() <= max_order
         e = (np.abs(idx[:, None, :] - _FLIPS)
              + np.abs(idx)[:, None, :]).sum(axis=2).ravel()
-        np.add.at(rir, tap[keep], bpow[e[keep]] / (_FOUR_PI * d[keep]))
+        taps.append(tap[keep])
+        amps.append(bpow[e[keep]] / (_FOUR_PI * d[keep]))
+    return np.bincount(np.concatenate(taps), weights=np.concatenate(amps), minlength=n)
 
 
 def white_noise_signal(duration_s: float, sample_rate: float, rng) -> np.ndarray:

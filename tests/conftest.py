@@ -4,6 +4,7 @@ import numpy as np
 
 from mmgploc import kernels as kn
 from mmgploc import rtf_features as rf
+from mmgploc.acoustic_sim import _CHUNK, _FLIPS, _FOUR_PI, _SIGNS
 
 
 def make_artf(rng, num_nodes, dim, pos=None):
@@ -95,3 +96,44 @@ def conditional_gaussian_oracle(labeled, test, pool, hp, positions, diag):
     mu = sol @ (positions - mean) + mean
     var = s_tt - s_tl @ np.linalg.solve(s_ll, s_tl)
     return mu, var, s_tt
+
+
+def reference_image_rir(rir, dims, src, mic, beta, half, max_order, samples_per_meter):
+    """Add every image-source tap of one source/mic pair to ``rir`` in place.
+
+    The image-source kernel as it was before lattice pruning, kept as the
+    bit-level oracle: it evaluates the whole lattice box and adds each tap
+    with ``np.add.at`` in visiting order (lattice point outer, mirror flips
+    inner).  Returns ``rir``.
+    """
+    n = rir.shape[0]
+    n1, n2, n3 = half
+
+    emax = 2 * (n1 + n2 + n3) + 3
+    bpow = np.empty(emax + 1)
+    bpow[0] = 1.0  # covers the anechoic direct path when beta == 0
+    np.cumprod(np.full(emax, beta), out=bpow[1:])
+
+    gx, gy, gz = np.meshgrid(np.arange(-n1, n1 + 1), np.arange(-n2, n2 + 1),
+                             np.arange(-n3, n3 + 1), indexing="ij")
+    lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+    for start in range(0, lattice.shape[0], _CHUNK):
+        idx = lattice[start:start + _CHUNK]
+        rm = 2.0 * idx * dims
+        delta = _SIGNS * src + rm[:, None, :] - mic
+        d = np.sqrt((delta * delta).sum(axis=2)).ravel()
+        if max_order >= 0:
+            order = np.abs(2 * idx[:, None, :] - _FLIPS).sum(axis=2).ravel()
+            keep = order <= max_order
+        else:
+            keep = np.ones(d.size, dtype=bool)
+        # round half up; d is never negative
+        tap = np.floor(d * samples_per_meter + 0.5).astype(np.int64)
+        keep &= tap < n
+        if not np.any(keep):
+            continue
+        e = (np.abs(idx[:, None, :] - _FLIPS)
+             + np.abs(idx)[:, None, :]).sum(axis=2).ravel()
+        np.add.at(rir, tap[keep], bpow[e[keep]] / (_FOUR_PI * d[keep]))
+    return rir

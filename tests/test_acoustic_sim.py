@@ -1,16 +1,19 @@
 """Room simulator tests.
 
 The image accumulation is checked against a deliberately naive
-dict-accumulating enumeration oracle, and the physical invariants (direct
-tap placement, Schroeder decay, SNR calibration) are checked on their own
-terms.
+dict-accumulating enumeration oracle and, bit for bit, against the
+unpruned ``np.add.at`` kernel kept in ``conftest``; the physical invariants
+(direct tap placement, Schroeder decay, SNR calibration) are checked on
+their own terms.
 """
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reference_image_rir
 
 from mmgploc import acoustic_sim as ac
 
@@ -84,9 +87,49 @@ def test_matches_brute_force_enumeration():
         half = [int(math.ceil(n / (2.0 * L * spm))) + 1 for L in room]
         max_order = int(rng.integers(-1, 6))
         expected = brute_force_rir(n, room, src, mic, beta, half, max_order, fs, c)
-        got = np.zeros(n)
-        ac._accumulate_images(got, room, src, mic, beta, half, max_order, spm)
+        got = ac._accumulate_images(n, room, src, mic, beta, half, max_order, spm)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_kernel_bits_match_reference_oracle():
+    rng = np.random.default_rng(31)
+    orders = ["auto", 0, 1, 2, 3, 4, 5]
+    t60s = [0.0, 0.15, 0.25, 0.35]
+    scenes = [_scene(room=rng.uniform(2.5, 4.5, 3), t60=t60s[k % 4], fs=(8000.0, 16000.0)[k % 2],
+                     max_reflection_order=orders[k % 7]) for k in range(42)]
+    # the one case whose pruned lattice spans several _CHUNK blocks
+    scenes.append(_scene(t60=0.7, fs=8000.0))
+    for k, scene in enumerate(scenes):
+        fs = scene.sample_rate
+        room = scene.room_dims
+        src = rng.uniform(0.1, 0.9, 3) * room
+        mic = rng.uniform(0.1, 0.9, 3) * room
+        if k % 3 == 0:
+            # a source within 5% of a wall
+            axis = rng.integers(3)
+            gap = rng.uniform(0.005, 0.05) * room[axis]
+            src[axis] = gap if rng.random() < 0.5 else room[axis] - gap
+        rir = ac.simulate_rir(scene, src, mic)
+        beta, max_order = ac._reflection_and_order(scene)
+        spm = fs / scene.sound_speed
+        half = [int(math.ceil(rir.size / (2.0 * L * spm))) + 1 for L in room]
+        expected = reference_image_rir(np.zeros(rir.size), room, src, mic, beta, half,
+                                       max_order, spm)
+        assert rir.tobytes() == expected.tobytes()
+    # no order cap: every lattice point of the box stays, so keep n small;
+    # the last n is just large enough for several _CHUNK blocks
+    for n in [int(v) for v in rng.integers(60, 400, 8)] + [2800]:
+        room = rng.uniform(2.5, 4.0, 3)
+        src = rng.uniform(0.1, 0.9, 3) * room
+        mic = rng.uniform(0.1, 0.9, 3) * room
+        beta = rng.uniform(0.3, 0.9)
+        spm = float(rng.choice([8000.0, 16000.0])) / 343.0
+        half = [int(math.ceil(n / (2.0 * L * spm))) + 1 for L in room]
+        if n == 2800:
+            assert np.prod([2 * h + 1 for h in half]) > ac._CHUNK
+        got = ac._accumulate_images(n, room, src, mic, beta, half, -1, spm)
+        expected = reference_image_rir(np.zeros(n), room, src, mic, beta, half, -1, spm)
+        assert got.tobytes() == expected.tobytes()
 
 
 # sha256 of simulate_rir(...).tobytes(); the responses feed every dataset,
@@ -108,6 +151,39 @@ def test_golden_rir_bits(kw, src, mic, size, digest):
     rir = ac.simulate_rir(_scene(**kw), src, mic)
     assert rir.size == size
     assert hashlib.sha256(rir.tobytes()).hexdigest() == digest
+
+
+# the desk scene of the benchmark: three nodes of two mics in the 4x5x3 m room
+DESK_MICS = [[[0.5, 1.0, 1.5], [0.5, 1.2, 1.5]],
+             [[3.5, 2.5, 1.5], [3.5, 2.7, 1.5]],
+             [[1.8, 4.5, 1.5], [2.0, 4.5, 1.5]]]
+
+
+def test_golden_render_bits():
+    # sha256 of a whole noisy desk measurement: pins the responses, the
+    # convolution, the sensor noise and the channel order that feed every
+    # dataset
+    scene = _scene(t60=0.4, snr=20.0, mics=DESK_MICS)
+    sig = ac.white_noise_signal(0.5, scene.sample_rate, np.random.default_rng(5))
+    rec = ac.render_measurement(scene, [2.0, 2.5, 1.5], sig, seed=(3, 0, 1))
+    assert rec.signals.shape == (6, 16106)
+    assert (hashlib.sha256(rec.signals.tobytes()).hexdigest()
+            == "03a6169f932b1ff845aefac0784919161c98117a912f21f3639363a1aca938a7")
+
+
+def test_peak_memory_bounded_in_long_reverb():
+    # auto order 114 here; the kernel evaluates its images in blocks of
+    # _CHUNK lattice points (peak about 88 MiB), and evaluating them all
+    # at once peaks at about 190 MiB
+    scene = _scene(t60=0.9)
+    assert ac._reflection_and_order(scene)[1] == 114
+    tracemalloc.start()
+    try:
+        ac.simulate_rir(scene, [2.0, 2.5, 1.5], [0.5, 1.0, 1.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
 
 
 def test_first_tap_at_direct_delay():

@@ -346,10 +346,15 @@ def test_thread_cap(monkeypatch):
 
 
 def test_console_entry_point(pipeline, tmp_path):
+    # the child must import the package under test, also when only
+    # pytest's own path setting found it
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "mmgploc", "evaluate",
          "--estimates", str(pipeline["est"]), "--dataset", str(pipeline["ds"]),
          "--output", str(tmp_path / "m.csv")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert result.stdout.startswith("rmse=")

@@ -8,22 +8,11 @@ are exercised on seeded random instances.
 
 import numpy as np
 import pytest
-from conftest import cross_node_kernel, gaussian_kernel, node_manifold_kernel
+from conftest import (brute_cross_node, brute_mmgp, cross_node_kernel, gaussian_kernel,
+                      make_artf, make_set, node_manifold_kernel)
 
 from mmgploc import kernels as kn
 from mmgploc import rtf_features as rf
-
-
-def make_artf(rng, num_nodes, dim, pos=None):
-    vecs = [rf.RtfVector(values=rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
-                         node_index=m + 1,
-                         bin_frequencies=np.arange(dim, dtype=float))
-            for m in range(num_nodes)]
-    return rf.assemble_artf(vecs, true_position=pos)
-
-
-def make_set(rng, n, num_nodes, dim):
-    return [make_artf(rng, num_nodes, dim) for _ in range(n)]
 
 
 def test_hyperparameters_validation():
@@ -119,14 +108,6 @@ def test_gram_stack_shape_errors():
         kn.gram_stack([], None, hp)
 
 
-def brute_cross_node(r, l, q, w, pool, hp):
-    total = 0.0
-    for s in pool:
-        total += (gaussian_kernel(r.per_node[q - 1], s.per_node[q - 1], hp.eps[q - 1])
-                  * gaussian_kernel(l.per_node[w - 1], s.per_node[w - 1], hp.eps[w - 1]))
-    return total
-
-
 def test_node_manifold_kernel_small_cases():
     rng = np.random.default_rng(19)
     hp = kn.Hyperparameters(eps=[1.5])
@@ -170,19 +151,6 @@ def test_cross_node_kernel_errors():
         cross_node_kernel(r, r, 1, 1, [], hp)
     with pytest.raises(ValueError, match="1-based"):
         cross_node_kernel(r, r, 0, 1, [r], hp)
-
-
-def brute_mmgp(a_set, b_set, pool, hp):
-    m = hp.num_nodes
-    out = np.zeros((len(a_set), len(b_set)))
-    for i, a in enumerate(a_set):
-        for j, b in enumerate(b_set):
-            total = 0.0
-            for q in range(1, m + 1):
-                for w in range(1, m + 1):
-                    total += brute_cross_node(a, b, q, w, pool, hp)
-            out[i, j] = total / m**2
-    return out
 
 
 def test_mmgp_covariance_matches_double_sum():
