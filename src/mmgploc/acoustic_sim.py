@@ -212,12 +212,18 @@ def simulate_rir(scene: SceneConfig, source_pos, mic_pos) -> np.ndarray:
     beta, max_order = _reflection_and_order(scene)
     n = int(math.ceil(rir_duration(scene, source_pos, mic_pos) * scene.sample_rate))
     samples_per_meter = scene.sample_rate / scene.sound_speed
-    # half-extent of the image lattice: images farther than the response
-    # length (plus one wrap for the mirrored offsets) cannot land in it
-    half = [int(math.ceil(n / (2.0 * L * samples_per_meter))) + 1 for L in scene.room_dims]
-
+    half = _lattice_half_extent(n, scene.room_dims, samples_per_meter)
     return _accumulate_images(n, scene.room_dims, source_pos, mic_pos, beta, half,
                               max_order, samples_per_meter)
+
+
+def _lattice_half_extent(n, room_dims, samples_per_meter) -> list:
+    """Per-axis half-extent of the image lattice for an ``n``-sample response.
+
+    Images farther than the response length (plus one wrap for the mirrored
+    offsets) cannot land in it.
+    """
+    return [int(math.ceil(n / (2.0 * L * samples_per_meter))) + 1 for L in room_dims]
 
 
 def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_meter):

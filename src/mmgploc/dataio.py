@@ -53,6 +53,8 @@ def read_blob(path) -> np.ndarray:
         raw = fh.read()
     if raw[:4] != BLOB_MAGIC:
         raise ValueError(f"{path}: not an array blob (bad magic)")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated header ({len(raw)} of 16 bytes)")
     version, code, count = struct.unpack("<3I", raw[4:16])
     if version != BLOB_VERSION:
         raise ValueError(f"{path}: unsupported blob version {version}")

@@ -87,8 +87,14 @@ class MmgpModel:
         """Posterior mean and variance for one test sample; read-only."""
         t = _as_feature_row(h_t, self)
         hp = self.hyperparameters
-        k_lt = mmgp_covariance(self.labeled_features, t, self.pool, hp)[:, 0]
-        prior = float(mmgp_covariance(t, None, self.pool, hp)[0, 0])
+        m = hp.num_nodes
+        # mmgp_covariance's S S^T / M^2 products, with the test row's
+        # node-summed Gram built once for both k and the prior
+        s_ld = gram_stack(self.labeled_features, self.pool, hp).summed
+        s_t = gram_stack(t, self.pool, hp).summed
+        k_lt = ((s_ld @ s_t.T) / m**2)[:, 0]
+        cov = s_t @ s_t.T
+        prior = float((0.5 * (cov + cov.T) / m**2)[0, 0])
         est = k_lt @ self.weights + self.label_mean
         var = prior - float(k_lt @ self.gamma @ k_lt)
         var = max(var, 0.0)
@@ -230,10 +236,10 @@ def load_model(path) -> MmgpModel:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a model file (bad magic)")
-        version, n_l, c, m, count, n_d = struct.unpack("<6I", fh.read(24))
+        version, n_l, c, m, count, n_d = struct.unpack("<6I", _read_exact(fh, 24))
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
-        d = struct.unpack("<I", fh.read(4))[0]
+        d = struct.unpack("<I", _read_exact(fh, 4))[0]
         eps = _read_f64(fh, m)
         sigma2, jitter = _read_f64(fh, 2)
         sigma_l = _read_f64(fh, n_l * n_l).reshape(n_l, n_l)
@@ -256,8 +262,12 @@ def _write_f64(fh, arr) -> None:
     fh.write(np.ascontiguousarray(np.asarray(arr, dtype="<f8")).tobytes())
 
 
-def _read_f64(fh, count: int) -> np.ndarray:
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
+def _read_exact(fh, size: int) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
         raise ValueError("truncated model file")
-    return np.frombuffer(raw, dtype="<f8").copy()
+    return raw
+
+
+def _read_f64(fh, count: int) -> np.ndarray:
+    return np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").copy()

@@ -5,11 +5,16 @@ cross- and auto-spectra estimates the acoustic transfer ratio between the
 channels independently of what the source emitted.  Features are restricted
 to a fixed frequency band and concatenated across nodes into the aggregated
 RTF that the localization models consume.
+
+Every record takes one short-time Fourier transform pass over all of its
+channels; each node's Welch auto- and cross-spectra are frame means of
+that one STFT, so no channel is transformed twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -143,7 +148,8 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
 
     Hann windows with per-window mean removal; the convention is
     S_xy(f) = mean over frames of conj(X_frame) * Y_frame, so a delayed
-    copy y(t) = x(t - tau) shows phase -2*pi*f*tau.
+    copy y(t) = x(t - tau) shows phase -2*pi*f*tau.  Feature extraction
+    forms the same spectra for all of a record's nodes from one STFT pass.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -167,6 +173,57 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=8)
+def _short_time_fft(fs: float, nper: int, noverlap: int, fft_size: int) -> sp_signal.ShortTimeFFT:
+    # keyed on scalars because SpectralConfig is unhashable; these are the
+    # arguments scipy.signal.csd builds its own transform from
+    return sp_signal.ShortTimeFFT(sp_signal.get_window("hann", nper), nper - noverlap, fs,
+                                  fft_mode="onesided", mfft=fft_size, scale_to="psd",
+                                  phase_shift=None)
+
+
+def _band_rtfs(record, nodes: range, cfg: SpectralConfig) -> np.ndarray:
+    """Band RTFs of the 1-based ``nodes`` of a record, as a (len(nodes), D) array.
+
+    One STFT pass covers every channel of those nodes.  Each node's spectra
+    are then formed as ``welch_cross_spectrum`` forms them: squared
+    magnitudes and S_sec * conj(S_ref) per frame, the one-sided doubling
+    (the Nyquist bin of an even FFT stays single), and the frame mean.
+    """
+    if record.sample_rate != cfg.sample_rate:
+        raise ValueError(
+            f"record rate {record.sample_rate} != config rate {cfg.sample_rate}")
+    for m in nodes:
+        y_ref, _ = record.node_channels(m)
+        if not np.any(y_ref):
+            raise ValueError("degenerate recording: reference channel is all zeros")
+    signals = record.signals[2 * (nodes.start - 1):2 * (nodes.stop - 1)]
+    n = signals.shape[-1]
+    nper = cfg.window_samples
+    if n < nper:
+        raise ValueError(f"signal ({n} samples) shorter than one window ({nper})")
+    noverlap = int(round(cfg.overlap_fraction * nper))
+    sft = _short_time_fft(cfg.sample_rate, nper, noverlap, cfg.fft_size)
+    spec = sft.stft_detrend(signals, "constant", p0=0, p1=(n - noverlap) // sft.hop,
+                            k_offset=nper // 2, axis=-1)
+    doubled = slice(1, -1 if cfg.fft_size % 2 == 0 else None)
+    bins = band_bins(cfg)
+    out = np.empty((len(nodes), bins.size), dtype=complex)
+    for i in range(len(nodes)):
+        # per-node 2-D slices: products on strided 3-D views of spec can
+        # round differently in the last bit
+        ref, sec = spec[2 * i], spec[2 * i + 1]
+        s_auto = ref.real**2 + ref.imag**2
+        s_cross = sec * ref.conj()
+        s_auto[doubled] *= 2
+        s_cross[doubled] *= 2
+        s_auto = s_auto.mean(axis=-1)
+        s_cross = s_cross.mean(axis=-1)
+        ratio = s_cross / (s_auto + _DENOM_DELTA * s_auto.mean())
+        out[i] = ratio[bins]
+    return out
+
+
 def estimate_rtf(record, node_index: int, cfg: SpectralConfig) -> RtfVector:
     """Biased RTF estimate of one node, restricted to the feature band.
 
@@ -175,18 +232,8 @@ def estimate_rtf(record, node_index: int, cfg: SpectralConfig) -> RtfVector:
     spectral-floor term keeps dead bins finite.  The ratio cancels the
     source spectrum, so the result is gain-invariant.
     """
-    if record.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"record rate {record.sample_rate} != config rate {cfg.sample_rate}")
-    y_ref, y_sec = record.node_channels(node_index)
-    if not np.any(y_ref):
-        raise ValueError("degenerate recording: reference channel is all zeros")
-    s_auto = welch_cross_spectrum(y_ref, y_ref, cfg).real
-    s_cross = welch_cross_spectrum(y_ref, y_sec, cfg)
-    ratio = s_cross / (s_auto + _DENOM_DELTA * s_auto.mean())
-    bins = band_bins(cfg)
-    return RtfVector(values=ratio[bins], node_index=node_index,
-                     bin_frequencies=bins * cfg.sample_rate / cfg.fft_size)
+    values = _band_rtfs(record, range(node_index, node_index + 1), cfg)[0]
+    return RtfVector(values=values, node_index=node_index, bin_frequencies=bin_frequencies(cfg))
 
 
 def assemble_artf(node_rtfs, true_position=None, cfg: SpectralConfig | None = None) -> AggregatedRtf:
@@ -206,5 +253,8 @@ def assemble_artf(node_rtfs, true_position=None, cfg: SpectralConfig | None = No
 
 def artf_from_record(record, cfg: SpectralConfig) -> AggregatedRtf:
     """Full feature-extraction step for one measurement record."""
-    vectors = [estimate_rtf(record, m, cfg) for m in range(1, record.num_nodes + 1)]
+    rows = _band_rtfs(record, range(1, record.num_nodes + 1), cfg)
+    freqs = bin_frequencies(cfg)
+    vectors = [RtfVector(values=row, node_index=m, bin_frequencies=freqs)
+               for m, row in enumerate(rows, start=1)]
     return assemble_artf(vectors, true_position=record.true_position, cfg=cfg)

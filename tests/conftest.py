@@ -3,6 +3,7 @@
 import numpy as np
 
 from mmgploc import kernels as kn
+from mmgploc import mmgp_model as mm
 from mmgploc import rtf_features as rf
 from mmgploc.acoustic_sim import _CHUNK, _FLIPS, _FOUR_PI, _SIGNS
 
@@ -137,3 +138,47 @@ def reference_image_rir(rir, dims, src, mic, beta, half, max_order, samples_per_
              + np.abs(idx)[:, None, :]).sum(axis=2).ravel()
         np.add.at(rir, tap[keep], bpow[e[keep]] / (_FOUR_PI * d[keep]))
     return rir
+
+
+def reference_estimate_rtf(record, node_index: int, cfg):
+    """One node's band RTF from two ``welch_cross_spectrum`` calls.
+
+    The feature extractor as it was before the one-STFT-per-record path,
+    kept as the bit-level oracle: it transforms the reference channel
+    twice and the secondary channel once per node.
+    """
+    if record.sample_rate != cfg.sample_rate:
+        raise ValueError(
+            f"record rate {record.sample_rate} != config rate {cfg.sample_rate}")
+    y_ref, y_sec = record.node_channels(node_index)
+    if not np.any(y_ref):
+        raise ValueError("degenerate recording: reference channel is all zeros")
+    s_auto = rf.welch_cross_spectrum(y_ref, y_ref, cfg).real
+    s_cross = rf.welch_cross_spectrum(y_ref, y_sec, cfg)
+    ratio = s_cross / (s_auto + rf._DENOM_DELTA * s_auto.mean())
+    bins = rf.band_bins(cfg)
+    return rf.RtfVector(values=ratio[bins], node_index=node_index,
+                        bin_frequencies=bins * cfg.sample_rate / cfg.fft_size)
+
+
+def reference_artf_from_record(record, cfg):
+    """Aggregated RTF of a record, node by node through ``reference_estimate_rtf``."""
+    vectors = [reference_estimate_rtf(record, m, cfg) for m in range(1, record.num_nodes + 1)]
+    return rf.assemble_artf(vectors, true_position=record.true_position, cfg=cfg)
+
+
+def reference_predict(model, h_t):
+    """Posterior of one test sample through two ``mmgp_covariance`` calls.
+
+    ``MmgpModel.predict`` as it was before it shared the test row's Gram
+    between k and the prior, kept as the bit-level oracle.
+    """
+    t = mm._as_feature_row(h_t, model)
+    hp = model.hyperparameters
+    k_lt = kn.mmgp_covariance(model.labeled_features, t, model.pool, hp)[:, 0]
+    prior = float(kn.mmgp_covariance(t, None, model.pool, hp)[0, 0])
+    est = k_lt @ model.weights + model.label_mean
+    var = prior - float(k_lt @ model.gamma @ k_lt)
+    var = max(var, 0.0)
+    return mm.Prediction(position=est, variance=np.full(model.num_coords, var),
+                         prior_variance=prior)

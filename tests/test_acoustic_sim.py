@@ -84,7 +84,7 @@ def test_matches_brute_force_enumeration():
         beta = rng.uniform(0.3, 0.8)
         n = 400
         spm = fs / c
-        half = [int(math.ceil(n / (2.0 * L * spm))) + 1 for L in room]
+        half = ac._lattice_half_extent(n, room, spm)
         max_order = int(rng.integers(-1, 6))
         expected = brute_force_rir(n, room, src, mic, beta, half, max_order, fs, c)
         got = ac._accumulate_images(n, room, src, mic, beta, half, max_order, spm)
@@ -112,7 +112,7 @@ def test_kernel_bits_match_reference_oracle():
         rir = ac.simulate_rir(scene, src, mic)
         beta, max_order = ac._reflection_and_order(scene)
         spm = fs / scene.sound_speed
-        half = [int(math.ceil(rir.size / (2.0 * L * spm))) + 1 for L in room]
+        half = ac._lattice_half_extent(rir.size, room, spm)
         expected = reference_image_rir(np.zeros(rir.size), room, src, mic, beta, half,
                                        max_order, spm)
         assert rir.tobytes() == expected.tobytes()
@@ -124,7 +124,7 @@ def test_kernel_bits_match_reference_oracle():
         mic = rng.uniform(0.1, 0.9, 3) * room
         beta = rng.uniform(0.3, 0.9)
         spm = float(rng.choice([8000.0, 16000.0])) / 343.0
-        half = [int(math.ceil(n / (2.0 * L * spm))) + 1 for L in room]
+        half = ac._lattice_half_extent(n, room, spm)
         if n == 2800:
             assert np.prod([2 * h + 1 for h in half]) > ac._CHUNK
         got = ac._accumulate_images(n, room, src, mic, beta, half, -1, spm)

@@ -76,6 +76,21 @@ def test_blob_errors(tmp_path):
         dio.write_blob(tmp_path / "bad.blob", np.arange(4))
 
 
+def test_blob_rejects_every_truncated_prefix(tmp_path):
+    path = tmp_path / "x.c64"
+    dio.write_blob(path, np.arange(6.0) + 1j)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.c64"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError):
+            dio.read_blob(cut)
+    # a header cut short after the magic is reported as truncation
+    cut.write_bytes(raw[:6])
+    with pytest.raises(ValueError, match="truncated header"):
+        dio.read_blob(cut)
+
+
 def test_config_hash_canonical():
     a = {"x": 1, "y": [1.5, 2.5], "z": "s"}
     b = {"z": "s", "y": [1.5, 2.5], "x": 1}

@@ -9,7 +9,7 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import conditional_gaussian_oracle, make_artf, make_set
+from conftest import conditional_gaussian_oracle, make_artf, make_set, reference_predict
 
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
@@ -168,6 +168,33 @@ def test_recursive_equals_batch_refit():
         np.testing.assert_allclose(a.position, b.position, rtol=1e-9, atol=1e-11)
 
 
+def test_predict_bits_match_two_covariance_formula(monkeypatch):
+    rng = np.random.default_rng(61)
+    model, *_ = fitted(rng, n_l=6, n_u=4, num_nodes=3, dim=5, c=3)
+    for _ in range(110):
+        model.update_recursive(make_artf(rng, 3, 5))
+    assert model.pool.shape[0] == 120
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kn.gram_stack(*args, **kwargs)
+
+    monkeypatch.setattr(mm, "gram_stack", counting)
+    for _ in range(5):
+        t = make_artf(rng, 3, 5)
+        calls.clear()
+        got = model.predict(t)
+        assert len(calls) == 2
+        want = reference_predict(model, t)
+        assert got.position.tobytes() == want.position.tobytes()
+        assert got.variance.tobytes() == want.variance.tobytes()
+        assert got.prior_variance == want.prior_variance
+    # a sample already in the pool
+    t = model.pool[-1]
+    assert model.predict(t).position.tobytes() == reference_predict(model, t).position.tobytes()
+
+
 def test_predict_recursive_is_update_then_predict():
     rng = np.random.default_rng(41)
     model, *_ = fitted(rng)
@@ -298,6 +325,23 @@ def test_serialization_rejects_corrupt_files(tmp_path):
     bad_version.write_bytes(raw[:4] + b"\x63\x00\x00\x00" + raw[8:])
     with pytest.raises(ValueError, match="version"):
         mm.load_model(bad_version)
+
+
+def test_load_rejects_every_truncated_prefix(tmp_path):
+    rng = np.random.default_rng(79)
+    model, *_ = fitted(rng, n_l=3, n_u=2)
+    path = tmp_path / "model.bin"
+    mm.save_model(model, path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError):
+            mm.load_model(cut)
+    # a header cut inside the counts is reported as truncation
+    cut.write_bytes(raw[:7])
+    with pytest.raises(ValueError, match="truncated"):
+        mm.load_model(cut)
 
 
 def test_prediction_type_validation():

@@ -3,13 +3,22 @@
 welch_cross_spectrum is checked against a hand-rolled framed-periodogram
 oracle, and estimate_rtf against analytically known channel ratios plus a
 simulated pair of impulse responses whose true transfer ratio is computed
-from the responses themselves.
+from the responses themselves.  The one-STFT-per-record extractor is pinned
+bit for bit to the node-by-node Welch oracle in conftest and to a golden
+digest of the desk features.
 """
+
+import hashlib
+import itertools
+import json
 
 import numpy as np
 import pytest
+from conftest import reference_artf_from_record, reference_estimate_rtf
 
 from mmgploc import acoustic_sim as ac
+from mmgploc import cli
+from mmgploc import dataio as dio
 from mmgploc import rtf_features as rf
 
 
@@ -208,6 +217,103 @@ def test_rtf_matches_true_response_ratio():
                                 ac.simulate_rir(scene, src, mics[1]), cfg)
     rel = np.abs(v.values - truth) / np.abs(truth)
     assert np.mean(rel <= 0.10) >= 0.90
+
+
+def test_rtf_short_and_constant_signal_errors():
+    cfg = rf.SpectralConfig()
+    x = np.random.default_rng(37).standard_normal(16000)
+    with pytest.raises(ValueError, match="shorter than one window"):
+        rf.estimate_rtf(_record(x[:2047], x[:2047]), 1, cfg)
+    # a constant reference is nonzero, but every detrended frame is zero
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        rf.estimate_rtf(_record(np.ones(16000), x), 1, cfg)
+    two = ac.MeasurementRecord(signals=np.stack([x, x, np.zeros(16000), x]),
+                               sample_rate=16000.0, num_nodes=2)
+    with pytest.raises(ValueError, match="reference channel"):
+        rf.artf_from_record(two, cfg)
+    with pytest.raises(ValueError, match="out of range"):
+        rf.estimate_rtf(two, 3, cfg)
+
+
+def test_one_stft_features_match_welch_reference_bits():
+    rng = np.random.default_rng(43)
+    cases = list(itertools.product((1, 2, 3, 4), (8000.0, 16000.0), (0.0, 0.75),
+                                   ("even", "odd")))
+    # two records per case, plus random overlaps
+    cases = cases * 2 + [(int(rng.integers(1, 5)), 16000.0, float(rng.uniform(0.1, 0.9)),
+                          "even") for _ in range(4)]
+    assert len(cases) >= 50
+    for num_nodes, fs, overlap, parity in cases:
+        window_s = float(rng.choice([0.016, 0.032, 0.064]))
+        nper = int(round(window_s * fs))
+        fft_size = 2 * nper if parity == "even" else nper + int(rng.choice([1, 3, nper + 1]))
+        assert fft_size % 2 == (parity == "odd")
+        cfg = rf.SpectralConfig(sample_rate=fs, window_length_s=window_s,
+                                overlap_fraction=overlap, fft_size=fft_size,
+                                band_low_hz=150.0, band_high_hz=fs / 2)
+        n = int(rng.integers(nper, int(1.2 * fs)))
+        signals = rng.standard_normal((2 * num_nodes, n)) * rng.uniform(0.01, 10.0)
+        # secondary channels carry a delayed copy of their reference
+        signals[1::2] += 0.6 * np.roll(signals[0::2], int(rng.integers(0, 12)), axis=1)
+        rec = ac.MeasurementRecord(signals=signals, sample_rate=fs, num_nodes=num_nodes,
+                                   true_position=rng.uniform(1.0, 2.0, 3))
+        got = rf.artf_from_record(rec, cfg)
+        want = reference_artf_from_record(rec, cfg)
+        assert got.stack().tobytes() == want.stack().tobytes()
+        assert got.true_position.tobytes() == want.true_position.tobytes()
+        for g, w in zip(got.per_node, want.per_node):
+            assert g.bin_frequencies.tobytes() == w.bin_frequencies.tobytes()
+        m = int(rng.integers(1, num_nodes + 1))
+        assert (rf.estimate_rtf(rec, m, cfg).values.tobytes()
+                == reference_estimate_rtf(rec, m, cfg).values.tobytes())
+
+
+def test_one_stft_features_match_reference_on_long_fft():
+    # the 1.024 s window and 16384-point FFT of the true-response test
+    cfg = rf.SpectralConfig(window_length_s=1.024, fft_size=16384)
+    x = np.random.default_rng(47).standard_normal((2, 40000))
+    assert (rf.estimate_rtf(_record(*x), 1, cfg).values.tobytes()
+            == reference_estimate_rtf(_record(*x), 1, cfg).values.tobytes())
+
+
+def desk_features_config():
+    """A small dataset in the desk room: 4 labelled, 2 unlabelled, 2 test records."""
+    return {
+        "seed": 3,
+        "scene": {
+            "room_dims": [4.0, 5.0, 3.0],
+            "mic_positions": [[[0.5, 1.0, 1.5], [0.5, 1.2, 1.5]],
+                              [[3.5, 2.5, 1.5], [3.5, 2.7, 1.5]],
+                              [[1.8, 4.5, 1.5], [2.0, 4.5, 1.5]]],
+            "t60": 0.4, "snr_db": 20.0, "sample_rate": 16000.0,
+        },
+        "labeled": {"grid": {"origin": [1.25, 1.75, 1.5], "spacing": 0.5,
+                             "counts": [2, 2, 1]},
+                    "signal": {"kind": "wgn", "duration_s": 1.0}},
+        "unlabeled": {"random": {"low": [1.25, 1.75, 1.5], "high": [2.75, 3.25, 1.5],
+                                 "count": 2},
+                      "signal": {"kind": "wgn", "duration_s": 1.0}},
+        "test": {"loop": {"center": [2.0, 2.5, 1.5], "radius": 0.6, "count": 2,
+                          "jitter": 0.05},
+                 "signal": {"kind": "speech", "duration_s": 1.3}},
+    }
+
+
+def test_golden_desk_features_digest(tmp_path):
+    # sha256 over every record's feature blob in manifest order, recorded
+    # with the node-by-node Welch extractor before the one-STFT path
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(desk_features_config()))
+    cli.cmd_simulate(cli.resolve_config(cfg_path), tmp_path / "ds")
+    assert cli.cmd_features(tmp_path / "ds") == 8
+    manifest = dio.load_manifest(tmp_path / "ds")
+    digest = hashlib.sha256()
+    for entry in manifest["records"]:
+        feats = dio.read_record_features(manifest, entry)
+        assert feats.shape == (3, 295)
+        digest.update(feats.tobytes())
+    assert digest.hexdigest() == (
+        "864a101964ccd2b6b26be77c9a99f365da832770aac4bb39f8b1cc884d721e3e")
 
 
 def test_assemble_artf_orders_and_validates():
