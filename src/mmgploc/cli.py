@@ -275,7 +275,7 @@ def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
         "jitter_used": model.jitter_used,
         "learned": learned,
     }
-    with open(_sidecar_path(model_path), "w") as fh:
+    with dio.atomic_write(_sidecar_path(model_path), "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     return str(model_path)

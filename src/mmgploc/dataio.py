@@ -9,9 +9,12 @@ never in the training-side manifest.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -29,6 +32,30 @@ _CODE_OF_KIND = {"f": 1, "c": 2}
 
 
 # ---------------------------------------------------------------------------
+# atomic file writes
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open a new file beside ``path`` that replaces it once the block succeeds.
+
+    Readers see either the old file or the complete new one, never a
+    partial write.  If the block raises, the temporary file is removed and
+    ``path`` is left as it was.  ``mode`` is "w" or "wb"; ``kwargs`` go to
+    ``open``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # binary blobs
 
 
@@ -41,7 +68,7 @@ def write_blob(path, array: np.ndarray) -> None:
     flat = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code]).ravel()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(BLOB_MAGIC)
         fh.write(struct.pack("<3I", BLOB_VERSION, code, flat.size))
         fh.write(flat.tobytes())
@@ -247,6 +274,6 @@ def attach_features(dataset_dir, features: dict) -> None:
 
 
 def _dump_json(path, doc) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -4,18 +4,23 @@ The model regresses source coordinates on aggregated RTF features.  The
 prior covariance between any two events is the fused kernel over the whole
 training pool (labelled plus unlabelled), so unlabelled data sharpens the
 geometry without needing positions.  Streaming test samples are absorbed
-with rank-1 updates whose results match a from-scratch refit.
+with rank-1 updates whose results match a from-scratch refit.  The pool is
+a ``FeaturePool`` that caches each node's conjugated rows and squared norms,
+so an update appends in amortised O(1) copies and a prediction builds its
+two Grams against the pool without copying it.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .kernels import Hyperparameters, gram_stack, mmgp_covariance, stack_features
+from .dataio import atomic_write
+from .kernels import FeaturePool, Hyperparameters, gram_stack, mmgp_covariance, stack_features
 
 _MAGIC = b"MMGP"
 _FORMAT_VERSION = 1
@@ -47,13 +52,14 @@ class Prediction:
 class MmgpModel:
     """Fitted state: pool features, labelled geometry, and the explicit inverse.
 
-    ``pool`` holds the (n_D, M, D) training features with the labelled
-    samples first; streaming updates append to it.  ``gamma`` is the
-    explicit (Sigma_L + (sigma2 + jitter) I)^-1 the weight vectors hang
-    off; ``weights`` has one column per coordinate.
+    ``feature_pool`` holds the (n_D, M, D) training features with the
+    labelled samples first, plus each node's cached Gram operands;
+    streaming updates append to it and ``pool`` reads it as a read-only
+    array.  ``gamma`` is the explicit (Sigma_L + (sigma2 + jitter) I)^-1
+    the weight vectors hang off; ``weights`` has one column per coordinate.
     """
 
-    pool: np.ndarray
+    feature_pool: FeaturePool
     n_labeled: int
     positions: np.ndarray         # (n_L, C) original labels
     label_mean: np.ndarray        # (C,)
@@ -64,6 +70,10 @@ class MmgpModel:
     gamma: np.ndarray             # (n_L, n_L)
     weights: np.ndarray           # (n_L, C)
     update_count: int = 0
+
+    @property
+    def pool(self) -> np.ndarray:
+        return self.feature_pool.features
 
     @property
     def labeled_features(self) -> np.ndarray:
@@ -90,8 +100,8 @@ class MmgpModel:
         m = hp.num_nodes
         # mmgp_covariance's S S^T / M^2 products, with the test row's
         # node-summed Gram built once for both k and the prior
-        s_ld = gram_stack(self.labeled_features, self.pool, hp).summed
-        s_t = gram_stack(t, self.pool, hp).summed
+        s_ld = gram_stack(self.labeled_features, self.feature_pool, hp).summed
+        s_t = gram_stack(t, self.feature_pool, hp).summed
         k_lt = ((s_ld @ s_t.T) / m**2)[:, 0]
         cov = s_t @ s_t.T
         prior = float((0.5 * (cov + cov.T) / m**2)[0, 0])
@@ -119,7 +129,7 @@ class MmgpModel:
         self.sigma_l = self.sigma_l + np.outer(k, k) / m2
         self.sigma_l = 0.5 * (self.sigma_l + self.sigma_l.T)
         self.weights = self.gamma @ self.centered
-        self.pool = np.concatenate([self.pool, t])
+        self.feature_pool.append(t)
         self.update_count += 1
         return self
 
@@ -127,19 +137,6 @@ class MmgpModel:
         """Absorb the test sample, then predict it against the grown pool."""
         self.update_recursive(h_t)
         return self.predict(h_t)
-
-    def refit(self) -> "MmgpModel":
-        """Rebuild the labelled covariance and its inverse from the pool.
-
-        Re-conditions the explicit inverse after long update chains; keeps
-        the jitter resolved at fit time so the diagonal matches the
-        streaming path.  Returns self.
-        """
-        hp = self.hyperparameters
-        self.sigma_l = mmgp_covariance(self.labeled_features, None, self.pool, hp)
-        self.gamma = _spd_inverse(self.sigma_l, hp.sigma2 + self.jitter_used)
-        self.weights = self.gamma @ self.centered
-        return self
 
 
 def _as_feature_row(h_t, model: MmgpModel) -> np.ndarray:
@@ -192,7 +189,7 @@ def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
     mean = positions.mean(axis=0)
     centered = positions - mean
     return MmgpModel(
-        pool=pool,
+        feature_pool=FeaturePool(pool),
         n_labeled=n_l,
         positions=positions,
         label_mean=mean,
@@ -215,7 +212,7 @@ def save_model(model: MmgpModel, path) -> None:
     """
     n_l, c = model.centered.shape
     n_d, m, d = model.pool.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<6I", _FORMAT_VERSION, n_l, c, m,
                              model.update_count, n_d))
@@ -232,7 +229,12 @@ def save_model(model: MmgpModel, path) -> None:
 
 
 def load_model(path) -> MmgpModel:
-    """Restore a model written by save_model."""
+    """Restore a model written by save_model.
+
+    The sizes the header declares are checked against the file's size
+    before any array is read, so a corrupt count cannot ask for more
+    memory than the file holds.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a model file (bad magic)")
@@ -240,6 +242,15 @@ def load_model(path) -> MmgpModel:
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
         d = struct.unpack("<I", _read_exact(fh, 4))[0]
+        declared = 32 + 8 * (m + 2 + 2 * n_l * n_l + 2 * n_l * c + c + 2 * n_d * m * d)
+        size = os.fstat(fh.fileno()).st_size
+        if declared > size:
+            raise ValueError(f"truncated model file: header declares {declared} bytes, "
+                             f"file has {size}")
+        if declared < size:
+            raise ValueError("trailing bytes in model file")
+        if m == 0 or not 1 <= n_l <= n_d:
+            raise ValueError(f"inconsistent model header: M={m}, n_L={n_l}, n_D={n_d}")
         eps = _read_f64(fh, m)
         sigma2, jitter = _read_f64(fh, 2)
         sigma_l = _read_f64(fh, n_l * n_l).reshape(n_l, n_l)
@@ -248,11 +259,8 @@ def load_model(path) -> MmgpModel:
         mean = _read_f64(fh, c)
         positions = _read_f64(fh, n_l * c).reshape(n_l, c)
         pool = _read_f64(fh, n_d * m * d * 2).view(complex).reshape(n_d, m, d)
-        extra = fh.read(1)
-    if extra:
-        raise ValueError("trailing bytes in model file")
     hp = Hyperparameters(eps=eps, sigma2=float(sigma2), jitter=float(jitter))
-    return MmgpModel(pool=pool, n_labeled=n_l, positions=positions,
+    return MmgpModel(feature_pool=FeaturePool(pool), n_labeled=n_l, positions=positions,
                      label_mean=mean, centered=centered, hyperparameters=hp,
                      jitter_used=float(jitter), sigma_l=sigma_l, gamma=gamma,
                      weights=gamma @ centered, update_count=count)

@@ -1,14 +1,21 @@
 """Dataset persistence tests: blob format, manifests, truth separation."""
 
+import builtins
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmgploc.acoustic_sim as sim
 import mmgploc.dataio as dio
+import mmgploc.kernels as kn
+import mmgploc.mmgp_model as mm
 import mmgploc.rtf_features as rf
 
 
@@ -89,6 +96,79 @@ def test_blob_rejects_every_truncated_prefix(tmp_path):
     cut.write_bytes(raw[:6])
     with pytest.raises(ValueError, match="truncated header"):
         dio.read_blob(cut)
+
+
+_BLOB_BYTES = b"".join([dio.BLOB_MAGIC, struct.pack("<3I", dio.BLOB_VERSION, 2, 3),
+                        (np.arange(3.0) + 1j).tobytes()])
+
+
+def _reads_or_rejects(raw: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.c64"
+        path.write_bytes(raw)
+        try:
+            dio.read_blob(path)
+        except ValueError:
+            pass
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cut=st.integers(0, len(_BLOB_BYTES)),
+       flips=st.lists(st.tuples(st.integers(0, len(_BLOB_BYTES) - 1), st.integers(1, 255)),
+                      max_size=4),
+       field=st.integers(0, 3), value=st.integers(0, 2**32 - 1))
+def test_read_blob_survives_corruption(cut, flips, field, value):
+    raw = bytearray(_BLOB_BYTES)
+    for at, mask in flips:
+        raw[at] ^= mask
+    _reads_or_rejects(bytes(raw[:cut]))
+    raw[4 * field: 4 * field + 4] = struct.pack("<I", value)
+    _reads_or_rejects(bytes(raw))
+
+
+class _FailsOnSecondWrite:
+    """A file whose second write raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError("simulated full disk")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _save_model(path):
+    rng = np.random.default_rng(5)
+    hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.1)
+    mm.save_model(mm.fit(make_set(rng, 4, 2, 3), rng.uniform(0.0, 4.0, (2, 2)), hp), path)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: dio.write_blob(path, np.arange(5.0)),
+    lambda path: dio._dump_json(path, {"records": [1, 2, 3]}),
+    _save_model,
+], ids=["write_blob", "dump_json", "save_model"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old contents")
+    monkeypatch.setattr(dio, "open", lambda *a, **k: _FailsOnSecondWrite(builtins.open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="simulated"):
+        write(path)
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    monkeypatch.undo()
+    write(path)
+    assert path.read_bytes() != b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 def test_config_hash_canonical():

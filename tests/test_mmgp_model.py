@@ -6,10 +6,17 @@ refits (the keystone equivalence) and the Woodbury identity directly.
 """
 
 import copy
+import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import conditional_gaussian_oracle, make_artf, make_set, reference_predict
+from conftest import (ArrayPoolModel, conditional_gaussian_oracle, make_artf, make_set,
+                      reference_predict, reference_update_recursive, refit)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
@@ -195,6 +202,63 @@ def test_predict_bits_match_two_covariance_formula(monkeypatch):
     assert model.predict(t).position.tobytes() == reference_predict(model, t).position.tobytes()
 
 
+def _same_bits(model, twin, got, want):
+    assert got.position.tobytes() == want.position.tobytes()
+    assert got.variance.tobytes() == want.variance.tobytes()
+    assert got.prior_variance == want.prior_variance
+    for name in ("gamma", "sigma_l", "weights", "pool"):
+        assert getattr(model, name).tobytes() == getattr(twin, name).tobytes(), name
+
+
+def test_stream_bits_match_concatenating_reference(tmp_path):
+    rng = np.random.default_rng(83)
+    model, *_ = fitted(rng, n_l=3, n_u=2, num_nodes=3, dim=7, c=3)
+    twin = ArrayPoolModel(model)
+    resumed = None
+    for step in range(320):  # the 5-sample pool's buffer doubles 7 times
+        t = make_artf(rng, 3, 7)
+        got = model.predict_recursive(t)
+        reference_update_recursive(twin, t)
+        _same_bits(model, twin, got, reference_predict(twin, t))
+        assert model.pool.flags.c_contiguous and model.pool.shape[0] == 6 + step
+        if resumed is not None:
+            _same_bits(resumed, model, resumed.predict_recursive(t), got)
+        if step == 150:
+            mm.save_model(model, tmp_path / "mid.bin")
+            resumed = mm.load_model(tmp_path / "mid.bin")
+            # a deep copy owns its pool: growing it leaves the original as it was
+            clone = copy.deepcopy(model)
+            pool, gamma = model.pool.tobytes(), model.gamma.tobytes()
+            for _ in range(3):
+                clone.update_recursive(make_artf(rng, 3, 7))
+            assert model.pool.tobytes() == pool and model.gamma.tobytes() == gamma
+            assert clone.pool.shape[0] == model.pool.shape[0] + 3
+    assert resumed.update_count == model.update_count == 320
+
+
+def test_pool_side_operands_are_not_copied_per_call():
+    rng = np.random.default_rng(89)
+    n, num_nodes, dim = 1000, 3, 64
+    feats = rng.standard_normal((n, num_nodes, dim)) + 1j * rng.standard_normal((n, num_nodes, dim))
+    hp = kn.Hyperparameters(eps=np.full(num_nodes, 4.0 * dim), sigma2=0.05)
+    model = mm.fit(feats, rng.uniform(0.0, 4.0, (4, 2)), hp)
+    model.update_recursive(feats[0])  # leaves room for more rows
+    t = feats[1]
+    pool_bytes = model.pool.nbytes
+    slab_bytes = model.pool.shape[0] * dim * 16
+    tracemalloc.start()
+    try:
+        model.predict(t)
+        predict_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        model.update_recursive(t)
+        update_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert predict_peak < slab_bytes
+    assert update_peak < pool_bytes
+
+
 def test_predict_recursive_is_update_then_predict():
     rng = np.random.default_rng(41)
     model, *_ = fitted(rng)
@@ -226,7 +290,7 @@ def test_refit_preserves_predictions_and_reconditions():
         model.update_recursive(make_artf(rng, 2, 4))
     probe = make_artf(rng, 2, 4)
     before = model.predict(probe)
-    model.refit()
+    refit(model)
     after = model.predict(probe)
     np.testing.assert_allclose(after.position, before.position, rtol=1e-9)
     assert model.conditioning_residual() < 1e-12
@@ -347,3 +411,58 @@ def test_load_rejects_every_truncated_prefix(tmp_path):
 def test_prediction_type_validation():
     with pytest.raises(ValueError, match="equal length"):
         mm.Prediction(position=np.zeros(3), variance=np.zeros(2), prior_variance=1.0)
+
+
+def _saved_model_bytes():
+    rng = np.random.default_rng(97)
+    model, *_ = fitted(rng, n_l=3, n_u=2, num_nodes=2, dim=3, c=2)
+    model.update_recursive(make_artf(rng, 2, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        mm.save_model(model, path)
+        return path.read_bytes()
+
+
+_MODEL_BYTES = _saved_model_bytes()
+
+
+def _loads_or_rejects(raw: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        path.write_bytes(raw)
+        try:
+            mm.load_model(path)
+        except ValueError:
+            pass
+
+
+def test_load_rejects_oversized_header_counts(tmp_path):
+    path = tmp_path / "model.bin"
+    for at in range(8, 32, 4):  # n_L, C, M, update count, n_D, D
+        for value in (2**32 - 1, 2**20):
+            path.write_bytes(_MODEL_BYTES[:at] + struct.pack("<I", value) + _MODEL_BYTES[at + 4:])
+            if at == 20:  # the update count sizes nothing
+                mm.load_model(path)
+            else:
+                with pytest.raises(ValueError, match="truncated"):
+                    mm.load_model(path)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cut=st.integers(0, len(_MODEL_BYTES)),
+       flips=st.lists(st.tuples(st.integers(0, len(_MODEL_BYTES) - 1), st.integers(1, 255)),
+                      max_size=4))
+def test_load_survives_truncation_and_byte_flips(cut, flips):
+    raw = bytearray(_MODEL_BYTES)
+    for at, mask in flips:
+        raw[at] ^= mask
+    _loads_or_rejects(bytes(raw[:cut]))
+    _loads_or_rejects(bytes(raw))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(field=st.integers(0, 7), value=st.integers(0, 2**32 - 1))
+def test_load_survives_header_field_overwrites(field, value):
+    # the seven 32-bit counts after the magic, and the magic itself
+    at = 4 * field
+    _loads_or_rejects(_MODEL_BYTES[:at] + struct.pack("<I", value) + _MODEL_BYTES[at + 4:])
