@@ -1,7 +1,7 @@
 """Comparison localizers: per-node averaging, product-kernel GP, SRP-PHAT.
 
-The two GP baselines reuse the main model's centering and jitter rules so
-that accuracy differences isolate the covariance choice.  SRP-PHAT is a
+The two GP baselines share the main model's labelled-set posterior core,
+so accuracy differences isolate the covariance choice.  SRP-PHAT is a
 from-scratch reconstruction (frame choice, band limit, and interpolation
 are fixed here, not taken from any reference implementation) and needs
 the exact microphone positions, which the GP methods never see.
@@ -10,14 +10,14 @@ the exact microphone positions, which the GP methods never see.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import get_window
 
 from .acoustic_sim import MeasurementRecord
 from .kernels import Hyperparameters, gram_stack, stack_features
-from .mmgp_model import MmgpModel, Prediction, _AUTO_JITTER, _spd_inverse
+from .mmgp_model import LabelledGp, Prediction, as_sample, condition, labelled_pool
 from .mmgp_model import fit as fit_mmgp
 
 
@@ -41,7 +41,7 @@ class MeanOfNodesModel:
         return len(self.node_models)
 
     def predict(self, h_t) -> Prediction:
-        row = _sample_block(h_t, self.num_nodes)
+        row = as_sample(h_t, (self.num_nodes,) + self.node_models[0].feature_pool.shape[2:])
         preds = [model.predict(row[:, m:m + 1, :])
                  for m, model in enumerate(self.node_models)]
         m = self.num_nodes
@@ -52,13 +52,11 @@ class MeanOfNodesModel:
 
 
 def fit_mean_of_nodes(training_set, labelled_positions, hp: Hyperparameters) -> MeanOfNodesModel:
-    pool = stack_features(training_set)
-    if pool.shape[1] != hp.num_nodes:
-        raise ValueError(f"features have M={pool.shape[1]}, hyperparameters {hp.num_nodes}")
+    pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
     models = []
     for m in range(hp.num_nodes):
         node_hp = Hyperparameters(eps=[hp.eps[m]], sigma2=hp.sigma2, jitter=hp.jitter)
-        models.append(fit_mmgp(pool[:, m:m + 1, :], labelled_positions, node_hp))
+        models.append(fit_mmgp(pool[:, m:m + 1, :], positions, node_hp))
     return MeanOfNodesModel(node_models=models)
 
 
@@ -75,8 +73,8 @@ def product_gram(a_samples, b_samples, hp: Hyperparameters) -> np.ndarray:
     return np.prod(gram_stack(a_samples, b_samples, hp).per_node, axis=0)
 
 
-@dataclass
-class KernelProductModel:
+@dataclass(kw_only=True)
+class KernelProductModel(LabelledGp):
     """Plain supervised GP whose covariance multiplies the node kernels.
 
     Unlabelled pool samples carry no information here: the product kernel
@@ -84,59 +82,19 @@ class KernelProductModel:
     """
 
     features: np.ndarray          # (n_L, M, D) labelled features
-    positions: np.ndarray
-    label_mean: np.ndarray
-    hyperparameters: Hyperparameters
-    jitter_used: float
-    gamma: np.ndarray
-    weights: np.ndarray
 
     def predict(self, h_t) -> Prediction:
-        row = _sample_block(h_t, self.features.shape[1])
+        row = as_sample(h_t, self.features.shape[1:])
         k = product_gram(row, self.features, self.hyperparameters)[0]
-        position = k @ self.weights + self.label_mean
         # unit kernel diagonal, so the prior variance is exactly one
-        var = max(1.0 - float(k @ self.gamma @ k), 0.0)
-        variance = np.full(position.shape, var)
-        return Prediction(position=position, variance=variance, prior_variance=1.0)
+        return self._posterior(k, 1.0)
 
 
 def fit_kernel_product(training_set, labelled_positions, hp: Hyperparameters) -> KernelProductModel:
-    pool = stack_features(training_set)
-    positions = np.atleast_2d(np.asarray(labelled_positions, dtype=float))
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("labelled positions must be finite")
-    n_l = positions.shape[0]
-    if not 1 <= n_l <= pool.shape[0]:
-        raise ValueError(f"need 1 <= n_L={n_l} <= pool size {pool.shape[0]}")
-    if pool.shape[1] != hp.num_nodes:
-        raise ValueError(f"features have M={pool.shape[1]}, hyperparameters {hp.num_nodes}")
-    labelled = pool[:n_l]
+    pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
+    labelled = pool[: positions.shape[0]]
     gram = product_gram(labelled, None, hp)
-    jitter = hp.jitter if hp.jitter is not None else \
-        _AUTO_JITTER * float(np.trace(gram)) / n_l
-    gamma = _spd_inverse(gram, hp.sigma2 + jitter)
-    mean = positions.mean(axis=0)
-    centered = positions - mean
-    return KernelProductModel(
-        features=labelled,
-        positions=positions,
-        label_mean=mean,
-        hyperparameters=hp,
-        jitter_used=float(jitter),
-        gamma=gamma,
-        weights=gamma @ centered,
-    )
-
-
-def _sample_block(h_t, num_nodes: int) -> np.ndarray:
-    t = stack_features([h_t]) if not isinstance(h_t, np.ndarray) else \
-        stack_features(h_t[None] if h_t.ndim == 2 else h_t)
-    if t.shape[0] != 1:
-        raise ValueError("predict takes one sample at a time")
-    if t.shape[1] != num_nodes:
-        raise ValueError(f"sample has M={t.shape[1]}, model expects {num_nodes}")
-    return t
+    return KernelProductModel(features=labelled, **condition(gram, positions, hp))
 
 
 # ---------------------------------------------------------------------------

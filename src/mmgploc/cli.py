@@ -361,7 +361,10 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
                 sidecar = json.load(fh)
             _check_hash(sidecar["config_hash"], manifest["config_hash"],
                         "model", "dataset")
-            hp = Hyperparameters(eps=sidecar["eps"], sigma2=sidecar["sigma2"])
+            # the hashes match, so the model was fit with this config's jitter
+            spec = cfg["hyperparameters"]
+            hp = Hyperparameters(eps=sidecar["eps"], sigma2=sidecar["sigma2"],
+                                 jitter=spec.get("jitter") if isinstance(spec, dict) else None)
         else:
             hp, _ = _resolve_hyperparameters(cfg, pool, positions)
         fitted = bl.fit_mean_of_nodes(pool, positions, hp) if method == "mean" \
@@ -390,21 +393,28 @@ def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
         errors.append(float(np.linalg.norm(pos - np.asarray(truth[rec_id]))))
     errors = np.asarray(errors)
     rmse = float(np.sqrt(np.mean(errors**2)))
+    _write_metrics(out_path, est_hash, [r[0] for r in rows], errors, rmse, block_size)
+    return {"rmse": rmse, "errors": errors}
 
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        fh.write(f"# config_hash={est_hash}\n")
+
+def _write_metrics(path, config_hash: str, ids, errors, rmse: float, block_size: int) -> None:
+    """Metrics CSV: the RMSE, one error per sample and per-block means."""
+    import numpy as np
+    from .dataio import atomic_write
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_write(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["section", "key", "value"])
         writer.writerow(["summary", "rmse", repr(rmse)])
         writer.writerow(["summary", "num_samples", str(len(errors))])
-        for (rec_id, _pos, _var), err in zip(rows, errors):
+        for rec_id, err in zip(ids, errors):
             writer.writerow(["sample", rec_id, repr(float(err))])
         for b in range(0, len(errors), block_size):
             block_mean = float(np.mean(errors[b:b + block_size]))
             writer.writerow(["block", str(b // block_size + 1), repr(block_mean)])
-    return {"rmse": rmse, "errors": errors}
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +422,13 @@ def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
 
 
 def _write_estimates(path, config_hash: str, rows) -> None:
+    from .dataio import atomic_write
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     c = len(rows[0][1]) if rows else 3
     names = ["x", "y", "z"][:c]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["id"] + names + [f"var_{n}" for n in names])

@@ -16,28 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .kernels import Hyperparameters, median_heuristic, stack_features, _sq_dists
+from .dataio import atomic_write
+from .kernels import Hyperparameters, median_heuristic, sq_dists
+from .mmgp_model import labelled_pool
 
 _LN_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
 class OptimizerConfig:
-    """Gradient-ascent settings.
-
-    ``learn_sigma2=False`` pins the noise variance at its initial value and
-    learns only the kernel widths.  ``per_coordinate_sigma2`` gives each
-    coordinate its own noise variance during learning; the shared default
-    matches what the localization models consume.
-    """
+    """Gradient-ascent settings; the widths and the shared noise variance are learned."""
 
     max_iters: int = 200
     initial_step: float = 0.5
     backtrack_factor: float = 0.5
     max_backtracks: int = 40
     grad_tol: float = 1e-4
-    learn_sigma2: bool = True
-    per_coordinate_sigma2: bool = False
 
     def __post_init__(self):
         if self.initial_step <= 0 or self.grad_tol <= 0:
@@ -54,29 +48,23 @@ class OptimizeResult:
 
     hyperparameters: Hyperparameters
     log_likelihood: float
-    trace: list                      # rows: (iteration, L, eps_1..eps_M, sigma2[s])
+    trace: list                      # rows: (iteration, L, eps_1..eps_M, sigma2)
     converged: bool
     warning: str | None = None
-    sigma2_per_coordinate: np.ndarray | None = None
 
 
 class _Problem:
     """Precomputed geometry: everything that does not depend on (eps, sigma2)."""
 
-    def __init__(self, training_set, labelled_positions):
-        self.pool = stack_features(training_set)
-        positions = np.atleast_2d(np.asarray(labelled_positions, dtype=float))
-        if not np.all(np.isfinite(positions)):
-            raise ValueError("labelled positions must be finite")
+    def __init__(self, training_set, labelled_positions, num_nodes: int):
+        self.pool, positions = labelled_pool(training_set, labelled_positions, num_nodes)
         self.n_l = positions.shape[0]
-        if not 1 <= self.n_l <= self.pool.shape[0]:
-            raise ValueError(f"need 1 <= n_L={self.n_l} <= pool size {self.pool.shape[0]}")
-        self.num_nodes = self.pool.shape[1]
+        self.num_nodes = num_nodes
         self.y = positions - positions.mean(axis=0)   # (n_L, C)
         self.num_coords = self.y.shape[1]
         # per-node squared distances labelled x pool, fixed across iterates
         self.d2 = np.stack([
-            _sq_dists(self.pool[: self.n_l, m, :], self.pool[:, m, :])
+            sq_dists(self.pool[: self.n_l, m, :], self.pool[:, m, :])
             for m in range(self.num_nodes)
         ])
 
@@ -86,37 +74,31 @@ class _Problem:
         cov = (s @ s.T) / self.num_nodes**2
         return 0.5 * (cov + cov.T), grams, s
 
-    def evaluate(self, eps: np.ndarray, sig2: np.ndarray, want_grad: bool):
+    def evaluate(self, eps: np.ndarray, sig2: float, want_grad: bool):
         """Log-likelihood and (optionally) gradients w.r.t. eps and sigma2.
 
-        ``sig2`` has one entry per coordinate (identical entries when the
-        noise is shared).  Gradients come from the rectangular Gram
+        The coordinates share the noise variance ``sig2``, so one Cholesky
+        factor serves them all.  Gradients come from the rectangular Gram
         derivative: d Sigma_L / d eps_m = (dK S^T + S dK^T) / M^2, with the
         sum over the whole pool, not just the labelled block.
         """
         cov, grams, s = self._cov_parts(eps)
         n = self.n_l
         eye = np.eye(n)
+        a_mat = cov + sig2 * eye
+        try:
+            cf = cho_factor(a_mat, lower=True)
+        except np.linalg.LinAlgError:
+            smallest = float(np.linalg.eigvalsh(a_mat).min())
+            raise ValueError(f"covariance not positive definite "
+                             f"(smallest eigenvalue {smallest:.3e})") from None
+        logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+        gamma = cho_solve(cf, eye)
+        gamma = 0.5 * (gamma + gamma.T)
         total = 0.0
         alphas = np.empty_like(self.y)
-        gammas = []
-        shared = np.all(sig2 == sig2[0])
-        cf = None
         for c in range(self.num_coords):
-            if cf is None or not shared:
-                a_mat = cov + sig2[c] * eye
-                try:
-                    cf = cho_factor(a_mat, lower=True)
-                except np.linalg.LinAlgError:
-                    smallest = float(np.linalg.eigvalsh(a_mat).min())
-                    raise ValueError(
-                        f"covariance not positive definite for coordinate {c} "
-                        f"(smallest eigenvalue {smallest:.3e})") from None
-                logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-                gamma = cho_solve(cf, eye)
-                gamma = 0.5 * (gamma + gamma.T)
             alphas[:, c] = cho_solve(cf, self.y[:, c])
-            gammas.append(gamma)
             total += (-0.5 * float(self.y[:, c] @ alphas[:, c])
                       - 0.5 * logdet - 0.5 * n * _LN_2PI)
         if not want_grad:
@@ -131,58 +113,44 @@ class _Problem:
             acc = 0.0
             for c in range(self.num_coords):
                 acc += 0.5 * (alphas[:, c] @ d_cov @ alphas[:, c]
-                              - float(np.sum(gammas[c] * d_cov)))
+                              - float(np.sum(gamma * d_cov)))
             g_eps[m] = acc
         g_sig = np.array([
-            0.5 * (float(alphas[:, c] @ alphas[:, c]) - float(np.trace(gammas[c])))
+            0.5 * (float(alphas[:, c] @ alphas[:, c]) - float(np.trace(gamma)))
             for c in range(self.num_coords)
-        ])
+        ]).sum()
         return total, g_eps, g_sig
 
 
-def log_likelihood(hp: Hyperparameters, training_set, labelled_positions,
-                   sigma2_per_coordinate=None) -> float:
+def log_likelihood(hp: Hyperparameters, training_set, labelled_positions) -> float:
     """Summed per-coordinate Gaussian log-density of the centered labels."""
-    prob = _Problem(training_set, labelled_positions)
-    sig2 = _sigma_vector(hp, prob.num_coords, sigma2_per_coordinate)
-    value, _, _ = prob.evaluate(np.asarray(hp.eps, float), sig2, want_grad=False)
+    prob = _Problem(training_set, labelled_positions, hp.num_nodes)
+    value, _, _ = prob.evaluate(hp.eps, hp.sigma2, want_grad=False)
     return value
 
 
 def grad_eps(hp: Hyperparameters, training_set, labelled_positions, m: int) -> float:
     """d log-likelihood / d eps_m for the 1-based node index ``m``."""
-    prob = _Problem(training_set, labelled_positions)
+    prob = _Problem(training_set, labelled_positions, hp.num_nodes)
     if not 1 <= m <= prob.num_nodes:
         raise ValueError("node index is 1-based")
-    sig2 = _sigma_vector(hp, prob.num_coords, None)
-    _, g_eps, _ = prob.evaluate(np.asarray(hp.eps, float), sig2, want_grad=True)
+    _, g_eps, _ = prob.evaluate(hp.eps, hp.sigma2, want_grad=True)
     return float(g_eps[m - 1])
 
 
-def grad_sigma2(hp: Hyperparameters, training_set, labelled_positions,
-                per_coordinate: bool = False):
-    """d log-likelihood / d sigma2; summed over coordinates unless split."""
-    prob = _Problem(training_set, labelled_positions)
-    sig2 = _sigma_vector(hp, prob.num_coords, None)
-    _, _, g_sig = prob.evaluate(np.asarray(hp.eps, float), sig2, want_grad=True)
-    return g_sig if per_coordinate else float(g_sig.sum())
-
-
-def _sigma_vector(hp, num_coords, per_coord) -> np.ndarray:
-    if per_coord is not None:
-        sig2 = np.asarray(per_coord, dtype=float)
-        if sig2.shape != (num_coords,) or np.any(sig2 < 0):
-            raise ValueError("per-coordinate sigma2 must be C nonnegative values")
-        return sig2
-    return np.full(num_coords, hp.sigma2)
+def grad_sigma2(hp: Hyperparameters, training_set, labelled_positions) -> float:
+    """d log-likelihood / d sigma2, summed over coordinates."""
+    prob = _Problem(training_set, labelled_positions, hp.num_nodes)
+    _, _, g_sig = prob.evaluate(hp.eps, hp.sigma2, want_grad=True)
+    return float(g_sig)
 
 
 def default_initial_hyperparameters(training_set, labelled_positions) -> Hyperparameters:
     """Median-heuristic widths and a noise floor from the label spread."""
-    positions = np.atleast_2d(np.asarray(labelled_positions, dtype=float))
+    eps = median_heuristic(training_set)
+    _, positions = labelled_pool(training_set, labelled_positions, eps.size)
     spread = float(positions.var(axis=0).mean())
-    return Hyperparameters(eps=median_heuristic(training_set),
-                           sigma2=max(0.05 * spread, 1e-4))
+    return Hyperparameters(eps=eps, sigma2=max(0.05 * spread, 1e-4))
 
 
 def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = None,
@@ -195,28 +163,15 @@ def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = Non
     a warning and the best parameters seen.
     """
     cfg = cfg or OptimizerConfig()
-    prob = _Problem(training_set, labelled_positions)
     if hp0 is None:
         hp0 = default_initial_hyperparameters(training_set, labelled_positions)
-    if hp0.num_nodes != prob.num_nodes:
-        raise ValueError(f"hp0 has {hp0.num_nodes} widths, features {prob.num_nodes} nodes")
-    if cfg.learn_sigma2 and hp0.sigma2 <= 0:
+    prob = _Problem(training_set, labelled_positions, hp0.num_nodes)
+    if hp0.sigma2 <= 0:
         raise ValueError("learning sigma2 in log-space needs a positive start")
 
-    num_sig = prob.num_coords if cfg.per_coordinate_sigma2 else 1
-    eps = np.asarray(hp0.eps, dtype=float).copy()
-    sig2 = np.full(num_sig, hp0.sigma2)
-
-    def full_sig(s):
-        return s if cfg.per_coordinate_sigma2 else np.full(prob.num_coords, s[0])
-
-    def pack_grad(g_eps, g_sig):
-        if not cfg.learn_sigma2:
-            return g_eps
-        gs = g_sig if cfg.per_coordinate_sigma2 else np.array([g_sig.sum()])
-        return np.concatenate([g_eps, gs])
-
-    value, g_eps, g_sig = prob.evaluate(eps, full_sig(sig2), want_grad=True)
+    eps = hp0.eps.copy()
+    sig2 = np.full(1, hp0.sigma2)
+    value, g_eps, g_sig = prob.evaluate(eps, sig2[0], want_grad=True)
     trace = [(0, value, *eps, *sig2)]
     best = (value, eps.copy(), sig2.copy())
     step = cfg.initial_step
@@ -224,9 +179,9 @@ def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = Non
     converged = False
 
     for it in range(1, cfg.max_iters + 1):
-        theta = np.log(np.concatenate([eps, sig2]) if cfg.learn_sigma2 else eps)
+        theta = np.log(np.concatenate([eps, sig2]))
         params = np.exp(theta)
-        g_theta = pack_grad(g_eps, g_sig) * params   # chain rule to log-space
+        g_theta = np.append(g_eps, g_sig) * params   # chain rule to log-space
         if np.abs(g_theta).max() <= cfg.grad_tol:
             converged = True
             break
@@ -235,11 +190,9 @@ def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = Non
         s = step
         for _ in range(cfg.max_backtracks):
             cand = np.exp(theta + s * g_theta)
-            cand_eps = cand[: prob.num_nodes]
-            cand_sig = cand[prob.num_nodes:] if cfg.learn_sigma2 else sig2
+            cand_eps, cand_sig = cand[: prob.num_nodes], cand[prob.num_nodes:]
             try:
-                cand_val, cg_eps, cg_sig = prob.evaluate(
-                    cand_eps, full_sig(cand_sig), want_grad=True)
+                cand_val, cg_eps, cg_sig = prob.evaluate(cand_eps, cand_sig[0], want_grad=True)
             except ValueError:
                 s *= cfg.backtrack_factor
                 continue
@@ -264,27 +217,17 @@ def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = Non
         warning = "maximum iterations reached before the gradient tolerance"
 
     value, eps, sig2 = best
-    shared_sig = float(sig2.mean())
-    hp = Hyperparameters(eps=eps, sigma2=shared_sig, jitter=hp0.jitter)
-    return OptimizeResult(
-        hyperparameters=hp,
-        log_likelihood=value,
-        trace=trace,
-        converged=converged,
-        warning=warning,
-        sigma2_per_coordinate=sig2.copy() if cfg.per_coordinate_sigma2 else None,
-    )
+    hp = Hyperparameters(eps=eps, sigma2=float(sig2[0]), jitter=hp0.jitter)
+    return OptimizeResult(hyperparameters=hp, log_likelihood=value, trace=trace,
+                          converged=converged, warning=warning)
 
 
 def write_trace_csv(result: OptimizeResult, path) -> None:
     """Accepted-iterate trace as CSV: iteration, L, widths, noise."""
     num_nodes = result.hyperparameters.num_nodes
-    num_sig = len(result.trace[0]) - 2 - num_nodes
     header = (["iteration", "log_likelihood"]
-              + [f"eps_{m}" for m in range(1, num_nodes + 1)]
-              + (["sigma2"] if num_sig == 1 else
-                 [f"sigma2_{c}" for c in range(1, num_sig + 1)]))
-    with open(path, "w", newline="") as fh:
+              + [f"eps_{m}" for m in range(1, num_nodes + 1)] + ["sigma2"])
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(result.trace)

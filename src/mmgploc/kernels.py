@@ -84,13 +84,13 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x.real, x.real) + np.einsum("ij,ij->i", x.imag, x.imag)
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared complex Euclidean distances between row sets."""
     return _sq_dists_conj(x, y.conj(), _sq_norms(y))
 
 
 def _sq_dists_conj(x: np.ndarray, y_conj: np.ndarray, yy: np.ndarray) -> np.ndarray:
-    """``_sq_dists`` from the conjugated rows of y and their squared norms."""
+    """``sq_dists`` from the conjugated rows of y and their squared norms."""
     cross = (x @ y_conj.T).real
     return np.clip(_sq_norms(x)[:, None] + yy[None, :] - 2.0 * cross, 0.0, None)
 
@@ -191,7 +191,7 @@ def gram_stack(a_samples, b_samples, hp: Hyperparameters) -> GramStack:
         elif pooled:
             d2 = _sq_dists_conj(x, *b.node_operands(m))
         else:
-            d2 = _sq_dists(x, b[:, m, :])
+            d2 = sq_dists(x, b[:, m, :])
         per_node[m] = np.exp(-d2 / hp.eps[m])
     return GramStack(per_node=per_node, summed=per_node.sum(axis=0))
 

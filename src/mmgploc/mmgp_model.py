@@ -8,6 +8,9 @@ with rank-1 updates whose results match a from-scratch refit.  The pool is
 a ``FeaturePool`` that caches each node's conjugated rows and squared norms,
 so an update appends in amortised O(1) copies and a prediction builds its
 two Grams against the pool without copying it.
+
+The labelled-set core below (``LabelledGp``, ``labelled_pool``,
+``condition``, ``as_sample``) also serves the GP baselines and ML learning.
 """
 
 from __future__ import annotations
@@ -48,27 +51,49 @@ class Prediction:
             raise ValueError("position and variance must have equal length")
 
 
-@dataclass
-class MmgpModel:
-    """Fitted state: pool features, labelled geometry, and the explicit inverse.
+@dataclass(kw_only=True)
+class LabelledGp:
+    """The labelled-set posterior every GP localizer here shares.
 
-    ``feature_pool`` holds the (n_D, M, D) training features with the
-    labelled samples first, plus each node's cached Gram operands;
-    streaming updates append to it and ``pool`` reads it as a read-only
-    array.  ``gamma`` is the explicit (Sigma_L + (sigma2 + jitter) I)^-1
-    the weight vectors hang off; ``weights`` has one column per coordinate.
+    The models differ only in their covariance: each supplies the vector
+    k between a test sample and the n_L labelled samples plus the test
+    sample's prior variance, and ``_posterior`` conditions on the labels.
+    ``gamma`` is the explicit (K_L + (sigma2 + jitter) I)^-1 of the
+    labelled covariance K_L; ``weights`` has one column per coordinate.
     """
 
-    feature_pool: FeaturePool
-    n_labeled: int
     positions: np.ndarray         # (n_L, C) original labels
     label_mean: np.ndarray        # (C,)
     centered: np.ndarray          # (n_L, C)
     hyperparameters: Hyperparameters
     jitter_used: float
-    sigma_l: np.ndarray           # (n_L, n_L) fused covariance of the labelled set
     gamma: np.ndarray             # (n_L, n_L)
     weights: np.ndarray           # (n_L, C)
+
+    @property
+    def num_coords(self) -> int:
+        return self.positions.shape[1]
+
+    def _posterior(self, k: np.ndarray, prior: float) -> Prediction:
+        est = k @ self.weights + self.label_mean
+        var = max(prior - float(k @ self.gamma @ k), 0.0)
+        return Prediction(position=est, variance=np.full(self.num_coords, var),
+                          prior_variance=prior)
+
+
+@dataclass(kw_only=True)
+class MmgpModel(LabelledGp):
+    """Fused-kernel GP: pool features, labelled geometry, and the explicit inverse.
+
+    ``feature_pool`` holds the (n_D, M, D) training features with the
+    labelled samples first, plus each node's cached Gram operands;
+    streaming updates append to it and ``pool`` reads it as a read-only
+    array.  ``sigma_l`` is the fused covariance of the labelled set.
+    """
+
+    feature_pool: FeaturePool
+    n_labeled: int
+    sigma_l: np.ndarray           # (n_L, n_L)
     update_count: int = 0
 
     @property
@@ -83,10 +108,6 @@ class MmgpModel:
     def num_nodes(self) -> int:
         return self.pool.shape[1]
 
-    @property
-    def num_coords(self) -> int:
-        return self.positions.shape[1]
-
     def conditioning_residual(self) -> float:
         """max |gamma (sigma_l + (sigma2+jitter) I) - I|; small when consistent."""
         n = self.sigma_l.shape[0]
@@ -95,7 +116,7 @@ class MmgpModel:
 
     def predict(self, h_t) -> Prediction:
         """Posterior mean and variance for one test sample; read-only."""
-        t = _as_feature_row(h_t, self)
+        t = as_sample(h_t, self.feature_pool.shape[1:])
         hp = self.hyperparameters
         m = hp.num_nodes
         # mmgp_covariance's S S^T / M^2 products, with the test row's
@@ -105,11 +126,7 @@ class MmgpModel:
         k_lt = ((s_ld @ s_t.T) / m**2)[:, 0]
         cov = s_t @ s_t.T
         prior = float((0.5 * (cov + cov.T) / m**2)[0, 0])
-        est = k_lt @ self.weights + self.label_mean
-        var = prior - float(k_lt @ self.gamma @ k_lt)
-        var = max(var, 0.0)
-        return Prediction(position=est, variance=np.full(self.num_coords, var),
-                          prior_variance=prior)
+        return self._posterior(k_lt, prior)
 
     def update_recursive(self, h_t) -> "MmgpModel":
         """Absorb one test sample into the pool with a rank-1 update.
@@ -119,7 +136,7 @@ class MmgpModel:
         updated in closed form and the weight vectors are refreshed.
         Returns self for chaining.
         """
-        t = _as_feature_row(h_t, self)
+        t = as_sample(h_t, self.feature_pool.shape[1:])
         hp = self.hyperparameters
         m2 = float(hp.num_nodes) ** 2
         k = gram_stack(self.labeled_features, t, hp).summed[:, 0]
@@ -139,15 +156,46 @@ class MmgpModel:
         return self.predict(h_t)
 
 
-def _as_feature_row(h_t, model: MmgpModel) -> np.ndarray:
-    """One test sample as a (1, M, D) block matching the model's pool."""
+def as_sample(h_t, shape) -> np.ndarray:
+    """One test sample as a (1, M, D) block; ``shape`` is the model's (M, D)."""
     t = stack_features([h_t]) if not isinstance(h_t, np.ndarray) else \
         stack_features(h_t[None] if h_t.ndim == 2 else h_t)
     if t.shape[0] != 1:
         raise ValueError("predict/update take one sample at a time")
-    if t.shape[1:] != model.pool.shape[1:]:
-        raise ValueError(f"sample shape {t.shape[1:]} != model features {model.pool.shape[1:]}")
+    if t.shape[1:] != tuple(shape):
+        raise ValueError(f"sample shape {t.shape[1:]} != model features {tuple(shape)}")
     return t
+
+
+def labelled_pool(training_set, labelled_positions, num_nodes: int):
+    """The (n_D, M, D) pool and finite (n_L, C) labels, 1 <= n_L <= n_D, M == num_nodes."""
+    pool = stack_features(training_set)
+    positions = np.atleast_2d(np.asarray(labelled_positions, dtype=float))
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("labelled positions must be finite")
+    n_l = positions.shape[0]
+    if not 1 <= n_l <= pool.shape[0]:
+        raise ValueError(f"need 1 <= n_L={n_l} <= pool size {pool.shape[0]}")
+    if pool.shape[1] != num_nodes:
+        raise ValueError(f"features have M={pool.shape[1]} nodes, "
+                         f"hyperparameters have {num_nodes} widths")
+    return pool, positions
+
+
+def condition(cov_l: np.ndarray, positions: np.ndarray, hp: Hyperparameters) -> dict:
+    """The ``LabelledGp`` fields for labelled covariance ``cov_l`` and labels.
+
+    The jitter is trace-scaled when ``hp.jitter`` is None; labels are
+    centered per coordinate and the mean restored at prediction time.
+    """
+    jitter = hp.jitter if hp.jitter is not None else \
+        _AUTO_JITTER * float(np.trace(cov_l)) / positions.shape[0]
+    gamma = _spd_inverse(cov_l, hp.sigma2 + jitter)
+    mean = positions.mean(axis=0)
+    centered = positions - mean
+    return dict(positions=positions, label_mean=mean, centered=centered,
+                hyperparameters=hp, jitter_used=float(jitter), gamma=gamma,
+                weights=gamma @ centered)
 
 
 def _spd_inverse(sigma: np.ndarray, diag: float) -> np.ndarray:
@@ -169,38 +217,13 @@ def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
     """Fit the model on a pool whose first n_L samples are labelled.
 
     ``training_set`` holds all aggregated RTFs, labelled first, unlabelled
-    after; ``labelled_positions`` is (n_L, C) and sets n_L.  Labels are
-    centered per coordinate and the mean restored at prediction time.
+    after; ``labelled_positions`` is (n_L, C) and sets n_L.
     """
-    pool = stack_features(training_set)
-    positions = np.atleast_2d(np.asarray(labelled_positions, dtype=float))
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("labelled positions must be finite")
+    pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
     n_l = positions.shape[0]
-    if not 1 <= n_l <= pool.shape[0]:
-        raise ValueError(f"need 1 <= n_L={n_l} <= pool size {pool.shape[0]}")
-    if pool.shape[1] != hp.num_nodes:
-        raise ValueError(f"features have M={pool.shape[1]}, hyperparameters {hp.num_nodes}")
-
     sigma_l = mmgp_covariance(pool[:n_l], None, pool, hp)
-    jitter = hp.jitter if hp.jitter is not None else \
-        _AUTO_JITTER * float(np.trace(sigma_l)) / n_l
-    gamma = _spd_inverse(sigma_l, hp.sigma2 + jitter)
-    mean = positions.mean(axis=0)
-    centered = positions - mean
-    return MmgpModel(
-        feature_pool=FeaturePool(pool),
-        n_labeled=n_l,
-        positions=positions,
-        label_mean=mean,
-        centered=centered,
-        hyperparameters=hp,
-        jitter_used=float(jitter),
-        sigma_l=sigma_l,
-        gamma=gamma,
-        weights=gamma @ centered,
-        update_count=0,
-    )
+    return MmgpModel(feature_pool=FeaturePool(pool), n_labeled=n_l, sigma_l=sigma_l,
+                     **condition(sigma_l, positions, hp))
 
 
 def save_model(model: MmgpModel, path) -> None:

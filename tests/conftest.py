@@ -52,8 +52,8 @@ def cross_node_kernel(r, l, q: int, w: int, training_set, hp) -> float:
         raise ValueError("empty training set")
     if not (1 <= q <= hp.num_nodes and 1 <= w <= hp.num_nodes):
         raise ValueError("node indices are 1-based")
-    kr = np.exp(-kn._sq_dists(r.stack()[None, q - 1], pool[:, q - 1, :]) / hp.eps[q - 1])[0]
-    kl = np.exp(-kn._sq_dists(l.stack()[None, w - 1], pool[:, w - 1, :]) / hp.eps[w - 1])[0]
+    kr = np.exp(-kn.sq_dists(r.stack()[None, q - 1], pool[:, q - 1, :]) / hp.eps[q - 1])[0]
+    kl = np.exp(-kn.sq_dists(l.stack()[None, w - 1], pool[:, w - 1, :]) / hp.eps[w - 1])[0]
     return float(kr @ kl)
 
 
@@ -173,7 +173,7 @@ def reference_predict(model, h_t):
     ``MmgpModel.predict`` as it was before it shared the test row's Gram
     between k and the prior, kept as the bit-level oracle.
     """
-    t = mm._as_feature_row(h_t, model)
+    t = mm.as_sample(h_t, model.pool.shape[1:])
     hp = model.hyperparameters
     k_lt = kn.mmgp_covariance(model.labeled_features, t, model.pool, hp)[:, 0]
     prior = float(kn.mmgp_covariance(t, None, model.pool, hp)[0, 0])
@@ -232,7 +232,7 @@ def reference_update_recursive(model, h_t):
     Kept as the bit-level oracle: it grows the pool with ``np.concatenate``,
     so every Gram against it rebuilds the pool-side operands.
     """
-    t = mm._as_feature_row(h_t, model)
+    t = mm.as_sample(h_t, model.pool.shape[1:])
     hp = model.hyperparameters
     m2 = float(hp.num_nodes) ** 2
     k = kn.gram_stack(model.labeled_features, t, hp).summed[:, 0]

@@ -268,6 +268,25 @@ def test_baseline_commands(pipeline, tmp_path):
                      "--output", str(est), "--model", str(pipeline["model"])]) == 0
 
 
+def test_baseline_model_route_keeps_configured_jitter(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(
+        hyperparameters={"strategy": "median", "sigma2": 0.1, "jitter": 0.05})))
+    ds, model = tmp_path / "ds", tmp_path / "model.bin"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--output", str(ds)]) == 0
+    assert cli.main(["features", "--dataset", str(ds)]) == 0
+    assert cli.main(["fit", "--config", str(cfg_path), "--dataset", str(ds),
+                     "--output", str(model)]) == 0
+    for method in ("mean", "kernel-product"):
+        outputs = []
+        for extra in ([], ["--model", str(model)]):
+            est = tmp_path / f"{method}{len(extra)}.csv"
+            assert cli.main(["baseline", "--config", str(cfg_path), "--method", method,
+                             "--dataset", str(ds), "--output", str(est)] + extra) == 0
+            outputs.append(est.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 def test_srp_requires_config_section(tmp_path, capsys):
     cfg = tiny_config()
     del cfg["srp"]

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmgploc.acoustic_sim as sim
+import mmgploc.cli as cli
 import mmgploc.dataio as dio
+import mmgploc.hyperopt as ho
 import mmgploc.kernels as kn
 import mmgploc.mmgp_model as mm
 import mmgploc.rtf_features as rf
@@ -151,11 +153,23 @@ def _save_model(path):
     mm.save_model(mm.fit(make_set(rng, 4, 2, 3), rng.uniform(0.0, 4.0, (2, 2)), hp), path)
 
 
+def _write_trace(path):
+    result = ho.OptimizeResult(hyperparameters=kn.Hyperparameters(eps=[2.0], sigma2=0.1),
+                               log_likelihood=-1.0, trace=[(0, -1.0, 2.0, 0.1)],
+                               converged=True)
+    ho.write_trace_csv(result, path)
+
+
 @pytest.mark.parametrize("write", [
     lambda path: dio.write_blob(path, np.arange(5.0)),
     lambda path: dio._dump_json(path, {"records": [1, 2, 3]}),
     _save_model,
-], ids=["write_blob", "dump_json", "save_model"])
+    lambda path: cli._write_estimates(path, "abc", [("t0", np.zeros(3), np.ones(3))]),
+    lambda path: cli._write_metrics(path, "abc", ["t0", "t1"], np.array([0.5, 1.5]),
+                                    1.1, block_size=1),
+    _write_trace,
+], ids=["write_blob", "dump_json", "save_model", "estimates_csv", "metrics_csv",
+        "trace_csv"])
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch, write):
     path = tmp_path / "artifact"
     path.write_bytes(b"old contents")

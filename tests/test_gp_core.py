@@ -1,0 +1,84 @@
+"""Bit pins and input checks shared by the three GP models.
+
+The fused-kernel model, both GP baselines and ML learning run through one
+labelled-set core; refactoring it must not move a single output bit.  The
+digests below were recorded from the implementation in which each model
+still kept its own copy of the core.  They depend on the floating-point
+results of the NumPy/SciPy build, so re-record them from the previous
+commit, not from the code under test, when that build changes.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from conftest import make_set
+
+from mmgploc import baselines as bl
+from mmgploc import hyperopt as ho
+from mmgploc import kernels as kn
+from mmgploc import mmgp_model as mm
+
+PINS = {
+    "save_model": "6e6d296ea2346eea5aedaf0ba78e3b044f8d070fe4f7f74a0c89e792dc5ec65b",
+    "trace_csv": "4aa540c30a91568d436a3434f5aec956980a724634748a72729f89ffa55f00f2",
+    "mmgp": "6ebce2fee57156db5a566fc0d38ef77128b4fc6c78bcd97309ead7c94bb00ba8",
+    "kernel-product": "622685905c200f9f0a21d33c2e63fbe2a3a5ffeb48cf40a8f85f3c043e1e88c9",
+    "mean": "2fd90b8cfb8df3968786816d2e36c212b0a995fae00a43bbeaad31c09b19615c",
+}
+
+FITS = {"mmgp": mm.fit, "kernel-product": bl.fit_kernel_product, "mean": bl.fit_mean_of_nodes}
+
+
+def problem():
+    """3 nodes, 6 labelled and 4 unlabelled samples, 3 coordinates, 4 test samples."""
+    rng = np.random.default_rng(2024)
+    pool = kn.stack_features(make_set(rng, 10, 3, 4))
+    positions = rng.uniform(0.0, 5.0, (6, 3))
+    tests = kn.stack_features(make_set(rng, 4, 3, 4))
+    hp = kn.Hyperparameters(eps=[2.0, 3.0, 5.0], sigma2=0.1)
+    return pool, positions, tests, hp
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_save_model_bytes_pinned(tmp_path):
+    pool, positions, tests, hp = problem()
+    model = mm.fit(pool, positions, hp)
+    model.update_recursive(tests[0])
+    path = tmp_path / "model.bin"
+    mm.save_model(model, path)
+    assert sha256(path.read_bytes()) == PINS["save_model"]
+
+
+def test_trace_csv_pinned(tmp_path):
+    pool, positions, _, _ = problem()
+    result = ho.optimize(pool, positions, ho.OptimizerConfig(max_iters=30))
+    path = tmp_path / "trace.csv"
+    ho.write_trace_csv(result, path)
+    assert sha256(path.read_bytes()) == PINS["trace_csv"]
+
+
+@pytest.mark.parametrize("method", sorted(FITS))
+def test_predictions_pinned(method):
+    pool, positions, tests, hp = problem()
+    model = FITS[method](pool, positions, hp)
+    blob = b""
+    for t in tests:
+        pred = model.predict(t)
+        blob += (pred.position.tobytes() + pred.variance.tobytes()
+                 + np.float64(pred.prior_variance).tobytes())
+    assert sha256(blob) == PINS[method]
+
+
+@pytest.mark.parametrize("method", sorted(FITS))
+def test_predict_rejects_wrong_sample_shape(method):
+    pool, positions, tests, hp = problem()
+    model = FITS[method](pool, positions, hp)
+    with pytest.raises(ValueError, match="one sample at a time"):
+        model.predict(tests[:2])
+    for bad in (tests[:1, :2], np.concatenate([tests[:1], tests[:1, :, :1]], axis=2)):
+        with pytest.raises(ValueError, match="sample shape"):
+            model.predict(bad)

@@ -145,12 +145,17 @@ def test_grad_sigma2_far_features_scalar_case():
     assert ho.grad_sigma2(hp, pool, positions) == pytest.approx(want, rel=1e-12)
 
 
-def test_grad_sigma2_per_coordinate():
-    rng = np.random.default_rng(31)
-    pool, positions, hp = random_problem(rng, n_l=5, n_u=3, num_nodes=2, c=3)
-    per = ho.grad_sigma2(hp, pool, positions, per_coordinate=True)
-    assert per.shape == (3,)
-    assert ho.grad_sigma2(hp, pool, positions) == pytest.approx(per.sum(), rel=1e-12)
+def test_wrong_width_count_rejected():
+    rng = np.random.default_rng(33)
+    pool, positions, _ = random_problem(rng, n_l=5, n_u=3, num_nodes=3)
+    for eps in ([2.0], [2.0, 3.0], [2.0, 3.0, 4.0, 5.0]):
+        hp = kn.Hyperparameters(eps=eps, sigma2=0.1)
+        for call in (lambda: ho.log_likelihood(hp, pool, positions),
+                     lambda: ho.grad_eps(hp, pool, positions, 1),
+                     lambda: ho.grad_sigma2(hp, pool, positions),
+                     lambda: ho.optimize(pool, positions, hp0=hp)):
+            with pytest.raises(ValueError, match=f"M=3 nodes, hyperparameters have {len(eps)} widths"):
+                call()
 
 
 def test_likelihood_invariant_to_node_order():
@@ -219,30 +224,15 @@ def test_optimize_budget_exhaustion_warns_and_returns_best():
     assert result.log_likelihood == pytest.approx(best_traced)
 
 
-def test_optimize_pinned_sigma2():
-    rng = np.random.default_rng(59)
-    pool, positions, _ = random_problem(rng, n_l=6, n_u=3, num_nodes=2)
-    hp0 = kn.Hyperparameters(eps=[1.0, 1.0], sigma2=0.123)
-    result = ho.optimize(pool, positions,
-                         ho.OptimizerConfig(max_iters=30, learn_sigma2=False), hp0=hp0)
-    assert result.hyperparameters.sigma2 == 0.123
-
-
-def test_optimize_per_coordinate_sigma2():
-    rng = np.random.default_rng(61)
-    pool, positions, _ = random_problem(rng, n_l=8, n_u=4, num_nodes=2, c=2)
-    cfg = ho.OptimizerConfig(max_iters=40, per_coordinate_sigma2=True)
-    result = ho.optimize(pool, positions, cfg)
-    assert result.sigma2_per_coordinate is not None
-    assert result.sigma2_per_coordinate.shape == (2,)
-    assert np.all(result.sigma2_per_coordinate > 0)
-
-
 def test_optimize_validation():
     rng = np.random.default_rng(67)
     pool, positions, _ = random_problem(rng, num_nodes=2)
     with pytest.raises(ValueError, match="widths"):
         ho.optimize(pool, positions, hp0=kn.Hyperparameters(eps=[1.0], sigma2=0.1))
+    bad = positions.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="labelled positions must be finite"):
+        ho.optimize(pool, bad)
     with pytest.raises(ValueError, match="positive start"):
         ho.optimize(pool, positions, hp0=kn.Hyperparameters(eps=[1.0, 1.0], sigma2=0.0))
     with pytest.raises(ValueError):
