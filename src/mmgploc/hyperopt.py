@@ -2,9 +2,10 @@
 
 The labelled positions are modelled per coordinate as zero-mean (after
 centering) Gaussians with covariance Sigma_L(eps) + sigma2*I, and the
-kernel widths are learned by gradient ascent on the summed log-likelihood.
-Ascent runs in log-space so every iterate stays strictly positive, with a
-backtracking line search that only ever accepts improvements.
+kernel widths and noise variance are learned by maximising the summed
+log-likelihood with L-BFGS-B in log-space, so every iterate stays strictly
+positive.  sigma2 is bounded below by ``_SIGMA2_FLOOR``, which keeps
+Sigma_L + sigma2*I positive definite at every iterate.
 """
 
 from __future__ import annotations
@@ -15,36 +16,33 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from .dataio import atomic_write
-from .kernels import Hyperparameters, median_heuristic, sq_dists
+from .kernels import Hyperparameters, fused_from_sums, median_heuristic, sq_dists
 from .mmgp_model import labelled_pool
 
 _LN_2PI = math.log(2.0 * math.pi)
 
+# lower bound on the label-noise variance, in m^2; also the start's floor
+_SIGMA2_FLOOR = 1e-4
+
 
 @dataclass
 class OptimizerConfig:
-    """Gradient-ascent settings; the widths and the shared noise variance are learned."""
+    """L-BFGS-B limits: iterations, and the largest projected log-space gradient."""
 
     max_iters: int = 200
-    initial_step: float = 0.5
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
     grad_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.initial_step <= 0 or self.grad_tol <= 0:
-            raise ValueError("step size and gradient tolerance must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_iters < 1 or self.grad_tol <= 0:
+            raise ValueError("max_iters must be >= 1 and grad_tol positive")
 
 
 @dataclass
 class OptimizeResult:
-    """Learned hyperparameters plus the accepted-iterate trace."""
+    """Learned hyperparameters plus the per-iterate trace."""
 
     hyperparameters: Hyperparameters
     log_likelihood: float
@@ -71,8 +69,7 @@ class _Problem:
     def _cov_parts(self, eps: np.ndarray):
         grams = np.exp(-self.d2 / eps[:, None, None])
         s = grams.sum(axis=0)      # (n_L, n_D) node-summed Gram
-        cov = (s @ s.T) / self.num_nodes**2
-        return 0.5 * (cov + cov.T), grams, s
+        return fused_from_sums(s, None, self.num_nodes), grams, s
 
     def evaluate(self, eps: np.ndarray, sig2: float, want_grad: bool):
         """Log-likelihood and (optionally) gradients w.r.t. eps and sigma2.
@@ -150,17 +147,18 @@ def default_initial_hyperparameters(training_set, labelled_positions) -> Hyperpa
     eps = median_heuristic(training_set)
     _, positions = labelled_pool(training_set, labelled_positions, eps.size)
     spread = float(positions.var(axis=0).mean())
-    return Hyperparameters(eps=eps, sigma2=max(0.05 * spread, 1e-4))
+    return Hyperparameters(eps=eps, sigma2=max(0.05 * spread, _SIGMA2_FLOOR))
 
 
 def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = None,
              hp0: Hyperparameters | None = None) -> OptimizeResult:
-    """Gradient ascent on the labelled log-likelihood in log-parameter space.
+    """Maximise the labelled log-likelihood with L-BFGS-B in log-parameter space.
 
-    Returns the best accepted iterate; the trace holds one row per accepted
-    step (starting at the initial point) and is non-decreasing in L.  When
-    the iteration budget runs out with a large gradient the result carries
-    a warning and the best parameters seen.
+    sigma2 is bounded below by ``_SIGMA2_FLOOR`` and a start below it is
+    raised to it; a learned sigma2 at the floor means the bound is active.
+    The trace holds the start, then one row per L-BFGS-B iterate.  When the
+    optimizer stops short of convergence (say, at ``max_iters``) the result
+    carries its message as a warning and the last iterate.
     """
     cfg = cfg or OptimizerConfig()
     if hp0 is None:
@@ -169,61 +167,30 @@ def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = Non
     if hp0.sigma2 <= 0:
         raise ValueError("learning sigma2 in log-space needs a positive start")
 
-    eps = hp0.eps.copy()
-    sig2 = np.full(1, hp0.sigma2)
-    value, g_eps, g_sig = prob.evaluate(eps, sig2[0], want_grad=True)
-    trace = [(0, value, *eps, *sig2)]
-    best = (value, eps.copy(), sig2.copy())
-    step = cfg.initial_step
-    warning = None
-    converged = False
+    m = prob.num_nodes
+    start = np.append(hp0.eps, max(hp0.sigma2, _SIGMA2_FLOOR))
+    trace = [(0, prob.evaluate(start[:m], start[m], want_grad=False)[0], *start)]
 
-    for it in range(1, cfg.max_iters + 1):
-        theta = np.log(np.concatenate([eps, sig2]))
+    def negative(theta):
         params = np.exp(theta)
-        g_theta = np.append(g_eps, g_sig) * params   # chain rule to log-space
-        if np.abs(g_theta).max() <= cfg.grad_tol:
-            converged = True
-            break
+        value, g_eps, g_sig = prob.evaluate(params[:m], params[m], want_grad=True)
+        return -value, -np.append(g_eps, g_sig) * params   # chain rule to log-space
 
-        accepted = False
-        s = step
-        for _ in range(cfg.max_backtracks):
-            cand = np.exp(theta + s * g_theta)
-            cand_eps, cand_sig = cand[: prob.num_nodes], cand[prob.num_nodes:]
-            try:
-                cand_val, cg_eps, cg_sig = prob.evaluate(cand_eps, cand_sig[0], want_grad=True)
-            except ValueError:
-                s *= cfg.backtrack_factor
-                continue
-            if cand_val > value:
-                eps, sig2, value = cand_eps, cand_sig, cand_val
-                g_eps, g_sig = cg_eps, cg_sig
-                accepted = True
-                break
-            s *= cfg.backtrack_factor
-        if not accepted:
-            # no uphill move found along the gradient: numerically at an optimum
-            converged = bool(np.abs(g_theta).max() <= 100 * cfg.grad_tol)
-            if not converged:
-                warning = "line search stalled before reaching the gradient tolerance"
-            break
+    def record(intermediate_result):
+        trace.append((len(trace), -intermediate_result.fun, *np.exp(intermediate_result.x)))
 
-        step = min(s * 2.0, 10.0 * cfg.initial_step)  # re-expand after success
-        trace.append((it, value, *eps, *sig2))
-        if value > best[0]:
-            best = (value, eps.copy(), sig2.copy())
-    else:
-        warning = "maximum iterations reached before the gradient tolerance"
-
-    value, eps, sig2 = best
-    hp = Hyperparameters(eps=eps, sigma2=float(sig2[0]), jitter=hp0.jitter)
-    return OptimizeResult(hyperparameters=hp, log_likelihood=value, trace=trace,
-                          converged=converged, warning=warning)
+    res = minimize(negative, np.log(start), jac=True, method="L-BFGS-B",
+                   bounds=[(None, None)] * m + [(math.log(_SIGMA2_FLOOR), None)],
+                   callback=record, options={"maxiter": cfg.max_iters, "gtol": cfg.grad_tol})
+    params = np.exp(res.x)
+    hp = Hyperparameters(eps=params[:m], sigma2=float(params[m]), jitter=hp0.jitter)
+    return OptimizeResult(hyperparameters=hp, log_likelihood=-float(res.fun), trace=trace,
+                          converged=bool(res.success),
+                          warning=None if res.success else str(res.message))
 
 
 def write_trace_csv(result: OptimizeResult, path) -> None:
-    """Accepted-iterate trace as CSV: iteration, L, widths, noise."""
+    """Optimizer trace as CSV: iteration, L, widths, noise."""
     num_nodes = result.hyperparameters.num_nodes
     header = (["iteration", "log_likelihood"]
               + [f"eps_{m}" for m in range(1, num_nodes + 1)] + ["sigma2"])

@@ -39,8 +39,8 @@ class Hyperparameters:
             raise ValueError("eps must be a vector of positive finite scalars")
         if self.sigma2 < 0 or not np.isfinite(self.sigma2):
             raise ValueError("sigma2 must be finite and >= 0")
-        if self.jitter is not None and self.jitter < 0:
-            raise ValueError("jitter must be >= 0 when given")
+        if self.jitter is not None and (self.jitter < 0 or not np.isfinite(self.jitter)):
+            raise ValueError("jitter must be finite and >= 0 when given")
 
     @property
     def num_nodes(self) -> int:
@@ -206,13 +206,20 @@ def mmgp_covariance(a_samples, b_samples, training_set, hp: Hyperparameters) -> 
     pool = stack_features(training_set)
     if pool.shape[0] == 0:
         raise ValueError("empty training set")
-    m = hp.num_nodes
     s_ad = gram_stack(a_samples, pool, hp).summed
-    if b_samples is None:
+    s_bd = None if b_samples is None else gram_stack(b_samples, pool, hp).summed
+    return fused_from_sums(s_ad, s_bd, hp.num_nodes)
+
+
+def fused_from_sums(s_ad: np.ndarray, s_bd: np.ndarray | None, num_nodes: int) -> np.ndarray:
+    """The fused covariance (1/M^2) S_AD S_BD^T from node-summed Grams.
+
+    ``s_bd=None`` gives the symmetric S_AD S_AD^T / M^2.
+    """
+    if s_bd is None:
         cov = s_ad @ s_ad.T
-        return 0.5 * (cov + cov.T) / m**2
-    s_bd = gram_stack(b_samples, pool, hp).summed
-    return (s_ad @ s_bd.T) / m**2
+        return 0.5 * (cov + cov.T) / num_nodes**2
+    return (s_ad @ s_bd.T) / num_nodes**2
 
 
 def median_heuristic(training_set) -> np.ndarray:

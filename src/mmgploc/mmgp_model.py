@@ -23,7 +23,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataio import atomic_write
-from .kernels import FeaturePool, Hyperparameters, gram_stack, mmgp_covariance, stack_features
+from .kernels import (FeaturePool, Hyperparameters, fused_from_sums, gram_stack,
+                      mmgp_covariance, stack_features)
 
 _MAGIC = b"MMGP"
 _FORMAT_VERSION = 1
@@ -118,14 +119,11 @@ class MmgpModel(LabelledGp):
         """Posterior mean and variance for one test sample; read-only."""
         t = as_sample(h_t, self.feature_pool.shape[1:])
         hp = self.hyperparameters
-        m = hp.num_nodes
-        # mmgp_covariance's S S^T / M^2 products, with the test row's
-        # node-summed Gram built once for both k and the prior
+        # the test row's node-summed Gram is built once for both k and the prior
         s_ld = gram_stack(self.labeled_features, self.feature_pool, hp).summed
         s_t = gram_stack(t, self.feature_pool, hp).summed
-        k_lt = ((s_ld @ s_t.T) / m**2)[:, 0]
-        cov = s_t @ s_t.T
-        prior = float((0.5 * (cov + cov.T) / m**2)[0, 0])
+        k_lt = fused_from_sums(s_ld, s_t, hp.num_nodes)[:, 0]
+        prior = float(fused_from_sums(s_t, None, hp.num_nodes)[0, 0])
         return self._posterior(k_lt, prior)
 
     def update_recursive(self, h_t) -> "MmgpModel":
@@ -256,7 +254,7 @@ def load_model(path) -> MmgpModel:
 
     The sizes the header declares are checked against the file's size
     before any array is read, so a corrupt count cannot ask for more
-    memory than the file holds.
+    memory than the file holds; a NaN or infinity in any array is rejected.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
@@ -275,13 +273,17 @@ def load_model(path) -> MmgpModel:
         if m == 0 or not 1 <= n_l <= n_d:
             raise ValueError(f"inconsistent model header: M={m}, n_L={n_l}, n_D={n_d}")
         eps = _read_f64(fh, m)
-        sigma2, jitter = _read_f64(fh, 2)
+        noise = _read_f64(fh, 2)
         sigma_l = _read_f64(fh, n_l * n_l).reshape(n_l, n_l)
         gamma = _read_f64(fh, n_l * n_l).reshape(n_l, n_l)
         centered = _read_f64(fh, n_l * c).reshape(n_l, c)
         mean = _read_f64(fh, c)
         positions = _read_f64(fh, n_l * c).reshape(n_l, c)
         pool = _read_f64(fh, n_d * m * d * 2).view(complex).reshape(n_d, m, d)
+    if not all(np.isfinite(a).all() for a in (eps, noise, sigma_l, gamma, centered,
+                                              mean, positions, pool)):
+        raise ValueError("non-finite values in model file")
+    sigma2, jitter = noise
     hp = Hyperparameters(eps=eps, sigma2=float(sigma2), jitter=float(jitter))
     return MmgpModel(feature_pool=FeaturePool(pool), n_labeled=n_l, positions=positions,
                      label_mean=mean, centered=centered, hyperparameters=hp,

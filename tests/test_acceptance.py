@@ -379,3 +379,19 @@ def test_p8_width_sweep_consistency(desk):
             f"learned eps_1={eps_ml[0]:.0f} sits in the sweep's top decile "
             f"(L={likelihoods[nearest]:.2f} >= {decile:.2f}); "
             f"rmse {rmse_ml:.3f} vs sweep best {rmses.min():.3f}")
+
+
+def test_p6_ml_learning_converges(desk):
+    # the fit stage's ML learning converges on the desk pool, and re-running
+    # it reproduces the hyperparameters the sidecar recorded
+    manifest = dio.load_manifest(desk["ds"])
+    pool, positions = cli._load_pool(manifest)
+    result = ho.optimize(pool, positions)
+    iterations = len(result.trace) - 1
+    assert result.converged and result.warning is None
+    assert iterations < ho.OptimizerConfig().max_iters
+    np.testing.assert_array_equal(result.hyperparameters.eps, desk["sidecar"]["eps"])
+    assert result.hyperparameters.sigma2 == desk["sidecar"]["sigma2"]
+    _report("P6 ml-learning-converges",
+            f"{iterations} iterations, L={result.log_likelihood:.3f}, "
+            f"sigma2={result.hyperparameters.sigma2:.2e}")

@@ -224,6 +224,17 @@ def test_optimize_budget_exhaustion_warns_and_returns_best():
     assert result.log_likelihood == pytest.approx(best_traced)
 
 
+def test_optimize_start_below_sigma2_floor_is_raised_to_it():
+    rng = np.random.default_rng(59)
+    pool, positions, _ = random_problem(rng, n_l=6, n_u=4, num_nodes=2)
+    hp0 = kn.Hyperparameters(eps=[1.0, 2.0], sigma2=1e-7)
+    result = ho.optimize(pool, positions, hp0=hp0)
+    assert result.trace[0][-1] == ho._SIGMA2_FLOOR
+    assert list(result.trace[0][2:4]) == [1.0, 2.0]
+    assert all(row[-1] >= ho._SIGMA2_FLOOR for row in result.trace)
+    assert result.hyperparameters.sigma2 >= ho._SIGMA2_FLOOR
+
+
 def test_optimize_validation():
     rng = np.random.default_rng(67)
     pool, positions, _ = random_problem(rng, num_nodes=2)
@@ -236,9 +247,9 @@ def test_optimize_validation():
     with pytest.raises(ValueError, match="positive start"):
         ho.optimize(pool, positions, hp0=kn.Hyperparameters(eps=[1.0, 1.0], sigma2=0.0))
     with pytest.raises(ValueError):
-        ho.OptimizerConfig(initial_step=0.0)
+        ho.OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
-        ho.OptimizerConfig(backtrack_factor=1.0)
+        ho.OptimizerConfig(grad_tol=0.0)
 
 
 def test_trace_csv_roundtrip(tmp_path):

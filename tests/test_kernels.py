@@ -25,6 +25,9 @@ def test_hyperparameters_validation():
         kn.Hyperparameters(eps=[1.0], sigma2=-0.5)
     with pytest.raises(ValueError):
         kn.Hyperparameters(eps=[1.0], jitter=-1e-9)
+    for jitter in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            kn.Hyperparameters(eps=[1.0], sigma2=0.1, jitter=jitter)
     with pytest.raises(ValueError):
         kn.Hyperparameters(eps=[np.inf])
 

@@ -391,6 +391,29 @@ def test_serialization_rejects_corrupt_files(tmp_path):
         mm.load_model(bad_version)
 
 
+def test_load_rejects_non_finite_values(tmp_path):
+    rng = np.random.default_rng(83)
+    n_l, n_u, m, d, c = 3, 2, 2, 4, 2
+    model, *_ = fitted(rng, n_l=n_l, n_u=n_u, num_nodes=m, dim=d, c=c)
+    path = tmp_path / "model.bin"
+    mm.save_model(model, path)
+    raw = path.read_bytes()
+    sizes = {"eps": m, "sigma2": 1, "jitter": 1, "sigma_l": n_l * n_l,
+             "gamma": n_l * n_l, "centered": n_l * c, "mean": c,
+             "positions": n_l * c, "pool": 2 * (n_l + n_u) * m * d}
+    assert 32 + 8 * sum(sizes.values()) == len(raw)
+    start = 32
+    for count in sizes.values():
+        for at in (start, start + 8 * (count - 1)):
+            for bad in (np.nan, np.inf, -np.inf):
+                path.write_bytes(raw[:at] + struct.pack("<d", bad) + raw[at + 8:])
+                with pytest.raises(ValueError, match="non-finite values in model file"):
+                    mm.load_model(path)
+        start += 8 * count
+    path.write_bytes(raw)
+    mm.load_model(path)
+
+
 def test_load_rejects_every_truncated_prefix(tmp_path):
     rng = np.random.default_rng(79)
     model, *_ = fitted(rng, n_l=3, n_u=2)
