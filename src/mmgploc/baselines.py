@@ -194,10 +194,17 @@ def srp_phat(record, cfg: SrpConfig) -> np.ndarray:
 
     The GCC is evaluated at the exact fractional inter-channel delay of
     each candidate by linear interpolation between circular integer lags;
-    ties go to the lowest flat grid index.
+    ties go to the lowest flat grid index.  A ``MeasurementRecord`` must
+    be sampled at the config's rate; a bare (channels, samples) array is
+    taken to be.
     """
-    signals = record.signals if isinstance(record, MeasurementRecord) else \
-        np.asarray(record, dtype=float)
+    if isinstance(record, MeasurementRecord):
+        if record.sample_rate != cfg.sample_rate:
+            raise ValueError(
+                f"record rate {record.sample_rate} != config rate {cfg.sample_rate}")
+        signals = record.signals
+    else:
+        signals = np.asarray(record, dtype=float)
     if signals.ndim != 2:
         raise ValueError("signals must be (num_channels, num_samples)")
     if signals.shape[0] != cfg.num_channels:

@@ -6,8 +6,10 @@ training pool (labelled plus unlabelled), so unlabelled data sharpens the
 geometry without needing positions.  Streaming test samples are absorbed
 with rank-1 updates whose results match a from-scratch refit.  The pool is
 a ``FeaturePool`` that caches each node's conjugated rows and squared norms,
-so an update appends in amortised O(1) copies and a prediction builds its
-two Grams against the pool without copying it.
+so an update appends in amortised O(1) copies.  The model also keeps the
+node-summed Gram S_LD of the labelled set against the pool, one column per
+pool sample, so a prediction builds only the test row's Gram against the
+pool.
 
 The labelled-set core below (``LabelledGp``, ``labelled_pool``,
 ``condition``, ``as_sample``) also serves the GP baselines and ML learning.
@@ -17,13 +19,14 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataio import atomic_write
-from .kernels import (FeaturePool, Hyperparameters, fused_from_sums, gram_stack,
+# mmgp_covariance stays importable here: perfbench/tracing.py wraps this lookup place
+from .kernels import (FeaturePool, Hyperparameters, fused_from_sums, gram_stack,  # noqa: F401
                       mmgp_covariance, stack_features)
 
 _MAGIC = b"MMGP"
@@ -90,12 +93,31 @@ class MmgpModel(LabelledGp):
     labelled samples first, plus each node's cached Gram operands;
     streaming updates append to it and ``pool`` reads it as a read-only
     array.  ``sigma_l`` is the fused covariance of the labelled set.
+
+    ``labelled_gram`` is the node-summed Gram S_LD of the labelled set
+    against the pool, (n_L, n_D).  It lives in a buffer whose width doubles
+    when full, so it costs up to 2 n_L n_D doubles.  Fit builds it with one
+    Gram and derives ``sigma_l`` = S_LD S_LD^T / M^2 from it; each update
+    writes the column it already computes for the rank-1 step, and a
+    prediction reads it instead of rebuilding it.  ``s_ld`` is its initial
+    content, built against ``feature_pool``.
     """
 
     feature_pool: FeaturePool
     n_labeled: int
     sigma_l: np.ndarray           # (n_L, n_L)
     update_count: int = 0
+    s_ld: InitVar[np.ndarray]     # (n_L, n_D)
+
+    def __post_init__(self, s_ld):
+        self._s_ld = s_ld
+
+    @property
+    def labelled_gram(self) -> np.ndarray:
+        """S_LD, the (n_L, n_D) node-summed Gram of the labelled set against the pool, read-only."""
+        view = self._s_ld[:, : self.feature_pool.shape[0]]
+        view.flags.writeable = False
+        return view
 
     @property
     def pool(self) -> np.ndarray:
@@ -120,9 +142,8 @@ class MmgpModel(LabelledGp):
         t = as_sample(h_t, self.feature_pool.shape[1:])
         hp = self.hyperparameters
         # the test row's node-summed Gram is built once for both k and the prior
-        s_ld = gram_stack(self.labeled_features, self.feature_pool, hp).summed
         s_t = gram_stack(t, self.feature_pool, hp).summed
-        k_lt = fused_from_sums(s_ld, s_t, hp.num_nodes)[:, 0]
+        k_lt = fused_from_sums(self.labelled_gram, s_t, hp.num_nodes)[:, 0]
         prior = float(fused_from_sums(s_t, None, hp.num_nodes)[0, 0])
         return self._posterior(k_lt, prior)
 
@@ -130,9 +151,9 @@ class MmgpModel(LabelledGp):
         """Absorb one test sample into the pool with a rank-1 update.
 
         The labelled covariance gains (1/M^2) k k^T where k sums the plain
-        per-node kernels against the labelled set; the explicit inverse is
-        updated in closed form and the weight vectors are refreshed.
-        Returns self for chaining.
+        per-node kernels against the labelled set; k is also the new column
+        of S_LD.  The explicit inverse is updated in closed form and the
+        weight vectors are refreshed.  Returns self for chaining.
         """
         t = as_sample(h_t, self.feature_pool.shape[1:])
         hp = self.hyperparameters
@@ -144,6 +165,10 @@ class MmgpModel(LabelledGp):
         self.sigma_l = self.sigma_l + np.outer(k, k) / m2
         self.sigma_l = 0.5 * (self.sigma_l + self.sigma_l.T)
         self.weights = self.gamma @ self.centered
+        n = self.feature_pool.shape[0]
+        if n == self._s_ld.shape[1]:  # full: double the buffer's width
+            self._s_ld = np.concatenate([self._s_ld, np.empty_like(self._s_ld)], axis=1)
+        self._s_ld[:, n] = k
         self.feature_pool.append(t)
         self.update_count += 1
         return self
@@ -219,8 +244,10 @@ def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
     """
     pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
     n_l = positions.shape[0]
-    sigma_l = mmgp_covariance(pool[:n_l], None, pool, hp)
-    return MmgpModel(feature_pool=FeaturePool(pool), n_labeled=n_l, sigma_l=sigma_l,
+    feature_pool = FeaturePool(pool)
+    s_ld = gram_stack(pool[:n_l], feature_pool, hp).summed
+    sigma_l = fused_from_sums(s_ld, None, hp.num_nodes)
+    return MmgpModel(feature_pool=feature_pool, n_labeled=n_l, sigma_l=sigma_l, s_ld=s_ld,
                      **condition(sigma_l, positions, hp))
 
 
@@ -285,10 +312,17 @@ def load_model(path) -> MmgpModel:
         raise ValueError("non-finite values in model file")
     sigma2, jitter = noise
     hp = Hyperparameters(eps=eps, sigma2=float(sigma2), jitter=float(jitter))
-    return MmgpModel(feature_pool=FeaturePool(pool), n_labeled=n_l, positions=positions,
+    feature_pool = FeaturePool(pool)
+    # S_LD is not stored: one Gram rebuilds it, and huge features that
+    # overflow it are rejected here rather than at the first prediction
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_ld = gram_stack(pool[:n_l], feature_pool, hp).summed
+    if not np.isfinite(s_ld).all():
+        raise ValueError("model file features overflow the kernel Gram")
+    return MmgpModel(feature_pool=feature_pool, n_labeled=n_l, positions=positions,
                      label_mean=mean, centered=centered, hyperparameters=hp,
                      jitter_used=float(jitter), sigma_l=sigma_l, gamma=gamma,
-                     weights=gamma @ centered, update_count=count)
+                     weights=gamma @ centered, update_count=count, s_ld=s_ld)
 
 
 def _write_f64(fh, arr) -> None:

@@ -6,17 +6,18 @@ channels independently of what the source emitted.  Features are restricted
 to a fixed frequency band and concatenated across nodes into the aggregated
 RTF that the localization models consume.
 
-Every record takes one short-time Fourier transform pass over all of its
-channels; each node's Welch auto- and cross-spectra are frame means of
-that one STFT, so no channel is transformed twice.
+Each node of a record takes one framed real FFT over its two channels;
+the node's Welch auto- and cross-spectra are frame means of that one
+transform, so no channel is transformed twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 # relative weight of the spectral-floor guard added to the denominator
@@ -149,7 +150,7 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
     Hann windows with per-window mean removal; the convention is
     S_xy(f) = mean over frames of conj(X_frame) * Y_frame, so a delayed
     copy y(t) = x(t - tau) shows phase -2*pi*f*tau.  Feature extraction
-    forms the same spectra for all of a record's nodes from one STFT pass.
+    forms the same spectra from one framed FFT per node.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -173,22 +174,39 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
     return s
 
 
-@lru_cache(maxsize=8)
-def _short_time_fft(fs: float, nper: int, noverlap: int, fft_size: int) -> sp_signal.ShortTimeFFT:
-    # keyed on scalars because SpectralConfig is unhashable; these are the
-    # arguments scipy.signal.csd builds its own transform from
-    return sp_signal.ShortTimeFFT(sp_signal.get_window("hann", nper), nper - noverlap, fs,
-                                  fft_mode="onesided", mfft=fft_size, scale_to="psd",
-                                  phase_shift=None)
+def _psd_window(fs: float, nper: int) -> np.ndarray:
+    # the Hann window scaled to unit-area power as scipy.signal.ShortTimeFFT
+    # scales it for scale_to="psd"; the builtin sum keeps its rounding
+    h = sp_signal.get_window("hann", nper)
+    return h * (1 / np.sqrt(sum(h**2) / (1 / fs)))
+
+
+def _node_spectra(pair: np.ndarray, window: np.ndarray, hop: int, num_frames: int,
+                  fft_size: int) -> tuple:
+    """Short-time spectra of a node's two channels, each a C-contiguous (F, P) array.
+
+    Frame p covers samples [p*hop, p*hop + len(window)); each frame loses
+    its mean and is windowed, and one real FFT covers every frame of both
+    channels.  The (F, P) layout makes the per-frame products and frame
+    means that follow round as they do on a per-channel STFT.
+    """
+    frames = sliding_window_view(pair, window.size, axis=-1)[:, : num_frames * hop : hop]
+    windowed = frames - frames.mean(axis=-1, keepdims=True)
+    windowed *= window
+    spec = sp_fft.rfft(windowed, n=fft_size, axis=-1)
+    del windowed  # only the spectra and their transposes stay alive
+    return np.ascontiguousarray(spec[0].T), np.ascontiguousarray(spec[1].T)
 
 
 def _band_rtfs(record, nodes: range, cfg: SpectralConfig) -> np.ndarray:
     """Band RTFs of the 1-based ``nodes`` of a record, as a (len(nodes), D) array.
 
-    One STFT pass covers every channel of those nodes.  Each node's spectra
-    are then formed as ``welch_cross_spectrum`` forms them: squared
-    magnitudes and S_sec * conj(S_ref) per frame, the one-sided doubling
-    (the Nyquist bin of an even FFT stays single), and the frame mean.
+    Node by node, one framed real FFT (``_node_spectra``) covers the two
+    channels on the frames ``welch_cross_spectrum`` uses, and the spectra
+    are formed as it forms them: squared magnitudes and S_sec * conj(S_ref)
+    per frame, the one-sided doubling (the Nyquist bin of an even FFT stays
+    single), and the frame mean.  One node at a time keeps the frame
+    temporaries small; a whole-record batch is slower and peaks higher.
     """
     if record.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -197,22 +215,22 @@ def _band_rtfs(record, nodes: range, cfg: SpectralConfig) -> np.ndarray:
         y_ref, _ = record.node_channels(m)
         if not np.any(y_ref):
             raise ValueError("degenerate recording: reference channel is all zeros")
-    signals = record.signals[2 * (nodes.start - 1):2 * (nodes.stop - 1)]
-    n = signals.shape[-1]
+    n = record.signals.shape[-1]
     nper = cfg.window_samples
     if n < nper:
         raise ValueError(f"signal ({n} samples) shorter than one window ({nper})")
     noverlap = int(round(cfg.overlap_fraction * nper))
-    sft = _short_time_fft(cfg.sample_rate, nper, noverlap, cfg.fft_size)
-    spec = sft.stft_detrend(signals, "constant", p0=0, p1=(n - noverlap) // sft.hop,
-                            k_offset=nper // 2, axis=-1)
+    hop = nper - noverlap
+    num_frames = (n - noverlap) // hop
+    window = _psd_window(cfg.sample_rate, nper)
     doubled = slice(1, -1 if cfg.fft_size % 2 == 0 else None)
     bins = band_bins(cfg)
     out = np.empty((len(nodes), bins.size), dtype=complex)
-    for i in range(len(nodes)):
-        # per-node 2-D slices: products on strided 3-D views of spec can
-        # round differently in the last bit
-        ref, sec = spec[2 * i], spec[2 * i + 1]
+    for i, m in enumerate(nodes):
+        # C-contiguous rows: on another layout (a transposed recording) the
+        # frame means can add in another order than the Welch oracle's
+        pair = np.ascontiguousarray(record.signals[2 * (m - 1):2 * m])
+        ref, sec = _node_spectra(pair, window, hop, num_frames, cfg.fft_size)
         s_auto = ref.real**2 + ref.imag**2
         s_cross = sec * ref.conj()
         s_auto[doubled] *= 2

@@ -175,6 +175,14 @@ def test_recursive_equals_batch_refit():
         np.testing.assert_allclose(a.position, b.position, rtol=1e-9, atol=1e-11)
 
 
+# The cached S_LD's streamed columns come from the update's one-row Gram
+# (a matrix-vector product) where the reference builds them in one
+# matrix-matrix product, so streamed predictions agree to rounding only:
+# at most 1.6e-15 relative in position and 7.4e-15 in variance over 20
+# configurations x 300 updates.
+_STREAM_RTOL = 1e-12
+
+
 def test_predict_bits_match_two_covariance_formula(monkeypatch):
     rng = np.random.default_rng(61)
     model, *_ = fitted(rng, n_l=6, n_u=4, num_nodes=3, dim=5, c=3)
@@ -192,19 +200,20 @@ def test_predict_bits_match_two_covariance_formula(monkeypatch):
         t = make_artf(rng, 3, 5)
         calls.clear()
         got = model.predict(t)
-        assert len(calls) == 2
+        assert len(calls) == 1  # the test row against the pool; S_LD is cached
         want = reference_predict(model, t)
-        assert got.position.tobytes() == want.position.tobytes()
-        assert got.variance.tobytes() == want.variance.tobytes()
+        np.testing.assert_allclose(got.position, want.position, rtol=_STREAM_RTOL, atol=0)
+        np.testing.assert_allclose(got.variance, want.variance, rtol=_STREAM_RTOL, atol=0)
         assert got.prior_variance == want.prior_variance
     # a sample already in the pool
     t = model.pool[-1]
-    assert model.predict(t).position.tobytes() == reference_predict(model, t).position.tobytes()
+    np.testing.assert_allclose(model.predict(t).position, reference_predict(model, t).position,
+                               rtol=_STREAM_RTOL, atol=0)
 
 
-def _same_bits(model, twin, got, want):
-    assert got.position.tobytes() == want.position.tobytes()
-    assert got.variance.tobytes() == want.variance.tobytes()
+def _agree(model, twin, got, want):
+    np.testing.assert_allclose(got.position, want.position, rtol=_STREAM_RTOL, atol=0)
+    np.testing.assert_allclose(got.variance, want.variance, rtol=_STREAM_RTOL, atol=0)
     assert got.prior_variance == want.prior_variance
     for name in ("gamma", "sigma_l", "weights", "pool"):
         assert getattr(model, name).tobytes() == getattr(twin, name).tobytes(), name
@@ -219,10 +228,10 @@ def test_stream_bits_match_concatenating_reference(tmp_path):
         t = make_artf(rng, 3, 7)
         got = model.predict_recursive(t)
         reference_update_recursive(twin, t)
-        _same_bits(model, twin, got, reference_predict(twin, t))
+        _agree(model, twin, got, reference_predict(twin, t))
         assert model.pool.flags.c_contiguous and model.pool.shape[0] == 6 + step
         if resumed is not None:
-            _same_bits(resumed, model, resumed.predict_recursive(t), got)
+            _agree(resumed, model, resumed.predict_recursive(t), got)
         if step == 150:
             mm.save_model(model, tmp_path / "mid.bin")
             resumed = mm.load_model(tmp_path / "mid.bin")
@@ -234,6 +243,38 @@ def test_stream_bits_match_concatenating_reference(tmp_path):
             assert model.pool.tobytes() == pool and model.gamma.tobytes() == gamma
             assert clone.pool.shape[0] == model.pool.shape[0] + 3
     assert resumed.update_count == model.update_count == 320
+
+
+def test_cached_labelled_gram_matches_a_fresh_gram(tmp_path):
+    rng = np.random.default_rng(97)
+    model, *_ = fitted(rng, n_l=4, n_u=3, num_nodes=3, dim=6, c=3)
+    hp = model.hyperparameters
+
+    def fresh(m):
+        return kn.gram_stack(m.labeled_features, m.pool, hp).summed
+
+    # fit builds S_LD with one Gram and derives sigma_l from it
+    assert model.labelled_gram.tobytes() == fresh(model).tobytes()
+    assert not model.labelled_gram.flags.writeable
+    assert model.sigma_l.tobytes() == kn.mmgp_covariance(
+        model.labeled_features, None, model.pool, hp).tobytes()
+    for _ in range(300):
+        model.update_recursive(make_artf(rng, 3, 6))
+    assert model.labelled_gram.shape == (4, 307)
+    np.testing.assert_allclose(model.labelled_gram, fresh(model), rtol=1e-12, atol=0)
+
+    mm.save_model(model, tmp_path / "model.bin")
+    loaded = mm.load_model(tmp_path / "model.bin")
+    assert loaded.labelled_gram.tobytes() == fresh(loaded).tobytes()
+    np.testing.assert_allclose(loaded.labelled_gram, model.labelled_gram, rtol=1e-12, atol=0)
+
+    twin = copy.deepcopy(model)
+    kept = model.labelled_gram.tobytes()
+    for _ in range(3):
+        twin.update_recursive(make_artf(rng, 3, 6))
+    assert model.labelled_gram.tobytes() == kept
+    assert twin.labelled_gram.shape == (4, 310)
+    np.testing.assert_allclose(twin.labelled_gram, fresh(twin), rtol=1e-12, atol=0)
 
 
 def test_pool_side_operands_are_not_copied_per_call():
@@ -412,6 +453,20 @@ def test_load_rejects_non_finite_values(tmp_path):
         start += 8 * count
     path.write_bytes(raw)
     mm.load_model(path)
+
+
+def test_load_rejects_features_that_overflow_the_gram(tmp_path):
+    rng = np.random.default_rng(101)
+    model, *_ = fitted(rng, n_l=3, n_u=2, num_nodes=2, dim=4)
+    path = tmp_path / "model.bin"
+    mm.save_model(model, path)
+    raw = bytearray(path.read_bytes())
+    # the first labelled feature: finite, but its squared norm is not
+    at = len(raw) - model.pool.nbytes
+    raw[at:at + 8] = struct.pack("<d", 1e200)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="overflow the kernel Gram"):
+        mm.load_model(path)
 
 
 def test_load_rejects_every_truncated_prefix(tmp_path):

@@ -3,14 +3,15 @@
 welch_cross_spectrum is checked against a hand-rolled framed-periodogram
 oracle, and estimate_rtf against analytically known channel ratios plus a
 simulated pair of impulse responses whose true transfer ratio is computed
-from the responses themselves.  The one-STFT-per-record extractor is pinned
-bit for bit to the node-by-node Welch oracle in conftest and to a golden
-digest of the desk features.
+from the responses themselves.  The framed-FFT-per-node extractor is
+pinned bit for bit to the node-by-node Welch oracle in conftest and to a
+golden digest of the desk features, and its peak memory is bounded.
 """
 
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,35 @@ def test_one_stft_features_match_reference_on_long_fft():
     x = np.random.default_rng(47).standard_normal((2, 40000))
     assert (rf.estimate_rtf(_record(*x), 1, cfg).values.tobytes()
             == reference_estimate_rtf(_record(*x), 1, cfg).values.tobytes())
+
+
+def test_features_do_not_depend_on_signal_layout():
+    # a transposed (n, channels) recording and a block cut from a longer
+    # one are not C-contiguous; their frame means must still add as the
+    # Welch oracle's do
+    x = np.random.default_rng(61).standard_normal((6, 20000))
+    cfg = rf.SpectralConfig()
+    want = reference_artf_from_record(
+        ac.MeasurementRecord(signals=x[:, 500:16500].copy(), sample_rate=16000.0,
+                             num_nodes=3), cfg).stack().tobytes()
+    for signals in (np.asfortranarray(x[:, 500:16500]), x[:, 500:16500]):
+        rec = ac.MeasurementRecord(signals=signals, sample_rate=16000.0, num_nodes=3)
+        assert not rec.signals.flags.c_contiguous
+        assert rf.artf_from_record(rec, cfg).stack().tobytes() == want
+
+
+def test_feature_extraction_peak_memory():
+    # a 30 s, 3-node record at 16 kHz: only one node's frame temporaries
+    # are alive at a time
+    x = np.random.default_rng(59).standard_normal((6, 30 * 16000))
+    rec = ac.MeasurementRecord(signals=x, sample_rate=16000.0, num_nodes=3)
+    tracemalloc.start()
+    try:
+        rf.artf_from_record(rec, rf.SpectralConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
 
 
 def desk_features_config():
