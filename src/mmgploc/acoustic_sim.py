@@ -5,10 +5,14 @@ rectangular rooms: every wall reflection is represented by an image source
 whose tap lands at the rounded sample delay with 1/(4*pi*d) spherical
 attenuation.  The image sum is built by one vectorized NumPy kernel,
 ``_accumulate_images``: it drops every lattice point whose images all
-exceed the reflection-order cap before any per-image arithmetic, and adds
-all taps with a single ``np.bincount``, which sums them in the same order
-as a tap-by-tap accumulation and so keeps the output bits of the
-unpruned kernel.
+exceed the reflection-order cap before any per-image arithmetic, works on
+flip-major rows (one row of lattice points per mirror flip, squared axis
+offsets summed as ``(x + y) + z``, the reflection order reused as the
+exponent of the wall coefficient), and adds all taps with a single
+``np.bincount``, which sums them in the same order as a tap-by-tap
+accumulation and so keeps the output bits of the unpruned kernel.
+``render_measurement`` convolves through one excitation spectrum per FFT
+length, with the same bits as a per-channel ``fftconvolve``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, sosfilt
+from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.signal import butter, sosfilt
 
 # tail beyond the nominal decay time kept in each impulse response, so the
 # -60 dB point stays resolvable after truncation
@@ -28,7 +33,6 @@ _FOUR_PI = 4.0 * np.pi
 
 # the 8 mirror-flip combinations, last axis fastest
 _FLIPS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
-_SIGNS = 1 - 2 * _FLIPS
 
 # lattice points processed per vectorized block, bounds peak memory
 _CHUNK = 1 << 16
@@ -61,20 +65,23 @@ class SceneConfig:
     def __post_init__(self):
         self.room_dims = np.asarray(self.room_dims, dtype=float)
         self.mic_positions = np.asarray(self.mic_positions, dtype=float)
-        if self.room_dims.shape != (3,) or np.any(self.room_dims <= 0):
-            raise ValueError("room_dims must be 3 positive lengths")
+        if (self.room_dims.shape != (3,) or not np.all(np.isfinite(self.room_dims))
+                or np.any(self.room_dims <= 0)):
+            raise ValueError("room_dims must be 3 finite positive lengths")
         if self.mic_positions.ndim != 3 or self.mic_positions.shape[1:] != (2, 3):
             raise ValueError("mic_positions must have shape (M, 2, 3): M nodes of 2 mics")
         if self.mic_positions.shape[0] < 1:
             raise ValueError("need at least one node")
         for pos in self.mic_positions.reshape(-1, 3):
             _check_inside(pos, self.room_dims, "microphone")
-        if self.t60 < 0:
-            raise ValueError("t60 must be >= 0")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.sound_speed <= 0:
-            raise ValueError("sound_speed must be positive")
+        if not (math.isfinite(self.t60) and self.t60 >= 0):
+            raise ValueError("t60 must be finite and >= 0")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError("sample_rate must be finite and positive")
+        if not (math.isfinite(self.sound_speed) and self.sound_speed > 0):
+            raise ValueError("sound_speed must be finite and positive")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError("snr_db must be a number or +inf")
         if isinstance(self.max_reflection_order, str):
             if self.max_reflection_order != "auto":
                 raise ValueError("max_reflection_order must be an int or 'auto'")
@@ -155,7 +162,8 @@ def _check_inside(pos, dims, what: str):
     pos = np.asarray(pos, dtype=float)
     if pos.shape != (3,):
         raise ValueError(f"{what} position must be a 3-vector")
-    if np.any(pos <= 0) or np.any(pos >= dims):
+    # written so that a NaN coordinate fails it too
+    if not np.all((pos > 0) & (pos < dims)):
         raise ValueError(f"{what} position {pos.tolist()} outside room {dims.tolist()}")
 
 
@@ -233,13 +241,22 @@ def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_met
     reflection-order cap (negative disables it).  Lattice points whose
     8 images all exceed the cap are dropped before any per-image
     arithmetic; the rest are visited in lexicographic order, mirror flips
-    inner, in blocks of ``_CHUNK`` points.  The taps of all blocks go
-    through one ``np.bincount`` from zeros, which adds them in visiting
-    order, so the output bits equal a tap-by-tap ``np.add.at`` into a zero
-    buffer.  Summing per block and adding the partial sums would not:
-    ``r + (a + b)`` and ``(r + a) + b`` can differ in the last bit.  The
-    bits also depend on the exact form of the amplitude
-    ``bpow[e] / (4 pi d)``.
+    inner, in blocks of ``_CHUNK`` points.
+
+    Each block works on flip-major rows of its N points: per axis and flip
+    one squared offset ``((1 - 2a) * src + 2 i L - mic) ** 2`` and one
+    order ``|2i - a|``, summed into the 8 flip rows as ``(x + y) + z``.
+    That grouping is the one a sum over the last axis of an (N, 8, 3)
+    array uses, so the distances keep their bits; ``x + (y + z)`` would
+    not.  The order doubles as the reflection exponent, since
+    ``|i - a| + |i| == |2i - a|`` for integer ``i`` and ``a`` in {0, 1}.
+    The rows are transposed back to point-major, flip-inner order, and
+    the taps of all blocks go through one ``np.bincount`` from zeros,
+    which adds them in visiting order, so the output bits equal a
+    tap-by-tap ``np.add.at`` into a zero buffer.  Summing per block and
+    adding the partial sums would not: ``r + (a + b)`` and ``(r + a) + b``
+    can differ in the last bit.  The bits also depend on the exact form of
+    the amplitude ``bpow[order] / (4 pi d)``.
     """
     emax = 2 * sum(half) + 3
     bpow = np.empty(emax + 1)
@@ -254,23 +271,31 @@ def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_met
         lowest = [np.minimum(np.abs(2 * i), np.abs(2 * i - 1))
                   for i in (np.arange(-h, h + 1) for h in half)]
         within = lowest[0][:, None, None] + lowest[1][:, None] + lowest[2] <= max_order
-    lattice = np.argwhere(within) - half
+    # (3, points) in lexicographic order, the transpose of np.argwhere
+    lattice = np.array(np.nonzero(within)) - np.array(half)[:, None]
 
     taps, amps = [], []
-    for start in range(0, lattice.shape[0], _CHUNK):
-        idx = lattice[start:start + _CHUNK]
-        rm = 2.0 * idx * dims
-        delta = _SIGNS * src + rm[:, None, :] - mic
-        d = np.sqrt((delta * delta).sum(axis=2)).ravel()
+    for start in range(0, lattice.shape[1], _CHUNK):
+        idx = lattice[:, start:start + _CHUNK]
+        rm = 2.0 * idx * dims[:, None]
+        sq = [[((1 - 2 * a) * src[k] + rm[k] - mic[k]) ** 2 for a in (0, 1)] for k in range(3)]
+        axis_order = [[np.abs(2 * idx[k] - a) for a in (0, 1)] for k in range(3)]
+        d2 = np.empty((8, idx.shape[1]))
+        order = np.empty((8, idx.shape[1]), dtype=np.int64)
+        for j, (ax, ay, az) in enumerate(_FLIPS):
+            np.add(sq[0][ax], sq[1][ay], out=d2[j])
+            d2[j] += sq[2][az]
+            np.add(axis_order[0][ax], axis_order[1][ay], out=order[j])
+            order[j] += axis_order[2][az]
+        d = np.sqrt(d2.T).ravel()
+        order = order.T.ravel()
         # round half up; d is never negative
         tap = np.floor(d * samples_per_meter + 0.5).astype(np.int64)
         keep = tap < n
         if max_order >= 0:
-            keep &= np.abs(2 * idx[:, None, :] - _FLIPS).sum(axis=2).ravel() <= max_order
-        e = (np.abs(idx[:, None, :] - _FLIPS)
-             + np.abs(idx)[:, None, :]).sum(axis=2).ravel()
+            keep &= order <= max_order
         taps.append(tap[keep])
-        amps.append(bpow[e[keep]] / (_FOUR_PI * d[keep]))
+        amps.append(bpow[order[keep]] / (_FOUR_PI * d[keep]))
     return np.bincount(np.concatenate(taps), weights=np.concatenate(amps), minlength=n)
 
 
@@ -329,36 +354,58 @@ def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> M
     """Propagate one excitation to every microphone and add sensor noise.
 
     Each channel is the full linear convolution of the excitation with its
-    impulse response.  White Gaussian noise is scaled per channel so the
-    ratio of clean-signal power over the active support to the noise
-    variance equals ``scene.snr_db``; ``snr_db == inf`` keeps the clean
-    convolutions exactly.
+    impulse response, computed as ``scipy.signal.fftconvolve`` does: both
+    padded to the next fast real-FFT length, multiplied as
+    ``excitation_spectrum * rir_spectrum`` and transformed back.  The
+    excitation is transformed once per FFT length, not once per channel,
+    which keeps every bit.  White Gaussian noise is scaled per channel so
+    the ratio of clean-signal power over the active support to the noise
+    variance equals ``scene.snr_db`` and is added to the clean channel in
+    place; ``snr_db == inf`` keeps the clean convolutions exactly.  The
+    excitation must be a finite 1-D signal that is not all zeros.
     """
     source_signal = np.asarray(source_signal, dtype=float)
+    if source_signal.ndim != 1:
+        raise ValueError(f"source signal must be 1-D, got shape {source_signal.shape}")
     if source_signal.size == 0:
         raise ValueError("empty source signal")
+    if not np.all(np.isfinite(source_signal)):
+        raise ValueError("non-finite samples in source signal")
+    if not np.any(source_signal):
+        raise ValueError("source signal is all zeros")
     mics = scene.flat_mics()
     rirs = [simulate_rir(scene, source_pos, mic) for mic in mics]
     n_out = source_signal.size + max(r.size for r in rirs) - 1
     clean = np.zeros((len(rirs), n_out))
+    spectra = {}
     for i, rir in enumerate(rirs):
-        y = fftconvolve(source_signal, rir)
-        clean[i, : y.size] = y
+        size = source_signal.size + rir.size - 1
+        if source_signal.size == 1:
+            # fftconvolve multiplies directly when an input has length 1
+            clean[i, :size] = source_signal * rir
+            continue
+        nfft = next_fast_len(size, True)
+        if nfft not in spectra:
+            spectra[nfft] = rfftn(source_signal, [nfft], axes=[0])
+        # excitation spectrum first, as fftconvolve multiplies: complex
+        # products round differently with the operands swapped, and the
+        # operator form ``spectrum * rfftn(...)`` may run in place in the
+        # temporary, i.e. swapped
+        product = np.multiply(spectra[nfft], rfftn(rir, [nfft], axes=[0]))
+        clean[i, :size] = irfftn(product, [nfft], axes=[0])[:size]
 
-    if math.isinf(scene.snr_db):
-        signals = clean
-    else:
+    if not math.isinf(scene.snr_db):
         rng = np.random.default_rng(seed)
-        signals = np.empty_like(clean)
         snr_lin = 10.0 ** (scene.snr_db / 10.0)
         for i in range(clean.shape[0]):
-            active = np.flatnonzero(np.abs(clean[i]) > 1e-12 * np.abs(clean[i]).max())
+            mag = np.abs(clean[i])
+            active = np.flatnonzero(mag > 1e-12 * mag.max())
             support = clean[i, active[0] : active[-1] + 1]
             noise_var = float(np.mean(support**2)) / snr_lin
-            signals[i] = clean[i] + math.sqrt(noise_var) * rng.standard_normal(n_out)
+            clean[i] += math.sqrt(noise_var) * rng.standard_normal(n_out)
 
     return MeasurementRecord(
-        signals=signals,
+        signals=clean,
         sample_rate=scene.sample_rate,
         num_nodes=scene.num_nodes,
         true_position=np.asarray(source_pos, dtype=float),

@@ -1,11 +1,18 @@
 """Shared builders and brute-force oracles for the test suite."""
 
-import numpy as np
+import math
 
+import numpy as np
+from scipy.signal import fftconvolve
+
+from mmgploc import acoustic_sim as ac
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
 from mmgploc import rtf_features as rf
-from mmgploc.acoustic_sim import _CHUNK, _FLIPS, _FOUR_PI, _SIGNS
+from mmgploc.acoustic_sim import _CHUNK, _FLIPS, _FOUR_PI
+
+# mirror sign per axis of each of the 8 flips in ``_FLIPS``
+_SIGNS = 1 - 2 * _FLIPS
 
 
 def make_artf(rng, num_nodes, dim, pos=None):
@@ -138,6 +145,34 @@ def reference_image_rir(rir, dims, src, mic, beta, half, max_order, samples_per_
              + np.abs(idx)[:, None, :]).sum(axis=2).ravel()
         np.add.at(rir, tap[keep], bpow[e[keep]] / (_FOUR_PI * d[keep]))
     return rir
+
+
+def reference_render(scene, source_pos, source_signal, seed):
+    """Noisy multichannel record through one ``fftconvolve`` per channel.
+
+    ``render_measurement`` as it was before it shared the excitation
+    spectrum across channels, kept as the bit-level oracle: it transforms
+    the excitation once per channel and adds the noise into a second
+    buffer.  Returns the (2M, n) signals.
+    """
+    source_signal = np.asarray(source_signal, dtype=float)
+    rirs = [ac.simulate_rir(scene, source_pos, mic) for mic in scene.flat_mics()]
+    n_out = source_signal.size + max(r.size for r in rirs) - 1
+    clean = np.zeros((len(rirs), n_out))
+    for i, rir in enumerate(rirs):
+        y = fftconvolve(source_signal, rir)
+        clean[i, : y.size] = y
+    if math.isinf(scene.snr_db):
+        return clean
+    rng = np.random.default_rng(seed)
+    signals = np.empty_like(clean)
+    snr_lin = 10.0 ** (scene.snr_db / 10.0)
+    for i in range(clean.shape[0]):
+        active = np.flatnonzero(np.abs(clean[i]) > 1e-12 * np.abs(clean[i]).max())
+        support = clean[i, active[0] : active[-1] + 1]
+        noise_var = float(np.mean(support**2)) / snr_lin
+        signals[i] = clean[i] + math.sqrt(noise_var) * rng.standard_normal(n_out)
+    return signals
 
 
 def reference_estimate_rtf(record, node_index: int, cfg):

@@ -2,9 +2,10 @@
 
 The image accumulation is checked against a deliberately naive
 dict-accumulating enumeration oracle and, bit for bit, against the
-unpruned ``np.add.at`` kernel kept in ``conftest``; the physical invariants
-(direct tap placement, Schroeder decay, SNR calibration) are checked on
-their own terms.
+unpruned ``np.add.at`` kernel kept in ``conftest``; the render is checked
+bit for bit against the per-channel ``fftconvolve`` render kept there too.
+The physical invariants (direct tap placement, Schroeder decay, SNR
+calibration) are checked on their own terms.
 """
 
 import hashlib
@@ -13,7 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_image_rir
+from conftest import reference_image_rir, reference_render
+from scipy.fft import next_fast_len
 
 from mmgploc import acoustic_sim as ac
 
@@ -186,6 +188,68 @@ def test_peak_memory_bounded_in_long_reverb():
     assert peak <= 128 * 2**20
 
 
+def test_reflection_exponent_equals_order():
+    # the kernel reads the wall-coefficient exponent |i - a| + |i| per axis
+    # off the image order |2i - a|
+    i = np.arange(-200, 201)
+    for a in (0, 1):
+        assert np.array_equal(np.abs(i - a) + np.abs(i), np.abs(2 * i - a))
+
+
+def test_render_bits_match_fftconvolve_reference():
+    rng = np.random.default_rng(61)
+    two_lengths = 0
+    for k in range(24):
+        fs = (8000.0, 16000.0)[k % 2]
+        snr = (np.inf, float(rng.uniform(5.0, 30.0)))[(k // 2) % 2]
+        room = rng.uniform(2.5, 4.5, 3)
+        mics = rng.uniform(0.1, 0.9, (int(rng.integers(1, 4)), 2, 3)) * room
+        scene = ac.SceneConfig(room_dims=room, mic_positions=mics, snr_db=snr, sample_rate=fs,
+                               t60=float(rng.uniform(0.15, 0.4)))
+        src = rng.uniform(0.1, 0.9, 3) * room
+        # the last excitation is one sample long, where fftconvolve multiplies
+        duration = 1.0 / fs if k == 23 else float(rng.uniform(0.05, 0.5))
+        sig = ac.white_noise_signal(duration, fs, rng)
+        rec = ac.render_measurement(scene, src, sig, (k, 1))
+        assert rec.signals.tobytes() == reference_render(scene, src, sig, (k, 1)).tobytes()
+        sizes = {sig.size + ac.simulate_rir(scene, src, mic).size - 1 for mic in scene.flat_mics()}
+        two_lengths += len({next_fast_len(size, True) for size in sizes}) > 1
+    # channels that share one excitation spectrum and channels that need two
+    assert two_lengths >= 3
+
+
+def test_render_peak_memory_bounded():
+    # a minute of desk audio: 6 channels of 960k samples take 44 MiB; one
+    # fftconvolve per channel plus a separate noisy copy peaked at 119 MiB,
+    # one shared excitation spectrum and noise added in place at 83 MiB
+    scene = _scene(t60=0.4, snr=20.0, mics=DESK_MICS)
+    sig = ac.white_noise_signal(60.0, scene.sample_rate, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        ac.render_measurement(scene, [2.0, 2.5, 1.5], sig, seed=(3, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 112 * 2**20
+
+
+@pytest.mark.parametrize("signal, match", [
+    (np.zeros(800), "all zeros"),
+    (np.full(800, np.nan), "non-finite"),
+    (np.r_[np.ones(799), np.inf], "non-finite"),
+    (np.ones((800, 2)), "1-D"),
+    (np.float64(1.0), "1-D"),
+    (np.zeros(0), "empty"),
+])
+def test_render_rejects_bad_excitation(monkeypatch, signal, match):
+    def no_rir(*args):
+        raise AssertionError("simulated a response for a bad excitation")
+
+    monkeypatch.setattr(ac, "simulate_rir", no_rir)
+    with pytest.raises(ValueError, match=match):
+        ac.render_measurement(_scene(), [2.5, 3.1, 1.5], signal, seed=0)
+
+
 def test_first_tap_at_direct_delay():
     rng = np.random.default_rng(47)
     scene = _scene(t60=0.25)
@@ -285,6 +349,25 @@ def test_scene_validation():
     s = _scene()
     assert s.num_nodes == 1
     assert s.flat_mics().shape == (2, 3)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(room=(np.nan, 5.0, 3.0)),
+    dict(room=(4.0, np.inf, 3.0)),
+    dict(t60=np.nan),
+    dict(t60=np.inf),
+    dict(sound_speed=np.nan),
+    dict(sound_speed=np.inf),
+    dict(fs=np.inf),
+    dict(fs=np.nan),
+    dict(snr=np.nan),
+    dict(snr=-np.inf),
+    dict(mics=[[[1.0, np.nan, 1.2], [1.0, 1.1, 1.2]]]),
+    dict(mics=[[[1.0, 1.0, 1.2], [np.inf, 1.1, 1.2]]]),
+])
+def test_scene_rejects_non_finite_fields(kw):
+    with pytest.raises(ValueError):
+        _scene(**kw)
 
 
 def test_snr_calibration_and_determinism():
