@@ -87,6 +87,7 @@ class SceneConfig:
                 raise ValueError("max_reflection_order must be an int or 'auto'")
         elif self.max_reflection_order < 0:
             raise ValueError("max_reflection_order must be >= 0")
+        _reflection_and_order(self)  # an infeasible t60 fails here, not at the first render
 
     @property
     def num_nodes(self) -> int:
@@ -116,8 +117,8 @@ class SourceSetSpec:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if self.positions.size and self.positions.shape[1] != 3:
             raise ValueError("positions must be 3-vectors")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError("duration must be finite and positive")
         if self.signal_kind not in ("wgn", "speech", "file"):
             raise ValueError(f"unknown signal kind {self.signal_kind!r}")
         if self.signal_kind == "file" and not self.audio_path:

@@ -3,8 +3,9 @@
 A node's two microphones share the source signal, so the ratio of their
 cross- and auto-spectra estimates the acoustic transfer ratio between the
 channels independently of what the source emitted.  Features are restricted
-to a fixed frequency band and concatenated across nodes into the aggregated
-RTF that the localization models consume.
+to a fixed frequency band, and one source event's feature is the (M, D)
+complex array of its M nodes' band RTFs (row m - 1 is node m), held by
+``AggregatedRtf`` with the event's position when it is labelled.
 
 Each node of a record takes one framed real FFT over its two channels;
 the node's Welch auto- and cross-spectra are frame means of that one
@@ -40,10 +41,15 @@ class SpectralConfig:
     band_high_hz: float = 2500.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.sample_rate, self.window_length_s, self.overlap_fraction,
+                                   self.fft_size, self.band_low_hz, self.band_high_hz])):
+            raise ValueError("spectral settings must be finite")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if not 0 <= self.overlap_fraction < 1:
             raise ValueError("overlap_fraction must be in [0, 1)")
+        if self.window_samples < 1 or self.hop_samples < 1:
+            raise ValueError("window and hop must each span at least one sample")
         if self.fft_size < self.window_samples:
             raise ValueError("fft_size must be >= window length in samples")
         if not 0 <= self.band_low_hz < self.band_high_hz <= self.sample_rate / 2:
@@ -76,72 +82,30 @@ def bin_frequencies(cfg: SpectralConfig) -> np.ndarray:
 
 
 @dataclass
-class RtfVector:
-    """Band-restricted RTF estimate of one node for one source event."""
-
-    values: np.ndarray
-    node_index: int
-    bin_frequencies: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        self.bin_frequencies = np.asarray(self.bin_frequencies, dtype=float)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("values must be a nonempty 1-D complex vector")
-        if self.bin_frequencies.shape != self.values.shape:
-            raise ValueError("bin_frequencies must match values in length")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("non-finite RTF entries")
-        if self.node_index < 1:
-            raise ValueError("node_index is 1-based")
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
-@dataclass
 class AggregatedRtf:
-    """Concatenation of all M nodes' RTF vectors for one source event.
+    """The M nodes' band RTFs for one source event, joined as one feature.
 
-    ``per_node`` is ordered by node index 1..M with a common bin grid.
+    ``features`` is an (M, D) complex array whose row m - 1 is node m.
     ``true_position`` is set for labelled events only.
     """
 
-    per_node: list
+    features: np.ndarray
     true_position: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.per_node:
-            raise ValueError("need at least one node RTF")
-        indices = [v.node_index for v in self.per_node]
-        if indices != list(range(1, len(self.per_node) + 1)):
-            raise ValueError(f"node indices must be exactly 1..M, got {indices}")
-        d0 = self.per_node[0].dim
-        for v in self.per_node[1:]:
-            if v.dim != d0 or not np.array_equal(v.bin_frequencies,
-                                                 self.per_node[0].bin_frequencies):
-                raise ValueError("all nodes must share one bin grid")
+        self.features = np.asarray(self.features, dtype=complex)
+        if self.features.ndim != 2 or self.features.size == 0:
+            raise ValueError("features must be a nonempty (M, D) complex array")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("non-finite RTF entries")
         if self.true_position is not None:
             self.true_position = np.asarray(self.true_position, dtype=float)
             if self.true_position.shape != (3,):
                 raise ValueError("true_position must be a 3-vector")
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.per_node)
-
-    @property
-    def dim(self) -> int:
-        return self.per_node[0].dim
-
     def stack(self) -> np.ndarray:
-        """Per-node features as an (M, D) complex array."""
-        return np.stack([v.values for v in self.per_node])
-
-    def concatenated(self) -> np.ndarray:
-        """All nodes flattened to one (M*D,) complex vector."""
-        return np.concatenate([v.values for v in self.per_node])
+        """The (M, D) complex feature array."""
+        return self.features
 
 
 def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
@@ -164,7 +128,7 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
         fs=cfg.sample_rate,
         window="hann",
         nperseg=nper,
-        noverlap=int(round(cfg.overlap_fraction * nper)),
+        noverlap=nper - cfg.hop_samples,
         nfft=cfg.fft_size,
         detrend="constant",
         return_onesided=True,
@@ -198,8 +162,13 @@ def _node_spectra(pair: np.ndarray, window: np.ndarray, hop: int, num_frames: in
     return np.ascontiguousarray(spec[0].T), np.ascontiguousarray(spec[1].T)
 
 
-def _band_rtfs(record, nodes: range, cfg: SpectralConfig) -> np.ndarray:
-    """Band RTFs of the 1-based ``nodes`` of a record, as a (len(nodes), D) array.
+def _band_rtfs(record, cfg: SpectralConfig) -> np.ndarray:
+    """Band RTFs of every node of a record, as an (M, D) array in node order.
+
+    A node's RTF is the ratio of the Welch cross-spectrum between its
+    channels to the reference channel's auto-spectrum; a small
+    spectral-floor term keeps dead bins finite.  The ratio cancels the
+    source spectrum, so the result is gain-invariant.
 
     Node by node, one framed real FFT (``_node_spectra``) covers the two
     channels on the frames ``welch_cross_spectrum`` uses, and the spectra
@@ -211,25 +180,22 @@ def _band_rtfs(record, nodes: range, cfg: SpectralConfig) -> np.ndarray:
     if record.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"record rate {record.sample_rate} != config rate {cfg.sample_rate}")
-    for m in nodes:
-        y_ref, _ = record.node_channels(m)
-        if not np.any(y_ref):
-            raise ValueError("degenerate recording: reference channel is all zeros")
+    if not np.all(np.any(record.signals[0::2], axis=-1)):
+        raise ValueError("degenerate recording: reference channel is all zeros")
     n = record.signals.shape[-1]
     nper = cfg.window_samples
     if n < nper:
         raise ValueError(f"signal ({n} samples) shorter than one window ({nper})")
-    noverlap = int(round(cfg.overlap_fraction * nper))
-    hop = nper - noverlap
-    num_frames = (n - noverlap) // hop
+    hop = cfg.hop_samples
+    num_frames = (n - nper) // hop + 1
     window = _psd_window(cfg.sample_rate, nper)
     doubled = slice(1, -1 if cfg.fft_size % 2 == 0 else None)
     bins = band_bins(cfg)
-    out = np.empty((len(nodes), bins.size), dtype=complex)
-    for i, m in enumerate(nodes):
+    out = np.empty((record.num_nodes, bins.size), dtype=complex)
+    for m in range(record.num_nodes):
         # C-contiguous rows: on another layout (a transposed recording) the
         # frame means can add in another order than the Welch oracle's
-        pair = np.ascontiguousarray(record.signals[2 * (m - 1):2 * m])
+        pair = np.ascontiguousarray(record.signals[2 * m:2 * m + 2])
         ref, sec = _node_spectra(pair, window, hop, num_frames, cfg.fft_size)
         s_auto = ref.real**2 + ref.imag**2
         s_cross = sec * ref.conj()
@@ -238,41 +204,10 @@ def _band_rtfs(record, nodes: range, cfg: SpectralConfig) -> np.ndarray:
         s_auto = s_auto.mean(axis=-1)
         s_cross = s_cross.mean(axis=-1)
         ratio = s_cross / (s_auto + _DENOM_DELTA * s_auto.mean())
-        out[i] = ratio[bins]
+        out[m] = ratio[bins]
     return out
 
 
-def estimate_rtf(record, node_index: int, cfg: SpectralConfig) -> RtfVector:
-    """Biased RTF estimate of one node, restricted to the feature band.
-
-    The estimate is the ratio of the Welch cross-spectrum between the
-    node's channels to the reference channel's auto-spectrum; a small
-    spectral-floor term keeps dead bins finite.  The ratio cancels the
-    source spectrum, so the result is gain-invariant.
-    """
-    values = _band_rtfs(record, range(node_index, node_index + 1), cfg)[0]
-    return RtfVector(values=values, node_index=node_index, bin_frequencies=bin_frequencies(cfg))
-
-
-def assemble_artf(node_rtfs, true_position=None, cfg: SpectralConfig | None = None) -> AggregatedRtf:
-    """Order per-node RTF vectors by node index into one aggregated RTF.
-
-    Input order does not matter; duplicates, gaps, mixed bin grids, or a
-    dimension conflicting with ``cfg`` are errors.
-    """
-    ordered = sorted(node_rtfs, key=lambda v: v.node_index)
-    if cfg is not None:
-        want = band_bin_count(cfg)
-        for v in ordered:
-            if v.dim != want:
-                raise ValueError(f"node {v.node_index} has D={v.dim}, config implies {want}")
-    return AggregatedRtf(per_node=list(ordered), true_position=true_position)
-
-
 def artf_from_record(record, cfg: SpectralConfig) -> AggregatedRtf:
-    """Full feature-extraction step for one measurement record."""
-    rows = _band_rtfs(record, range(1, record.num_nodes + 1), cfg)
-    freqs = bin_frequencies(cfg)
-    vectors = [RtfVector(values=row, node_index=m, bin_frequencies=freqs)
-               for m, row in enumerate(rows, start=1)]
-    return assemble_artf(vectors, true_position=record.true_position, cfg=cfg)
+    """Full feature-extraction step: the record's (M, D) band RTFs and its position."""
+    return AggregatedRtf(features=_band_rtfs(record, cfg), true_position=record.true_position)

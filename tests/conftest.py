@@ -17,11 +17,8 @@ _SIGNS = 1 - 2 * _FLIPS
 
 def make_artf(rng, num_nodes, dim, pos=None):
     """Random aggregated RTF with ``num_nodes`` nodes of dimension ``dim``."""
-    vecs = [rf.RtfVector(values=rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
-                         node_index=m + 1,
-                         bin_frequencies=np.arange(dim, dtype=float))
-            for m in range(num_nodes)]
-    return rf.assemble_artf(vecs, true_position=pos)
+    rows = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(num_nodes)]
+    return rf.AggregatedRtf(features=np.stack(rows), true_position=pos)
 
 
 def make_set(rng, n, num_nodes, dim):
@@ -29,14 +26,12 @@ def make_set(rng, n, num_nodes, dim):
 
 
 def gaussian_kernel(h_i, h_j, eps_m: float) -> float:
-    """exp(-||h_i - h_j||^2 / eps_m) for two same-node RTF vectors."""
+    """exp(-||h_i - h_j||^2 / eps_m) for two (D,) rows of one node's features."""
     if eps_m <= 0:
         raise ValueError("eps_m must be positive")
-    if h_i.node_index != h_j.node_index:
-        raise ValueError("kernel arguments must come from the same node")
-    if h_i.dim != h_j.dim:
+    if h_i.shape != h_j.shape:
         raise ValueError("dimension mismatch")
-    delta = h_i.values - h_j.values
+    delta = h_i - h_j
     return float(np.exp(-np.sum(delta.real**2 + delta.imag**2) / eps_m))
 
 
@@ -68,8 +63,8 @@ def brute_cross_node(r, l, q, w, pool, hp):
     """Literal sum over the pool of per-node kernel products (1-based q, w)."""
     total = 0.0
     for s in pool:
-        total += (gaussian_kernel(r.per_node[q - 1], s.per_node[q - 1], hp.eps[q - 1])
-                  * gaussian_kernel(l.per_node[w - 1], s.per_node[w - 1], hp.eps[w - 1]))
+        total += (gaussian_kernel(r.features[q - 1], s.features[q - 1], hp.eps[q - 1])
+                  * gaussian_kernel(l.features[w - 1], s.features[w - 1], hp.eps[w - 1]))
     return total
 
 
@@ -176,7 +171,7 @@ def reference_render(scene, source_pos, source_signal, seed):
 
 
 def reference_estimate_rtf(record, node_index: int, cfg):
-    """One node's band RTF from two ``welch_cross_spectrum`` calls.
+    """One node's (D,) band RTF from two ``welch_cross_spectrum`` calls.
 
     The feature extractor as it was before the one-STFT-per-record path,
     kept as the bit-level oracle: it transforms the reference channel
@@ -191,15 +186,13 @@ def reference_estimate_rtf(record, node_index: int, cfg):
     s_auto = rf.welch_cross_spectrum(y_ref, y_ref, cfg).real
     s_cross = rf.welch_cross_spectrum(y_ref, y_sec, cfg)
     ratio = s_cross / (s_auto + rf._DENOM_DELTA * s_auto.mean())
-    bins = rf.band_bins(cfg)
-    return rf.RtfVector(values=ratio[bins], node_index=node_index,
-                        bin_frequencies=bins * cfg.sample_rate / cfg.fft_size)
+    return ratio[rf.band_bins(cfg)]
 
 
 def reference_artf_from_record(record, cfg):
     """Aggregated RTF of a record, node by node through ``reference_estimate_rtf``."""
-    vectors = [reference_estimate_rtf(record, m, cfg) for m in range(1, record.num_nodes + 1)]
-    return rf.assemble_artf(vectors, true_position=record.true_position, cfg=cfg)
+    rows = [reference_estimate_rtf(record, m, cfg) for m in range(1, record.num_nodes + 1)]
+    return rf.AggregatedRtf(features=np.stack(rows), true_position=record.true_position)
 
 
 def reference_predict(model, h_t):

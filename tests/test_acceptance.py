@@ -171,8 +171,7 @@ def test_p4_gradient_checks():
         scale = math.sqrt(eps[m - 1] / 16.0)
         pool = make_set(rng, n_l + n_u, num_nodes, 4)
         for sample in pool:
-            for vec in sample.per_node:
-                vec.values *= scale
+            sample.features *= scale
         hp = kn.Hyperparameters(eps=eps, sigma2=float(rng.uniform(0.05, 0.5)))
 
         def of_eps(e, hp=hp, pool=pool, positions=positions, m=m):
@@ -235,11 +234,11 @@ def test_p5a_rtf_fidelity():
     sig = ac.white_noise_signal(10.0, scene.sample_rate,
                                 np.random.default_rng((17, 0)))
     rec = ac.render_measurement(scene, src, sig, seed=(18, 0))
-    v = rf.estimate_rtf(rec, 1, cfg)
+    v = rf.artf_from_record(rec, cfg).stack()[0]
     mics = scene.flat_mics()
     truth = _true_transfer_ratio(ac.simulate_rir(scene, src, mics[0]),
                                  ac.simulate_rir(scene, src, mics[1]), cfg)
-    rel = np.abs(v.values - truth) / np.abs(truth)
+    rel = np.abs(v - truth) / np.abs(truth)
     frac = float(np.mean(rel <= 0.10))
     assert frac >= 0.90
     _report("P5a rtf-fidelity",

@@ -335,6 +335,12 @@ def test_infeasible_t60_reports_sabine_range():
         ac.simulate_rir(_scene(t60=0.02), [2.5, 3.1, 1.5], [1.0, 1.0, 1.2])
 
 
+@pytest.mark.parametrize("room, t60", [((4.0, 5.0, 3.0), 0.02), ((40.0, 50.0, 30.0), 0.1)])
+def test_scene_rejects_infeasible_t60_on_construction(room, t60):
+    with pytest.raises(ValueError, match="infeasible t60/geometry pair"):
+        _scene(room=room, t60=t60)
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         _scene(t60=-0.1)
@@ -424,6 +430,12 @@ def test_make_signal_deterministic_per_index():
     c = ac.make_signal(spec, 1, 16000.0)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("duration_s", [np.nan, np.inf, -np.inf])
+def test_source_set_spec_rejects_non_finite_duration(duration_s):
+    with pytest.raises(ValueError, match="finite"):
+        ac.SourceSetSpec(positions=[[1, 1, 1]], duration_s=duration_s)
 
 
 def test_source_set_spec_validation():

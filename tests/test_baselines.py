@@ -41,16 +41,11 @@ def test_mean_of_nodes_identical_features_equal_single_node():
     single = make_set(rng, 8, 1, 5)
     pool, tests = [], []
     for agg in single:
-        vecs = [rf.RtfVector(values=agg.per_node[0].values, node_index=m + 1,
-                             bin_frequencies=agg.per_node[0].bin_frequencies)
-                for m in range(3)]
-        pool.append(rf.assemble_artf(vecs, true_position=agg.true_position))
+        pool.append(rf.AggregatedRtf(features=np.repeat(agg.features, 3, axis=0),
+                                     true_position=agg.true_position))
     positions = rng.uniform(0.0, 4.0, (5, 3))
     probe = make_artf(rng, 1, 5)
-    probe3 = rf.assemble_artf(
-        [rf.RtfVector(values=probe.per_node[0].values, node_index=m + 1,
-                      bin_frequencies=probe.per_node[0].bin_frequencies)
-         for m in range(3)])
+    probe3 = rf.AggregatedRtf(features=np.repeat(probe.features, 3, axis=0))
     hp3 = kn.Hyperparameters(eps=[2.5, 2.5, 2.5], sigma2=0.2)
     hp1 = kn.Hyperparameters(eps=[2.5], sigma2=0.2)
     got = bl.fit_mean_of_nodes(pool, positions, hp3).predict(probe3).position
@@ -95,7 +90,7 @@ def test_product_gram_equal_widths_matches_concatenated_kernel():
         eps = float(rng.uniform(1.0, 6.0))
         hp = kn.Hyperparameters(eps=[eps] * num_nodes, sigma2=0.1)
         got = bl.product_gram(samples, None, hp)
-        concat = np.stack([s.concatenated() for s in samples])[:, None, :]
+        concat = np.stack([s.features.ravel() for s in samples])[:, None, :]
         want = kn.gram_stack(concat, None, kn.Hyperparameters(eps=[eps], sigma2=0.1)).summed
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -106,8 +101,8 @@ def test_kernel_product_single_node_is_plain_gaussian_gp():
     hp = kn.Hyperparameters(eps=[2.0], sigma2=0.1, jitter=1e-9)
     test = make_artf(rng, 1, 5)
     model = bl.fit_kernel_product(pool, positions, hp)
-    feats = np.stack([s.concatenated() for s in pool])
-    probe = test.concatenated()
+    feats = np.stack([s.features.ravel() for s in pool])
+    probe = test.features.ravel()
     def kern(a, b):
         return np.exp(-np.sum(np.abs(a - b) ** 2) / 2.0)
 

@@ -97,10 +97,8 @@ def test_grad_eps_zero_for_degenerate_node():
     import mmgploc.rtf_features as rf
     pool = []
     for _ in range(5):
-        v1 = rf.RtfVector(values=shared, node_index=1, bin_frequencies=np.arange(4.0))
-        v2 = rf.RtfVector(values=rng.standard_normal(4) + 1j * rng.standard_normal(4),
-                          node_index=2, bin_frequencies=np.arange(4.0))
-        pool.append(rf.assemble_artf([v1, v2]))
+        own = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        pool.append(rf.AggregatedRtf(features=np.stack([shared, own])))
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.3)
     positions = rng.uniform(0.0, 4.0, (3, 2))
     assert ho.grad_eps(hp, pool, positions, 1) == 0.0
@@ -136,7 +134,7 @@ def test_grad_sigma2_far_features_scalar_case():
     rng = np.random.default_rng(29)
     pool = make_set(rng, 4, 1, 4)
     for i, agg in enumerate(pool):
-        agg.per_node[0].values = agg.per_node[0].values + 1e8 * (i + 1)
+        agg.features[0] = agg.features[0] + 1e8 * (i + 1)
     positions = rng.uniform(0.0, 3.0, (4, 2))
     hp = kn.Hyperparameters(eps=[1.0], sigma2=1.0)
     y = positions - positions.mean(axis=0)
@@ -165,10 +163,7 @@ def test_likelihood_invariant_to_node_order():
     perm = [2, 0, 1]
 
     def permute(agg):
-        vecs = [rf.RtfVector(values=agg.per_node[perm[j]].values, node_index=j + 1,
-                             bin_frequencies=agg.per_node[perm[j]].bin_frequencies)
-                for j in range(3)]
-        return rf.assemble_artf(vecs)
+        return rf.AggregatedRtf(features=agg.features[perm])
 
     hp_p = kn.Hyperparameters(eps=hp.eps[perm], sigma2=hp.sigma2)
     a = ho.log_likelihood(hp, pool, positions)

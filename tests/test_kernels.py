@@ -34,13 +34,11 @@ def test_hyperparameters_validation():
 
 def test_gaussian_kernel_identity_and_scale():
     rng = np.random.default_rng(2)
-    v = make_artf(rng, 1, 8).per_node[0]
+    v = make_artf(rng, 1, 8).features[0]
     assert gaussian_kernel(v, v, 0.5) == 1.0
     # construct a pair at exactly squared distance eps
-    a = rf.RtfVector(values=np.zeros(4, complex), node_index=1,
-                     bin_frequencies=np.arange(4.0))
-    b = rf.RtfVector(values=np.array([1.0, 1j, 0, 0]), node_index=1,
-                     bin_frequencies=np.arange(4.0))
+    a = np.zeros(4, complex)
+    b = np.array([1.0, 1j, 0, 0])
     assert gaussian_kernel(a, b, 2.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
 
 
@@ -51,20 +49,16 @@ def test_gaussian_kernel_matches_scalar_recomputation():
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         eps = float(rng.uniform(0.1, 50.0))
-        vx = rf.RtfVector(values=x, node_index=1, bin_frequencies=np.arange(dim, dtype=float))
-        vy = rf.RtfVector(values=y, node_index=1, bin_frequencies=np.arange(dim, dtype=float))
         expected = np.exp(-sum(abs(x[i] - y[i]) ** 2 for i in range(dim)) / eps)
-        assert gaussian_kernel(vx, vy, eps) == pytest.approx(expected, rel=1e-13)
-        assert 0 < gaussian_kernel(vx, vy, eps) <= 1
+        assert gaussian_kernel(x, y, eps) == pytest.approx(expected, rel=1e-13)
+        assert 0 < gaussian_kernel(x, y, eps) <= 1
 
 
 def test_gaussian_kernel_errors():
     rng = np.random.default_rng(1)
     a = make_artf(rng, 2, 4)
     with pytest.raises(ValueError, match="positive"):
-        gaussian_kernel(a.per_node[0], a.per_node[0], 0.0)
-    with pytest.raises(ValueError, match="same node"):
-        gaussian_kernel(a.per_node[0], a.per_node[1], 1.0)
+        gaussian_kernel(a.features[0], a.features[0], 0.0)
 
 
 def test_gram_stack_singleton_and_symmetry():
@@ -94,7 +88,7 @@ def test_gram_stack_matches_elementwise_kernel():
     for m in range(2):
         for i, a in enumerate(a_set):
             for j, b in enumerate(b_set):
-                want = gaussian_kernel(a.per_node[m], b.per_node[m], hp.eps[m])
+                want = gaussian_kernel(a.features[m], b.features[m], hp.eps[m])
                 assert g.per_node[m, i, j] == pytest.approx(want, rel=1e-12)
     np.testing.assert_allclose(g.summed, g.per_node.sum(axis=0), atol=0)
 
@@ -217,10 +211,7 @@ def test_mmgp_covariance_node_permutation_invariant():
     perm = [2, 0, 1]
 
     def permute(agg):
-        vecs = [rf.RtfVector(values=agg.per_node[perm[j]].values, node_index=j + 1,
-                             bin_frequencies=agg.per_node[perm[j]].bin_frequencies)
-                for j in range(num_nodes)]
-        return rf.assemble_artf(vecs)
+        return rf.AggregatedRtf(features=agg.features[perm])
 
     hp_p = kn.Hyperparameters(eps=hp.eps[perm])
     base = kn.mmgp_covariance(a_set, None, pool, hp)

@@ -121,8 +121,7 @@ def test_update_with_distant_sample_is_identity_on_inverse():
     gamma_before = model.gamma.copy()
     sigma_before = model.sigma_l.copy()
     far = make_artf(rng, 2, 4)
-    for v in far.per_node:
-        v.values = v.values + 1e6  # pushes every kernel to exact underflow
+    far.features += 1e6  # pushes every kernel to exact underflow
     model.update_recursive(far)
     np.testing.assert_array_equal(model.gamma, gamma_before)
     np.testing.assert_array_equal(model.sigma_l, sigma_before)

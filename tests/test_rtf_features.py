@@ -1,9 +1,9 @@
 """RTF feature tests.
 
 welch_cross_spectrum is checked against a hand-rolled framed-periodogram
-oracle, and estimate_rtf against analytically known channel ratios plus a
-simulated pair of impulse responses whose true transfer ratio is computed
-from the responses themselves.  The framed-FFT-per-node extractor is
+oracle, and a node's row of artf_from_record against analytically known
+channel ratios plus a simulated pair of impulse responses whose true
+transfer ratio is computed from the responses themselves.  The framed-FFT-per-node extractor is
 pinned bit for bit to the node-by-node Welch oracle in conftest and to a
 golden digest of the desk features, and its peak memory is bounded.
 """
@@ -56,6 +56,20 @@ def test_spectral_config_defaults_and_validation():
         rf.SpectralConfig(band_low_hz=3000.0, band_high_hz=2500.0)
     with pytest.raises(ValueError):
         rf.SpectralConfig(band_high_hz=9000.0)  # above Nyquist
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(window_length_s=0.0), "window and hop"),
+    (dict(window_length_s=-1.0), "window and hop"),
+    (dict(window_length_s=0.001, overlap_fraction=0.99), "window and hop"),  # hop rounds to 0
+    (dict(window_length_s=np.nan), "finite"),
+    (dict(window_length_s=np.inf), "finite"),
+    (dict(sample_rate=np.nan), "finite"),
+    (dict(sample_rate=np.inf), "finite"),
+])
+def test_spectral_config_rejects_unframeable_windows(kw, message):
+    with pytest.raises(ValueError, match=message):
+        rf.SpectralConfig(**kw)
 
 
 def test_band_bins_match_loop_count():
@@ -145,19 +159,19 @@ def _record(y1, y2, fs=16000.0):
 def test_rtf_identical_channels_is_unity():
     cfg = rf.SpectralConfig()
     x = np.random.default_rng(7).standard_normal(64000)
-    v = rf.estimate_rtf(_record(x, x.copy()), 1, cfg)
-    assert v.dim == rf.band_bin_count(cfg)
-    assert np.abs(v.values - 1.0).max() <= 1e-3
+    v = rf.artf_from_record(_record(x, x.copy()), cfg).stack()[0]
+    assert v.shape == (rf.band_bin_count(cfg),)
+    assert np.abs(v - 1.0).max() <= 1e-3
 
 
 def test_rtf_pure_delay_channel():
     cfg = rf.SpectralConfig()
     x = np.random.default_rng(19).standard_normal(64000)
     y = np.concatenate([np.zeros(8), x[:-8]])
-    v = rf.estimate_rtf(_record(x, y), 1, cfg)
+    v = rf.artf_from_record(_record(x, y), cfg).stack()[0]
     k = rf.band_bins(cfg)
     expected = np.exp(-1j * 2 * np.pi * k * 8 / cfg.fft_size)
-    assert np.abs(v.values - expected).max() < 0.02
+    assert np.abs(v - expected).max() < 0.02
 
 
 def test_rtf_gain_invariance():
@@ -165,27 +179,27 @@ def test_rtf_gain_invariance():
     rng = np.random.default_rng(23)
     x = rng.standard_normal(32000)
     y = rng.standard_normal(32000)
-    base = rf.estimate_rtf(_record(x, y), 1, cfg)
+    base = rf.artf_from_record(_record(x, y), cfg).stack()[0]
     # power-of-two gains rescale both spectra exactly, so the ratio is bit-equal
     for c in (2.0**18, 2.0**-25):
-        scaled = rf.estimate_rtf(_record(c * x, c * y), 1, cfg)
-        assert np.array_equal(base.values, scaled.values)
-    odd = rf.estimate_rtf(_record(3.7 * x, 3.7 * y), 1, cfg)
-    np.testing.assert_allclose(odd.values, base.values, rtol=1e-11)
+        scaled = rf.artf_from_record(_record(c * x, c * y), cfg).stack()[0]
+        assert np.array_equal(base, scaled)
+    odd = rf.artf_from_record(_record(3.7 * x, 3.7 * y), cfg).stack()[0]
+    np.testing.assert_allclose(odd, base, rtol=1e-11)
 
 
 def test_rtf_zero_reference_errors():
     cfg = rf.SpectralConfig()
     x = np.random.default_rng(31).standard_normal(16000)
     with pytest.raises(ValueError, match="reference channel"):
-        rf.estimate_rtf(_record(np.zeros(16000), x), 1, cfg)
+        rf.artf_from_record(_record(np.zeros(16000), x), cfg)
 
 
 def test_rtf_sample_rate_mismatch_errors():
     cfg = rf.SpectralConfig()
     x = np.random.default_rng(3).standard_normal(16000)
     with pytest.raises(ValueError, match="rate"):
-        rf.estimate_rtf(_record(x, x, fs=8000.0), 1, cfg)
+        rf.artf_from_record(_record(x, x, fs=8000.0), cfg)
 
 
 def true_transfer_ratio(rir_ref, rir_sec, cfg):
@@ -211,12 +225,12 @@ def test_rtf_matches_true_response_ratio():
     cfg = rf.SpectralConfig(window_length_s=1.024, fft_size=16384)
     sig = ac.white_noise_signal(10.0, scene.sample_rate, np.random.default_rng(11))
     rec = ac.render_measurement(scene, src, sig, seed=0)
-    v = rf.estimate_rtf(rec, 1, cfg)
+    v = rf.artf_from_record(rec, cfg).stack()[0]
 
     mics = scene.flat_mics()
     truth = true_transfer_ratio(ac.simulate_rir(scene, src, mics[0]),
                                 ac.simulate_rir(scene, src, mics[1]), cfg)
-    rel = np.abs(v.values - truth) / np.abs(truth)
+    rel = np.abs(v - truth) / np.abs(truth)
     assert np.mean(rel <= 0.10) >= 0.90
 
 
@@ -224,16 +238,14 @@ def test_rtf_short_and_constant_signal_errors():
     cfg = rf.SpectralConfig()
     x = np.random.default_rng(37).standard_normal(16000)
     with pytest.raises(ValueError, match="shorter than one window"):
-        rf.estimate_rtf(_record(x[:2047], x[:2047]), 1, cfg)
+        rf.artf_from_record(_record(x[:2047], x[:2047]), cfg)
     # a constant reference is nonzero, but every detrended frame is zero
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        rf.estimate_rtf(_record(np.ones(16000), x), 1, cfg)
+        rf.artf_from_record(_record(np.ones(16000), x), cfg)
     two = ac.MeasurementRecord(signals=np.stack([x, x, np.zeros(16000), x]),
                                sample_rate=16000.0, num_nodes=2)
     with pytest.raises(ValueError, match="reference channel"):
         rf.artf_from_record(two, cfg)
-    with pytest.raises(ValueError, match="out of range"):
-        rf.estimate_rtf(two, 3, cfg)
 
 
 def test_one_stft_features_match_welch_reference_bits():
@@ -262,19 +274,17 @@ def test_one_stft_features_match_welch_reference_bits():
         want = reference_artf_from_record(rec, cfg)
         assert got.stack().tobytes() == want.stack().tobytes()
         assert got.true_position.tobytes() == want.true_position.tobytes()
-        for g, w in zip(got.per_node, want.per_node):
-            assert g.bin_frequencies.tobytes() == w.bin_frequencies.tobytes()
         m = int(rng.integers(1, num_nodes + 1))
-        assert (rf.estimate_rtf(rec, m, cfg).values.tobytes()
-                == reference_estimate_rtf(rec, m, cfg).values.tobytes())
+        assert (rf.artf_from_record(rec, cfg).stack()[m - 1].tobytes()
+                == reference_estimate_rtf(rec, m, cfg).tobytes())
 
 
 def test_one_stft_features_match_reference_on_long_fft():
     # the 1.024 s window and 16384-point FFT of the true-response test
     cfg = rf.SpectralConfig(window_length_s=1.024, fft_size=16384)
     x = np.random.default_rng(47).standard_normal((2, 40000))
-    assert (rf.estimate_rtf(_record(*x), 1, cfg).values.tobytes()
-            == reference_estimate_rtf(_record(*x), 1, cfg).values.tobytes())
+    assert (rf.artf_from_record(_record(*x), cfg).stack()[0].tobytes()
+            == reference_estimate_rtf(_record(*x), 1, cfg).tobytes())
 
 
 def test_features_do_not_depend_on_signal_layout():
@@ -346,52 +356,28 @@ def test_golden_desk_features_digest(tmp_path):
         "864a101964ccd2b6b26be77c9a99f365da832770aac4bb39f8b1cc884d721e3e")
 
 
-def test_assemble_artf_orders_and_validates():
-    cfg = rf.SpectralConfig()
-    k = rf.bin_frequencies(cfg)
-    d = k.size
-    rng = np.random.default_rng(13)
-
-    def vec(idx):
-        return rf.RtfVector(values=rng.standard_normal(d) + 1j * rng.standard_normal(d),
-                            node_index=idx, bin_frequencies=k)
-
-    v1, v2, v3 = vec(1), vec(2), vec(3)
-    agg = rf.assemble_artf([v3, v1, v2], true_position=[1.0, 2.0, 1.5], cfg=cfg)
-    assert [v.node_index for v in agg.per_node] == [1, 2, 3]
-    assert agg.num_nodes == 3 and agg.dim == d
-    assert agg.stack().shape == (3, d)
-    assert agg.concatenated().shape == (3 * d,)
-    np.testing.assert_array_equal(agg.stack()[1], v2.values)
-    np.testing.assert_array_equal(agg.concatenated()[d:2 * d], v2.values)
-    np.testing.assert_allclose(agg.true_position, [1.0, 2.0, 1.5])
-
-    single = rf.assemble_artf([v1])
-    assert single.num_nodes == 1
-    np.testing.assert_array_equal(single.stack()[0], v1.values)
-
-    with pytest.raises(ValueError, match="1..M"):
-        rf.assemble_artf([v1, v3])  # gap
-    with pytest.raises(ValueError, match="1..M"):
-        rf.assemble_artf([v1, vec(1)])  # duplicate
-    short = rf.RtfVector(values=np.ones(5, complex), node_index=2,
-                         bin_frequencies=np.arange(5.0))
-    with pytest.raises(ValueError, match="bin grid"):
-        rf.assemble_artf([v1, short])
-    with pytest.raises(ValueError, match="config implies"):
-        rf.assemble_artf([short], cfg=cfg)
-
-
-def test_rtf_vector_validation():
-    with pytest.raises(ValueError, match="finite"):
-        rf.RtfVector(values=np.array([1.0, np.nan * 1j]), node_index=1,
-                     bin_frequencies=np.arange(2.0))
-    with pytest.raises(ValueError, match="length"):
-        rf.RtfVector(values=np.ones(3, complex), node_index=1,
-                     bin_frequencies=np.arange(2.0))
-    with pytest.raises(ValueError, match="1-based"):
-        rf.RtfVector(values=np.ones(3, complex), node_index=0,
-                     bin_frequencies=np.arange(3.0))
+def test_aggregated_rtf_validation():
+    rows = np.arange(6.0).reshape(2, 3) * (1 - 1j)
+    agg = rf.AggregatedRtf(features=rows, true_position=[1, 2, 1.5])
+    assert agg.stack() is agg.features
+    np.testing.assert_array_equal(agg.stack(), rows)
+    assert agg.true_position.dtype == float
+    assert rf.AggregatedRtf(features=rows).true_position is None
+    for bad in (np.ones(3, complex), np.ones((2, 2, 2), complex), np.ones((0, 3), complex)):
+        with pytest.raises(ValueError, match="nonempty"):
+            rf.AggregatedRtf(features=bad)
+    for entry in (np.nan, np.inf * 1j):
+        bad = rows.copy()
+        bad[1, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            rf.AggregatedRtf(features=bad)
+    with pytest.raises(ValueError, match="3-vector"):
+        rf.AggregatedRtf(features=rows, true_position=[1.0, 2.0])
+    # signals near the float limit overflow the spectra to inf and nan
+    x = np.random.default_rng(67).standard_normal((2, 16000)) * 1e200
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        rf.artf_from_record(_record(*x), rf.SpectralConfig())
 
 
 def test_artf_from_record_two_nodes():
@@ -403,9 +389,11 @@ def test_artf_from_record_two_nodes():
     sig = ac.white_noise_signal(2.0, scene.sample_rate, np.random.default_rng(2))
     rec = ac.render_measurement(scene, [2.0, 2.5, 1.5], sig, seed=0)
     agg = rf.artf_from_record(rec, cfg)
-    assert agg.num_nodes == 2
-    assert [v.node_index for v in agg.per_node] == [1, 2]
+    assert agg.features.shape == (2, rf.band_bin_count(cfg))
     np.testing.assert_allclose(agg.true_position, [2.0, 2.5, 1.5])
-    # node 1's vector equals a direct single-node estimate
-    np.testing.assert_array_equal(agg.per_node[0].values,
-                                  rf.estimate_rtf(rec, 1, cfg).values)
+    # each node's row equals the estimate from a record of that node alone
+    for m in range(2):
+        alone = ac.MeasurementRecord(signals=rec.signals[2 * m:2 * m + 2],
+                                     sample_rate=rec.sample_rate, num_nodes=1)
+        np.testing.assert_array_equal(agg.features[m],
+                                      rf.artf_from_record(alone, cfg).features[0])
