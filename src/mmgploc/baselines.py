@@ -17,7 +17,7 @@ from scipy.signal import get_window
 
 from .acoustic_sim import MeasurementRecord
 from .kernels import Hyperparameters, gram_stack, stack_features
-from .mmgp_model import LabelledGp, Prediction, as_sample, condition, labelled_pool
+from .mmgp_model import LabelledGp, Prediction, as_sample, labelled_pool
 from .mmgp_model import fit as fit_mmgp
 
 
@@ -83,6 +83,9 @@ class KernelProductModel(LabelledGp):
 
     features: np.ndarray          # (n_L, M, D) labelled features
 
+    def __post_init__(self):
+        self._condition(product_gram(self.features, None, self.hyperparameters))
+
     def predict(self, h_t) -> Prediction:
         row = as_sample(h_t, self.features.shape[1:])
         k = product_gram(row, self.features, self.hyperparameters)[0]
@@ -92,9 +95,8 @@ class KernelProductModel(LabelledGp):
 
 def fit_kernel_product(training_set, labelled_positions, hp: Hyperparameters) -> KernelProductModel:
     pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
-    labelled = pool[: positions.shape[0]]
-    gram = product_gram(labelled, None, hp)
-    return KernelProductModel(features=labelled, **condition(gram, positions, hp))
+    return KernelProductModel(features=pool[: positions.shape[0]], positions=positions,
+                              hyperparameters=hp)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def attach_features(dataset_dir, features: dict) -> None:
     refs = {}
     for rec_id, arr in features.items():
         arr = np.asarray(arr, dtype=complex)
-        rel = f"features/{rec_id}.c64"
+        rel = f"features/{rec_id}.c128"
         write_blob(out / rel, arr)
         refs[rec_id] = {"path": rel, "shape": list(arr.shape)}
     for name in (MANIFEST_NAME, EVALUATION_NAME):

@@ -3,23 +3,25 @@
 The model regresses source coordinates on aggregated RTF features.  The
 prior covariance between any two events is the fused kernel over the whole
 training pool (labelled plus unlabelled), so unlabelled data sharpens the
-geometry without needing positions.  Streaming test samples are absorbed
-with rank-1 updates whose results match a from-scratch refit.  The pool is
-a ``FeaturePool`` that caches each node's conjugated rows and squared norms,
-so an update appends in amortised O(1) copies.  The model also keeps the
-node-summed Gram S_LD of the labelled set against the pool, one column per
-pool sample, so a prediction builds only the test row's Gram against the
-pool.
+geometry without needing positions.  The model's state is the
+node-summed Gram S_LD of the labelled set against the pool (one column per
+pool sample), the labels, the hyperparameters and the jitter resolved at
+fit.  Fit, every streaming update and a model load derive the labelled
+covariance, its inverse and the weights from that state by one
+conditioning step, so a streamed model always equals a fit on its own
+S_LD.  The pool is a ``FeaturePool`` that caches each node's conjugated
+rows and squared norms, so an update appends in amortised O(1) copies and
+a prediction builds only the test row's Gram against the pool.
 
 The labelled-set core below (``LabelledGp``, ``labelled_pool``,
-``condition``, ``as_sample``) also serves the GP baselines and ML learning.
+``as_sample``) also serves the GP baselines and ML learning.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -30,7 +32,7 @@ from .kernels import (FeaturePool, Hyperparameters, fused_from_sums, gram_stack,
                       mmgp_covariance, stack_features)
 
 _MAGIC = b"MMGP"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 # relative scale of the automatic diagonal regularizer
 _AUTO_JITTER = 1e-8
@@ -59,24 +61,41 @@ class Prediction:
 class LabelledGp:
     """The labelled-set posterior every GP localizer here shares.
 
-    The models differ only in their covariance: each supplies the vector
-    k between a test sample and the n_L labelled samples plus the test
-    sample's prior variance, and ``_posterior`` conditions on the labels.
-    ``gamma`` is the explicit (K_L + (sigma2 + jitter) I)^-1 of the
-    labelled covariance K_L; ``weights`` has one column per coordinate.
+    The models differ only in their covariance.  Each hands its labelled
+    covariance K_L to ``_condition``, and for a test sample supplies the
+    vector k between it and the n_L labelled samples plus its prior
+    variance, which ``_posterior`` conditions on the labels.  ``gamma`` is
+    the explicit (K_L + (sigma2 + jitter) I)^-1; ``weights`` has one
+    column per coordinate.
     """
 
     positions: np.ndarray         # (n_L, C) original labels
-    label_mean: np.ndarray        # (C,)
-    centered: np.ndarray          # (n_L, C)
     hyperparameters: Hyperparameters
-    jitter_used: float
-    gamma: np.ndarray             # (n_L, n_L)
-    weights: np.ndarray           # (n_L, C)
+    jitter_used: float | None = field(default=None, init=False)
+    label_mean: np.ndarray = field(init=False)    # (C,)
+    centered: np.ndarray = field(init=False)      # (n_L, C)
+    gamma: np.ndarray = field(init=False)         # (n_L, n_L)
+    weights: np.ndarray = field(init=False)       # (n_L, C)
 
     @property
     def num_coords(self) -> int:
         return self.positions.shape[1]
+
+    def _condition(self, cov_l: np.ndarray) -> None:
+        """Derive the posterior fields from the labelled covariance ``cov_l``.
+
+        The first call resolves ``jitter_used``: ``hyperparameters.jitter``,
+        or trace-scaled when that is None; later calls keep it.  Labels are
+        centered per coordinate and the mean restored at prediction time.
+        """
+        hp = self.hyperparameters
+        if self.jitter_used is None:
+            self.jitter_used = float(hp.jitter if hp.jitter is not None else
+                                     _AUTO_JITTER * np.trace(cov_l) / cov_l.shape[0])
+        self.gamma = _spd_inverse(cov_l, hp.sigma2 + self.jitter_used)
+        self.label_mean = self.positions.mean(axis=0)
+        self.centered = self.positions - self.label_mean
+        self.weights = self.gamma @ self.centered
 
     def _posterior(self, k: np.ndarray, prior: float) -> Prediction:
         est = k @ self.weights + self.label_mean
@@ -87,30 +106,35 @@ class LabelledGp:
 
 @dataclass(kw_only=True)
 class MmgpModel(LabelledGp):
-    """Fused-kernel GP: pool features, labelled geometry, and the explicit inverse.
+    """Fused-kernel GP: pool features, the labelled Gram S_LD and the labels.
 
     ``feature_pool`` holds the (n_D, M, D) training features with the
     labelled samples first, plus each node's cached Gram operands;
     streaming updates append to it and ``pool`` reads it as a read-only
-    array.  ``sigma_l`` is the fused covariance of the labelled set.
+    array.
 
     ``labelled_gram`` is the node-summed Gram S_LD of the labelled set
     against the pool, (n_L, n_D).  It lives in a buffer whose width doubles
-    when full, so it costs up to 2 n_L n_D doubles.  Fit builds it with one
-    Gram and derives ``sigma_l`` = S_LD S_LD^T / M^2 from it; each update
-    writes the column it already computes for the rank-1 step, and a
-    prediction reads it instead of rebuilding it.  ``s_ld`` is its initial
-    content, built against ``feature_pool``.
+    when full, so it costs up to 2 n_L n_D doubles; ``s_ld`` is its initial
+    content, built against ``feature_pool``.  S_LD, ``positions``,
+    ``hyperparameters`` and ``jitter_used`` are the whole state: on
+    construction and after every update ``_recondition`` derives
+    ``sigma_l`` = S_LD S_LD^T / M^2 from S_LD and conditions on it.
     """
 
     feature_pool: FeaturePool
     n_labeled: int
-    sigma_l: np.ndarray           # (n_L, n_L)
     update_count: int = 0
     s_ld: InitVar[np.ndarray]     # (n_L, n_D)
+    sigma_l: np.ndarray = field(init=False)   # (n_L, n_L)
 
     def __post_init__(self, s_ld):
         self._s_ld = s_ld
+        self._recondition()
+
+    def _recondition(self) -> None:
+        self.sigma_l = fused_from_sums(self.labelled_gram, None, self.hyperparameters.num_nodes)
+        self._condition(self.sigma_l)
 
     @property
     def labelled_gram(self) -> np.ndarray:
@@ -132,7 +156,7 @@ class MmgpModel(LabelledGp):
         return self.pool.shape[1]
 
     def conditioning_residual(self) -> float:
-        """max |gamma (sigma_l + (sigma2+jitter) I) - I|; small when consistent."""
+        """max |gamma (sigma_l + (sigma2+jitter) I) - I|, a health record of the inverse."""
         n = self.sigma_l.shape[0]
         diag = self.hyperparameters.sigma2 + self.jitter_used
         return float(np.abs(self.gamma @ (self.sigma_l + diag * np.eye(n)) - np.eye(n)).max())
@@ -148,29 +172,22 @@ class MmgpModel(LabelledGp):
         return self._posterior(k_lt, prior)
 
     def update_recursive(self, h_t) -> "MmgpModel":
-        """Absorb one test sample into the pool with a rank-1 update.
+        """Absorb one test sample into the pool and re-condition.
 
-        The labelled covariance gains (1/M^2) k k^T where k sums the plain
-        per-node kernels against the labelled set; k is also the new column
-        of S_LD.  The explicit inverse is updated in closed form and the
-        weight vectors are refreshed.  Returns self for chaining.
+        k, the node-summed Gram of the labelled set against the sample,
+        becomes the new column of S_LD, and the posterior is derived from
+        S_LD afresh with the jitter resolved at fit.  Returns self for
+        chaining.
         """
         t = as_sample(h_t, self.feature_pool.shape[1:])
-        hp = self.hyperparameters
-        m2 = float(hp.num_nodes) ** 2
-        k = gram_stack(self.labeled_features, t, hp).summed[:, 0]
-        gk = self.gamma @ k
-        self.gamma = self.gamma - np.outer(gk, gk) / (m2 + k @ gk)
-        self.gamma = 0.5 * (self.gamma + self.gamma.T)
-        self.sigma_l = self.sigma_l + np.outer(k, k) / m2
-        self.sigma_l = 0.5 * (self.sigma_l + self.sigma_l.T)
-        self.weights = self.gamma @ self.centered
+        k = gram_stack(self.labeled_features, t, self.hyperparameters).summed[:, 0]
         n = self.feature_pool.shape[0]
         if n == self._s_ld.shape[1]:  # full: double the buffer's width
             self._s_ld = np.concatenate([self._s_ld, np.empty_like(self._s_ld)], axis=1)
         self._s_ld[:, n] = k
         self.feature_pool.append(t)
         self.update_count += 1
+        self._recondition()
         return self
 
     def predict_recursive(self, h_t) -> Prediction:
@@ -205,22 +222,6 @@ def labelled_pool(training_set, labelled_positions, num_nodes: int):
     return pool, positions
 
 
-def condition(cov_l: np.ndarray, positions: np.ndarray, hp: Hyperparameters) -> dict:
-    """The ``LabelledGp`` fields for labelled covariance ``cov_l`` and labels.
-
-    The jitter is trace-scaled when ``hp.jitter`` is None; labels are
-    centered per coordinate and the mean restored at prediction time.
-    """
-    jitter = hp.jitter if hp.jitter is not None else \
-        _AUTO_JITTER * float(np.trace(cov_l)) / positions.shape[0]
-    gamma = _spd_inverse(cov_l, hp.sigma2 + jitter)
-    mean = positions.mean(axis=0)
-    centered = positions - mean
-    return dict(positions=positions, label_mean=mean, centered=centered,
-                hyperparameters=hp, jitter_used=float(jitter), gamma=gamma,
-                weights=gamma @ centered)
-
-
 def _spd_inverse(sigma: np.ndarray, diag: float) -> np.ndarray:
     n = sigma.shape[0]
     a = sigma + diag * np.eye(n)
@@ -240,57 +241,58 @@ def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
     """Fit the model on a pool whose first n_L samples are labelled.
 
     ``training_set`` holds all aggregated RTFs, labelled first, unlabelled
-    after; ``labelled_positions`` is (n_L, C) and sets n_L.
+    after; ``labelled_positions`` is (n_L, C) and sets n_L.  Finite
+    features so large that their kernel Gram overflows are rejected.
     """
     pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
     n_l = positions.shape[0]
-    feature_pool = FeaturePool(pool)
-    s_ld = gram_stack(pool[:n_l], feature_pool, hp).summed
-    sigma_l = fused_from_sums(s_ld, None, hp.num_nodes)
-    return MmgpModel(feature_pool=feature_pool, n_labeled=n_l, sigma_l=sigma_l, s_ld=s_ld,
-                     **condition(sigma_l, positions, hp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        feature_pool = FeaturePool(pool)
+        s_ld = gram_stack(pool[:n_l], feature_pool, hp).summed
+    if not np.isfinite(s_ld).all():
+        raise ValueError("features overflow the kernel Gram")
+    return MmgpModel(feature_pool=feature_pool, n_labeled=n_l, positions=positions,
+                     hyperparameters=hp, s_ld=s_ld)
 
 
 def save_model(model: MmgpModel, path) -> None:
-    """Serialize to a little-endian binary file (magic "MMGP", version 1).
+    """Serialize to a little-endian binary file (magic "MMGP", version 2).
 
-    The header carries the counts, then hyperparameters, the labelled-set
-    covariance and inverse, centered labels and means, and finally the
-    full pool features so a loaded model can keep predicting and updating.
+    The file holds only primary data: the counts, the kernel widths,
+    sigma2 and the jitter resolved at fit, the labels and the full pool
+    features, so a loaded model can keep predicting and updating.
     """
-    n_l, c = model.centered.shape
+    n_l, c = model.positions.shape
     n_d, m, d = model.pool.shape
     with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<6I", _FORMAT_VERSION, n_l, c, m,
-                             model.update_count, n_d))
-        fh.write(struct.pack("<I", d))
+        fh.write(struct.pack("<7I", _FORMAT_VERSION, n_l, c, m, model.update_count, n_d, d))
         _write_f64(fh, model.hyperparameters.eps)
         _write_f64(fh, [model.hyperparameters.sigma2, model.jitter_used])
-        _write_f64(fh, model.sigma_l)
-        _write_f64(fh, model.gamma)
-        _write_f64(fh, model.centered)
-        _write_f64(fh, model.label_mean)
         _write_f64(fh, model.positions)
         # complex features as interleaved real/imag doubles
         _write_f64(fh, model.pool.view(float))
 
 
 def load_model(path) -> MmgpModel:
-    """Restore a model written by save_model.
+    """Restore a model written by save_model by fitting on the file's pool.
 
     The sizes the header declares are checked against the file's size
     before any array is read, so a corrupt count cannot ask for more
-    memory than the file holds; a NaN or infinity in any array is rejected.
+    memory than the file holds; a NaN or infinity in any array, and a
+    finite value that overflows the conditioning, is rejected.  ``fit``
+    with the stored jitter re-derives the posterior, so the result equals
+    a fit on the file's pool bit for bit.  A model that streamed updates
+    built its S_LD one column at a time, so its reload agrees with it to
+    rounding only.
     """
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a model file (bad magic)")
-        version, n_l, c, m, count, n_d = struct.unpack("<6I", _read_exact(fh, 24))
+        version, n_l, c, m, count, n_d, d = struct.unpack("<7I", _read_exact(fh, 28))
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
-        d = struct.unpack("<I", _read_exact(fh, 4))[0]
-        declared = 32 + 8 * (m + 2 + 2 * n_l * n_l + 2 * n_l * c + c + 2 * n_d * m * d)
+        declared = 32 + 8 * (m + 2 + n_l * c + 2 * n_d * m * d)
         size = os.fstat(fh.fileno()).st_size
         if declared > size:
             raise ValueError(f"truncated model file: header declares {declared} bytes, "
@@ -300,29 +302,19 @@ def load_model(path) -> MmgpModel:
         if m == 0 or not 1 <= n_l <= n_d:
             raise ValueError(f"inconsistent model header: M={m}, n_L={n_l}, n_D={n_d}")
         eps = _read_f64(fh, m)
-        noise = _read_f64(fh, 2)
-        sigma_l = _read_f64(fh, n_l * n_l).reshape(n_l, n_l)
-        gamma = _read_f64(fh, n_l * n_l).reshape(n_l, n_l)
-        centered = _read_f64(fh, n_l * c).reshape(n_l, c)
-        mean = _read_f64(fh, c)
+        sigma2, jitter = _read_f64(fh, 2)
         positions = _read_f64(fh, n_l * c).reshape(n_l, c)
         pool = _read_f64(fh, n_d * m * d * 2).view(complex).reshape(n_d, m, d)
-    if not all(np.isfinite(a).all() for a in (eps, noise, sigma_l, gamma, centered,
-                                              mean, positions, pool)):
+    if not all(np.isfinite(a).all() for a in (eps, [sigma2, jitter], positions, pool)):
         raise ValueError("non-finite values in model file")
-    sigma2, jitter = noise
     hp = Hyperparameters(eps=eps, sigma2=float(sigma2), jitter=float(jitter))
-    feature_pool = FeaturePool(pool)
-    # S_LD is not stored: one Gram rebuilds it, and huge features that
-    # overflow it are rejected here rather than at the first prediction
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_ld = gram_stack(pool[:n_l], feature_pool, hp).summed
-    if not np.isfinite(s_ld).all():
-        raise ValueError("model file features overflow the kernel Gram")
-    return MmgpModel(feature_pool=feature_pool, n_labeled=n_l, positions=positions,
-                     label_mean=mean, centered=centered, hyperparameters=hp,
-                     jitter_used=float(jitter), sigma_l=sigma_l, gamma=gamma,
-                     weights=gamma @ centered, update_count=count, s_ld=s_ld)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            model = fit(pool, positions, hp)
+    except FloatingPointError:
+        raise ValueError("model file values overflow the conditioning") from None
+    model.update_count = count
+    return model
 
 
 def _write_f64(fh, arr) -> None:

@@ -212,34 +212,22 @@ def reference_predict(model, h_t):
                          prior_variance=prior)
 
 
-def refit(model):
-    """Rebuild the labelled covariance and its inverse from the pool.
-
-    Re-conditions the explicit inverse after long update chains; keeps
-    the jitter resolved at fit time so the diagonal matches the
-    streaming path.  Returns the model.
-    """
-    hp = model.hyperparameters
-    model.sigma_l = kn.mmgp_covariance(model.labeled_features, None, model.pool, hp)
-    model.gamma = mm._spd_inverse(model.sigma_l, hp.sigma2 + model.jitter_used)
-    model.weights = model.gamma @ model.centered
-    return model
-
-
 class ArrayPoolModel:
-    """An ``MmgpModel``'s state with the pool as a plain (n, M, D) array.
+    """An ``MmgpModel``'s state with the pool and S_LD as plain arrays.
 
     The twin that ``reference_update_recursive`` grows by concatenation and
     ``reference_predict`` reads, so a stream through it involves no
-    ``FeaturePool``.
+    ``FeaturePool`` and no S_LD buffer.
     """
 
     def __init__(self, model):
         self.pool = np.array(model.pool)
+        self.s_ld = np.array(model.labelled_gram)
         self.n_labeled = model.n_labeled
         self.label_mean = model.label_mean.copy()
         self.centered = model.centered.copy()
         self.hyperparameters = model.hyperparameters
+        self.jitter_used = model.jitter_used
         self.sigma_l = model.sigma_l.copy()
         self.gamma = model.gamma.copy()
         self.weights = model.weights.copy()
@@ -255,20 +243,19 @@ class ArrayPoolModel:
 
 
 def reference_update_recursive(model, h_t):
-    """``MmgpModel.update_recursive`` as it was before the growable pool.
+    """``MmgpModel.update_recursive`` on concatenated arrays.
 
-    Kept as the bit-level oracle: it grows the pool with ``np.concatenate``,
-    so every Gram against it rebuilds the pool-side operands.
+    Kept as the bit-level oracle: it grows the pool and S_LD with
+    ``np.concatenate``, so every Gram against the pool rebuilds the
+    pool-side operands, and re-conditions on the whole S_LD with the
+    jitter resolved at fit.
     """
     t = mm.as_sample(h_t, model.pool.shape[1:])
     hp = model.hyperparameters
-    m2 = float(hp.num_nodes) ** 2
-    k = kn.gram_stack(model.labeled_features, t, hp).summed[:, 0]
-    gk = model.gamma @ k
-    model.gamma = model.gamma - np.outer(gk, gk) / (m2 + k @ gk)
-    model.gamma = 0.5 * (model.gamma + model.gamma.T)
-    model.sigma_l = model.sigma_l + np.outer(k, k) / m2
-    model.sigma_l = 0.5 * (model.sigma_l + model.sigma_l.T)
+    k = kn.gram_stack(model.labeled_features, t, hp).summed
+    model.s_ld = np.concatenate([model.s_ld, k], axis=1)
+    model.sigma_l = kn.fused_from_sums(model.s_ld, None, hp.num_nodes)
+    model.gamma = mm._spd_inverse(model.sigma_l, hp.sigma2 + model.jitter_used)
     model.weights = model.gamma @ model.centered
     model.pool = np.concatenate([model.pool, t])
     model.update_count += 1

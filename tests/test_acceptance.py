@@ -125,7 +125,7 @@ def test_p3_recursive_batch_equivalence():
         assert residual <= 1e-8
     _report("P3 recursive-batch-equivalence",
             f"8 streams (up to 10), max pred rel err {worst_pred:.2e}, "
-            f"max Woodbury residual {worst_res:.2e}")
+            f"max conditioning residual {worst_res:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_blob_roundtrip_float(tmp_path):
 def test_blob_roundtrip_complex(tmp_path):
     rng = np.random.default_rng(2)
     arr = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    path = tmp_path / "x.c64"
+    path = tmp_path / "x.c128"
     dio.write_blob(path, arr)
     assert struct.unpack("<3I", path.read_bytes()[4:16]) == (dio.BLOB_VERSION, 2, 8)
     np.testing.assert_array_equal(dio.read_blob(path).reshape(2, 4), arr)
@@ -86,10 +86,10 @@ def test_blob_errors(tmp_path):
 
 
 def test_blob_rejects_every_truncated_prefix(tmp_path):
-    path = tmp_path / "x.c64"
+    path = tmp_path / "x.c128"
     dio.write_blob(path, np.arange(6.0) + 1j)
     raw = path.read_bytes()
-    cut = tmp_path / "cut.c64"
+    cut = tmp_path / "cut.c128"
     for size in range(len(raw)):
         cut.write_bytes(raw[:size])
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ _BLOB_BYTES = b"".join([dio.BLOB_MAGIC, struct.pack("<3I", dio.BLOB_VERSION, 2, 
 
 def _reads_or_rejects(raw: bytes) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "x.c64"
+        path = Path(tmp) / "x.c128"
         path.write_bytes(raw)
         try:
             dio.read_blob(path)
@@ -250,6 +250,7 @@ def test_signal_roundtrip_and_feature_attach(tmp_path):
     dio.attach_features(tmp_path / "ds", feats)
     manifest = dio.load_manifest(tmp_path / "ds")
     for rec in manifest["records"]:
+        assert rec["features"]["path"] == f"features/{rec['id']}.c128"
         np.testing.assert_array_equal(
             dio.read_record_features(manifest, rec), feats[rec["id"]])
     evaluation = dio.load_manifest(tmp_path / "ds" / dio.EVALUATION_NAME)
