@@ -228,9 +228,7 @@ def records_by_role(manifest: dict, role: str) -> list:
 
 
 def read_record_signals(manifest: dict, entry: dict) -> np.ndarray:
-    ref = entry["signal"]
-    flat = read_blob(Path(manifest["_dir"]) / ref["path"])
-    return flat.reshape(ref["shape"])
+    return _read_record_blob(manifest, entry, entry["signal"])
 
 
 def read_record_features(manifest: dict, entry: dict) -> np.ndarray:
@@ -238,8 +236,17 @@ def read_record_features(manifest: dict, entry: dict) -> np.ndarray:
     if ref is None:
         raise ValueError(f"record {entry['id']} has no extracted features; "
                          f"run feature extraction first")
-    flat = read_blob(Path(manifest["_dir"]) / ref["path"])
-    return flat.reshape(ref["shape"])
+    return _read_record_blob(manifest, entry, ref)
+
+
+def _read_record_blob(manifest: dict, entry: dict, ref: dict) -> np.ndarray:
+    """The blob ``ref`` names, which must resolve inside the dataset directory."""
+    root = Path(manifest["_dir"]).resolve()
+    path = (root / ref["path"]).resolve()
+    if not path.is_relative_to(root):
+        raise ValueError(f"record {entry['id']}: blob path {ref['path']!r} "
+                         f"resolves outside the dataset directory")
+    return read_blob(path).reshape(ref["shape"])
 
 
 def attach_features(dataset_dir, features: dict) -> None:

@@ -13,6 +13,14 @@ S_LD.  The pool is a ``FeaturePool`` that caches each node's conjugated
 rows and squared norms, so an update appends in amortised O(1) copies and
 a prediction builds only the test row's Gram against the pool.
 
+Streaming prediction absorbs only novel samples: a sample whose kernel
+values against the pool come close to 1 on average over the nodes adds
+almost nothing the pool does not already hold, and absorbing many such
+near-duplicates lets them dominate the unnormalised fused covariance.
+This is the approximate-linear-dependence test of sparse online GPs
+(Csato & Opper 2002) and kernel RLS (Engel, Mannor & Meir 2004); it bounds
+the pool on a redundant stream, and with it the cost of each step.
+
 The labelled-set core below (``LabelledGp``, ``labelled_pool``,
 ``as_sample``) also serves the GP baselines and ML learning.
 """
@@ -36,6 +44,10 @@ _FORMAT_VERSION = 2
 
 # relative scale of the automatic diagonal regularizer
 _AUTO_JITTER = 1e-8
+
+# predict_recursive absorbs a sample only when the mean over nodes of its
+# largest per-node kernel value against the pool is below this
+_NOVELTY = 0.9
 
 
 @dataclass
@@ -120,6 +132,11 @@ class MmgpModel(LabelledGp):
     ``hyperparameters`` and ``jitter_used`` are the whole state: on
     construction and after every update ``_recondition`` derives
     ``sigma_l`` = S_LD S_LD^T / M^2 from S_LD and conditions on it.
+
+    ``update_count`` is the number of samples absorbed into the pool after
+    the fit, whether by ``update_recursive`` or by ``predict_recursive``
+    on a novel sample; samples ``predict_recursive`` skips do not count.
+    A model file keeps it.
     """
 
     feature_pool: FeaturePool
@@ -164,20 +181,23 @@ class MmgpModel(LabelledGp):
     def predict(self, h_t) -> Prediction:
         """Posterior mean and variance for one test sample; read-only."""
         t = as_sample(h_t, self.feature_pool.shape[1:])
-        hp = self.hyperparameters
         # the test row's node-summed Gram is built once for both k and the prior
-        s_t = gram_stack(t, self.feature_pool, hp).summed
-        k_lt = fused_from_sums(self.labelled_gram, s_t, hp.num_nodes)[:, 0]
-        prior = float(fused_from_sums(s_t, None, hp.num_nodes)[0, 0])
+        return self._predict_row(gram_stack(t, self.feature_pool, self.hyperparameters).summed)
+
+    def _predict_row(self, s_t: np.ndarray) -> Prediction:
+        """The posterior of a test sample from its (1, n_D) node-summed Gram against the pool."""
+        num_nodes = self.hyperparameters.num_nodes
+        k_lt = fused_from_sums(self.labelled_gram, s_t, num_nodes)[:, 0]
+        prior = float(fused_from_sums(s_t, None, num_nodes)[0, 0])
         return self._posterior(k_lt, prior)
 
     def update_recursive(self, h_t) -> "MmgpModel":
-        """Absorb one test sample into the pool and re-condition.
+        """Absorb one test sample into the pool and re-condition, unconditionally.
 
         k, the node-summed Gram of the labelled set against the sample,
         becomes the new column of S_LD, and the posterior is derived from
-        S_LD afresh with the jitter resolved at fit.  Returns self for
-        chaining.
+        S_LD afresh with the jitter resolved at fit.  ``update_count``
+        counts the samples absorbed this way.  Returns self for chaining.
         """
         t = as_sample(h_t, self.feature_pool.shape[1:])
         k = gram_stack(self.labeled_features, t, self.hyperparameters).summed[:, 0]
@@ -191,9 +211,21 @@ class MmgpModel(LabelledGp):
         return self
 
     def predict_recursive(self, h_t) -> Prediction:
-        """Absorb the test sample, then predict it against the grown pool."""
-        self.update_recursive(h_t)
-        return self.predict(h_t)
+        """Absorb the test sample if it is novel, then predict it against the pool.
+
+        The sample's Gram against the pool is built once.  It is novel when
+        the mean over nodes of its largest kernel value is below
+        ``_NOVELTY``; only then does ``update_recursive`` absorb it, and the
+        prediction uses its row against the grown pool.  A sample the pool
+        already covers is predicted from the row at hand, as ``predict``
+        would, and leaves the model unchanged.
+        """
+        t = as_sample(h_t, self.feature_pool.shape[1:])
+        rows = gram_stack(t, self.feature_pool, self.hyperparameters)
+        if rows.per_node[:, 0].max(axis=1).mean() < _NOVELTY:
+            self.update_recursive(t)
+            return self.predict(t)
+        return self._predict_row(rows.summed)
 
 
 def as_sample(h_t, shape) -> np.ndarray:

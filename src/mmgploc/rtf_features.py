@@ -14,6 +14,7 @@ transform, so no channel is transformed twice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +139,15 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
     return s
 
 
+@functools.lru_cache(maxsize=8)
 def _psd_window(fs: float, nper: int) -> np.ndarray:
     # the Hann window scaled to unit-area power as scipy.signal.ShortTimeFFT
-    # scales it for scale_to="psd"; the builtin sum keeps its rounding
+    # scales it for scale_to="psd"; the builtin sum keeps its rounding.
+    # Cached per (fs, nper) and read-only, since every block shares it
     h = sp_signal.get_window("hann", nper)
-    return h * (1 / np.sqrt(sum(h**2) / (1 / fs)))
+    window = h * (1 / np.sqrt(sum(h**2) / (1 / fs)))
+    window.flags.writeable = False
+    return window
 
 
 def _node_spectra(pair: np.ndarray, window: np.ndarray, hop: int, num_frames: int,

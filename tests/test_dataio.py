@@ -260,6 +260,23 @@ def test_signal_roundtrip_and_feature_attach(tmp_path):
         dio.attach_features(tmp_path / "ds", {"nope_0000": feats[entry["id"]]})
 
 
+@pytest.mark.parametrize("reader, field", [(dio.read_record_signals, "signal"),
+                                           (dio.read_record_features, "features")])
+@pytest.mark.parametrize("kind", ["absolute", "parent"])
+def test_record_blob_paths_stay_inside_the_dataset(tmp_path, reader, field, kind):
+    scene = small_scene()
+    records = make_records(scene)
+    dio.write_dataset(tmp_path / "ds", scene, records, spectral=rf.SpectralConfig())
+    outside = tmp_path / "outside.f64"
+    dio.write_blob(outside, np.ones((2, 50)))  # a readable blob, so only the check can refuse
+    manifest = dio.load_manifest(tmp_path / "ds")
+    entry = manifest["records"][0]
+    path = str(outside) if kind == "absolute" else "signals/../../outside.f64"
+    entry[field] = {"path": path, "shape": [2, 50]}
+    with pytest.raises(ValueError, match=f"record {entry['id']}: .*outside the dataset"):
+        reader(manifest, entry)
+
+
 def test_manifest_validation(tmp_path):
     scene = small_scene()
     records = make_records(scene)

@@ -19,8 +19,12 @@ from conftest import (ArrayPoolModel, conditional_gaussian_oracle, make_artf, ma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmgploc import acoustic_sim as sim
+from mmgploc import cli
+from mmgploc import hyperopt as ho
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
+from mmgploc import rtf_features as rf
 
 
 def fitted(rng, n_l=5, n_u=6, num_nodes=2, dim=4, sigma2=0.05, jitter=1e-10, c=2):
@@ -323,15 +327,68 @@ def test_predict_recursive_is_update_then_predict():
     assert model.update_count == twin.update_count == 1
 
 
-def test_repeated_absorption_counts():
+def test_repeated_absorption_counts(monkeypatch):
     rng = np.random.default_rng(43)
     model, *_ = fitted(rng)
     t = make_artf(rng, 2, 4)
-    p1 = model.predict_recursive(t)
-    p2 = model.predict_recursive(t)
-    assert model.update_count == 2
-    assert np.all(np.isfinite(p2.position))
-    assert p2.prior_variance > p1.prior_variance - 1e-12  # grew by the self term
+    n = model.pool.shape[0]
+    model.predict_recursive(t)
+    assert model.update_count == 1 and model.pool.shape[0] == n + 1
+    want = model.predict(t)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kn.gram_stack(*args, **kwargs)
+
+    monkeypatch.setattr(mm, "gram_stack", counting)
+    gamma = model.gamma.tobytes()
+    repeat = model.predict_recursive(t)
+    assert len(calls) == 1  # the pool already holds it: one test row, no update
+    assert model.update_count == 1 and model.pool.shape[0] == n + 1
+    assert model.gamma.tobytes() == gamma
+    np.testing.assert_array_equal(repeat.position, want.position)
+    np.testing.assert_array_equal(repeat.variance, want.variance)
+    assert repeat.prior_variance == want.prior_variance
+
+
+def test_near_duplicate_blocks_are_absorbed_once():
+    # the desk room and labelled grid; one long recording per spot on the
+    # test loop is cut into 1 s blocks hopping 0.25 s, so the blocks of a
+    # spot differ only by excitation and sensor noise
+    scene = sim.SceneConfig(
+        room_dims=[4.0, 5.0, 3.0],
+        mic_positions=[[[0.5, 1.0, 1.5], [0.5, 1.2, 1.5]], [[3.5, 2.5, 1.5], [3.5, 2.7, 1.5]],
+                       [[1.8, 4.5, 1.5], [2.0, 4.5, 1.5]]],
+        t60=0.4, snr_db=20.0, sample_rate=16000.0)
+    cfg = rf.SpectralConfig(sample_rate=scene.sample_rate)
+    fs, num_blocks = int(scene.sample_rate), 20
+
+    def record(pos, seconds, seed):
+        signal = sim.white_noise_signal(seconds, fs, np.random.default_rng(seed))
+        return sim.render_measurement(scene, pos, signal, seed + (1,))
+
+    grid = np.array([[1.25 + 0.5 * i, 1.75 + 0.5 * j, 1.5] for i in range(4) for j in range(4)])
+    pool = [rf.artf_from_record(record(p, 2.0, (5, k)), cfg) for k, p in enumerate(grid)]
+    model = mm.fit(pool, grid, ho.optimize(pool, grid).hyperparameters)
+    errors = {"static": [], "gated": [], "every block": []}
+    for s, spot in enumerate(cli.loop_positions([2.0, 2.5, 1.5], 0.6, 4, 0.05, 3003)):
+        signals = record(spot, 1.0 + 0.25 * (num_blocks - 1), (5, 99, s)).signals
+        blocks = [rf.artf_from_record(sim.MeasurementRecord(
+            signals=signals[:, k * fs // 4:k * fs // 4 + fs], sample_rate=fs, num_nodes=3), cfg)
+            for k in range(num_blocks)]
+        gated, ungated = copy.deepcopy(model), copy.deepcopy(model)
+        for block in blocks:
+            errors["static"].append(model.predict(block).position - spot)
+            errors["gated"].append(gated.predict_recursive(block).position - spot)
+            errors["every block"].append(ungated.update_recursive(block).predict(block).position
+                                         - spot)
+        assert gated.update_count == 1
+        assert gated.pool.shape[0] == model.pool.shape[0] + 1
+    rmse = {k: float(np.sqrt(np.mean(np.sum(np.square(e), axis=1)))) for k, e in errors.items()}
+    assert rmse["gated"] <= rmse["static"]
+    # absorbing every near-duplicate lets them swamp the fused covariance
+    assert rmse["every block"] > rmse["static"]
 
 
 def test_coordinate_permutation_decouples():
