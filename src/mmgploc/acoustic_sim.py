@@ -151,13 +151,6 @@ class MeasurementRecord:
         if not np.all(np.isfinite(self.signals)):
             raise ValueError("non-finite samples in measurement")
 
-    def node_channels(self, node_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reference and secondary channel of a node; nodes are labelled 1..M."""
-        if not 1 <= node_index <= self.num_nodes:
-            raise ValueError(f"node_index {node_index} out of range 1..{self.num_nodes}")
-        base = 2 * (node_index - 1)
-        return self.signals[base], self.signals[base + 1]
-
 
 def _check_inside(pos, dims, what: str):
     pos = np.asarray(pos, dtype=float)

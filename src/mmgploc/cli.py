@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -41,8 +42,12 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
 
     Command-line overrides replace the corresponding fields before
     defaults are filled in, so the config hash reflects what actually
-    ran.  Output locations never enter the hash.
+    ran.  Scene and spectral defaults are the ``SceneConfig`` and
+    ``SpectralConfig`` field defaults.  Output locations never enter the hash.
     """
+    from .acoustic_sim import SceneConfig
+    from .rtf_features import SpectralConfig
+
     with open(path) as fh:
         raw = json.load(fh)
     cfg = dict(raw)
@@ -61,19 +66,10 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
     if "scene" not in cfg:
         raise ValueError("config needs a 'scene' section")
-    scene = dict(cfg["scene"])
-    scene.setdefault("sound_speed", 343.0)
-    scene.setdefault("max_reflection_order", "auto")
+    scene = {**_field_defaults(SceneConfig), **cfg["scene"]}
     cfg["scene"] = scene
-
-    spectral = dict(cfg.get("spectral") or {})
-    spectral.setdefault("sample_rate", scene["sample_rate"])
-    spectral.setdefault("window_length_s", 0.128)
-    spectral.setdefault("overlap_fraction", 0.75)
-    spectral.setdefault("fft_size", 2048)
-    spectral.setdefault("band_low_hz", 200.0)
-    spectral.setdefault("band_high_hz", 2500.0)
-    cfg["spectral"] = spectral
+    cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
+                       **(cfg.get("spectral") or {})}
 
     for role in ("labeled", "unlabeled", "test"):
         if role not in cfg:
@@ -92,6 +88,12 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
         raise ValueError("hyperparameters must be 'learn', {'strategy': 'median', ...} "
                          "or an explicit {'eps': [...], 'sigma2': ...}")
     return cfg
+
+
+def _field_defaults(cls) -> dict:
+    """A dataclass's field defaults, by field name."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
 
 
 def config_fingerprint(cfg: dict) -> str:

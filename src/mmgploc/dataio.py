@@ -10,6 +10,7 @@ never in the training-side manifest.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -117,29 +118,19 @@ def scene_to_dict(scene) -> dict:
 
 
 def scene_from_dict(d: dict):
+    """A ``SceneConfig`` from its dict; absent optional fields take the class defaults."""
     from .acoustic_sim import SceneConfig
 
     snr = d["snr_db"]
+    optional = {k: d[k] for k in ("sound_speed", "max_reflection_order") if k in d}
     return SceneConfig(
         room_dims=d["room_dims"],
         mic_positions=d["mic_positions"],
         t60=d["t60"],
         snr_db=math.inf if snr == "inf" else float(snr),
         sample_rate=d["sample_rate"],
-        sound_speed=d.get("sound_speed", 343.0),
-        max_reflection_order=d.get("max_reflection_order", "auto"),
+        **optional,
     )
-
-
-def spectral_to_dict(cfg) -> dict:
-    return {
-        "sample_rate": cfg.sample_rate,
-        "window_length_s": cfg.window_length_s,
-        "overlap_fraction": cfg.overlap_fraction,
-        "fft_size": cfg.fft_size,
-        "band_low_hz": cfg.band_low_hz,
-        "band_high_hz": cfg.band_high_hz,
-    }
 
 
 def spectral_from_dict(d: dict):
@@ -190,7 +181,7 @@ def write_dataset(out_dir, scene, records, spectral=None, config_hash: str = "")
         "format_version": MANIFEST_VERSION,
         "config_hash": config_hash,
         "scene": scene_to_dict(scene),
-        "spectral": spectral_to_dict(spectral) if spectral is not None else None,
+        "spectral": dataclasses.asdict(spectral) if spectral is not None else None,
     }
     manifest_path = out / MANIFEST_NAME
     _dump_json(manifest_path, {**base, "records": entries})

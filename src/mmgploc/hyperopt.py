@@ -6,6 +6,10 @@ kernel widths and noise variance are learned by maximising the summed
 log-likelihood with L-BFGS-B in log-space, so every iterate stays strictly
 positive.  sigma2 is bounded below by ``_SIGMA2_FLOOR``, which keeps
 Sigma_L + sigma2*I positive definite at every iterate.
+
+The likelihood and its gradient share one factor of Sigma_L + sigma2*I from
+``mmgp_model.spd_factor``, the step the model's posterior conditions through
+(Rasmussen & Williams 2006, Alg. 2.1 and section 5.4.1).
 """
 
 from __future__ import annotations
@@ -15,29 +19,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from .dataio import atomic_write
 from .kernels import Hyperparameters, fused_from_sums, median_heuristic, sq_dists
-from .mmgp_model import labelled_pool
+from .mmgp_model import labelled_pool, spd_factor
 
 _LN_2PI = math.log(2.0 * math.pi)
 
 # lower bound on the label-noise variance, in m^2; also the start's floor
 _SIGMA2_FLOOR = 1e-4
 
-
-@dataclass
-class OptimizerConfig:
-    """L-BFGS-B limits: iterations, and the largest projected log-space gradient."""
-
-    max_iters: int = 200
-    grad_tol: float = 1e-4
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0:
-            raise ValueError("max_iters must be >= 1 and grad_tol positive")
+# L-BFGS-B limits: iterations, and the largest projected log-space gradient
+_MAX_ITERS = 200
+_GRAD_TOL = 1e-4
 
 
 @dataclass
@@ -66,40 +62,25 @@ class _Problem:
             for m in range(self.num_nodes)
         ])
 
-    def _cov_parts(self, eps: np.ndarray):
-        grams = np.exp(-self.d2 / eps[:, None, None])
-        s = grams.sum(axis=0)      # (n_L, n_D) node-summed Gram
-        return fused_from_sums(s, None, self.num_nodes), grams, s
-
-    def evaluate(self, eps: np.ndarray, sig2: float, want_grad: bool):
-        """Log-likelihood and (optionally) gradients w.r.t. eps and sigma2.
+    def evaluate(self, eps: np.ndarray, sig2: float):
+        """Log-likelihood and its gradients w.r.t. eps (M,) and sigma2.
 
         The coordinates share the noise variance ``sig2``, so one Cholesky
         factor serves them all.  Gradients come from the rectangular Gram
         derivative: d Sigma_L / d eps_m = (dK S^T + S dK^T) / M^2, with the
         sum over the whole pool, not just the labelled block.
         """
-        cov, grams, s = self._cov_parts(eps)
+        grams = np.exp(-self.d2 / eps[:, None, None])
+        s = grams.sum(axis=0)      # (n_L, n_D) node-summed Gram
         n = self.n_l
-        eye = np.eye(n)
-        a_mat = cov + sig2 * eye
-        try:
-            cf = cho_factor(a_mat, lower=True)
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(a_mat).min())
-            raise ValueError(f"covariance not positive definite "
-                             f"(smallest eigenvalue {smallest:.3e})") from None
+        cf, gamma = spd_factor(fused_from_sums(s, None, self.num_nodes), sig2)
         logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-        gamma = cho_solve(cf, eye)
-        gamma = 0.5 * (gamma + gamma.T)
         total = 0.0
         alphas = np.empty_like(self.y)
         for c in range(self.num_coords):
             alphas[:, c] = cho_solve(cf, self.y[:, c])
             total += (-0.5 * float(self.y[:, c] @ alphas[:, c])
                       - 0.5 * logdet - 0.5 * n * _LN_2PI)
-        if not want_grad:
-            return total, None, None
 
         g_eps = np.empty(self.num_nodes)
         m2 = self.num_nodes**2
@@ -119,27 +100,14 @@ class _Problem:
         return total, g_eps, g_sig
 
 
-def log_likelihood(hp: Hyperparameters, training_set, labelled_positions) -> float:
-    """Summed per-coordinate Gaussian log-density of the centered labels."""
+def log_likelihood_and_grad(hp: Hyperparameters, training_set, labelled_positions) -> tuple:
+    """(L, dL/deps as an (M,) array, dL/dsigma2) for the centered labels.
+
+    L is summed over coordinates; ``optimize`` runs this same evaluation.
+    """
     prob = _Problem(training_set, labelled_positions, hp.num_nodes)
-    value, _, _ = prob.evaluate(hp.eps, hp.sigma2, want_grad=False)
-    return value
-
-
-def grad_eps(hp: Hyperparameters, training_set, labelled_positions, m: int) -> float:
-    """d log-likelihood / d eps_m for the 1-based node index ``m``."""
-    prob = _Problem(training_set, labelled_positions, hp.num_nodes)
-    if not 1 <= m <= prob.num_nodes:
-        raise ValueError("node index is 1-based")
-    _, g_eps, _ = prob.evaluate(hp.eps, hp.sigma2, want_grad=True)
-    return float(g_eps[m - 1])
-
-
-def grad_sigma2(hp: Hyperparameters, training_set, labelled_positions) -> float:
-    """d log-likelihood / d sigma2, summed over coordinates."""
-    prob = _Problem(training_set, labelled_positions, hp.num_nodes)
-    _, _, g_sig = prob.evaluate(hp.eps, hp.sigma2, want_grad=True)
-    return float(g_sig)
+    value, g_eps, g_sig = prob.evaluate(hp.eps, hp.sigma2)
+    return value, g_eps, float(g_sig)
 
 
 def default_initial_hyperparameters(training_set, labelled_positions) -> Hyperparameters:
@@ -150,17 +118,16 @@ def default_initial_hyperparameters(training_set, labelled_positions) -> Hyperpa
     return Hyperparameters(eps=eps, sigma2=max(0.05 * spread, _SIGMA2_FLOOR))
 
 
-def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = None,
+def optimize(training_set, labelled_positions,
              hp0: Hyperparameters | None = None) -> OptimizeResult:
     """Maximise the labelled log-likelihood with L-BFGS-B in log-parameter space.
 
     sigma2 is bounded below by ``_SIGMA2_FLOOR`` and a start below it is
     raised to it; a learned sigma2 at the floor means the bound is active.
     The trace holds the start, then one row per L-BFGS-B iterate.  When the
-    optimizer stops short of convergence (say, at ``max_iters``) the result
+    optimizer stops short of convergence (say, at ``_MAX_ITERS``) the result
     carries its message as a warning and the last iterate.
     """
-    cfg = cfg or OptimizerConfig()
     if hp0 is None:
         hp0 = default_initial_hyperparameters(training_set, labelled_positions)
     prob = _Problem(training_set, labelled_positions, hp0.num_nodes)
@@ -169,11 +136,11 @@ def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = Non
 
     m = prob.num_nodes
     start = np.append(hp0.eps, max(hp0.sigma2, _SIGMA2_FLOOR))
-    trace = [(0, prob.evaluate(start[:m], start[m], want_grad=False)[0], *start)]
+    trace = [(0, prob.evaluate(start[:m], start[m])[0], *start)]
 
     def negative(theta):
         params = np.exp(theta)
-        value, g_eps, g_sig = prob.evaluate(params[:m], params[m], want_grad=True)
+        value, g_eps, g_sig = prob.evaluate(params[:m], params[m])
         return -value, -np.append(g_eps, g_sig) * params   # chain rule to log-space
 
     def record(intermediate_result):
@@ -181,7 +148,7 @@ def optimize(training_set, labelled_positions, cfg: OptimizerConfig | None = Non
 
     res = minimize(negative, np.log(start), jac=True, method="L-BFGS-B",
                    bounds=[(None, None)] * m + [(math.log(_SIGMA2_FLOOR), None)],
-                   callback=record, options={"maxiter": cfg.max_iters, "gtol": cfg.grad_tol})
+                   callback=record, options={"maxiter": _MAX_ITERS, "gtol": _GRAD_TOL})
     params = np.exp(res.x)
     hp = Hyperparameters(eps=params[:m], sigma2=float(params[m]), jitter=hp0.jitter)
     return OptimizeResult(hyperparameters=hp, log_likelihood=-float(res.fun), trace=trace,

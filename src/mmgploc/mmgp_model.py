@@ -22,7 +22,9 @@ This is the approximate-linear-dependence test of sparse online GPs
 the pool on a redundant stream, and with it the cost of each step.
 
 The labelled-set core below (``LabelledGp``, ``labelled_pool``,
-``as_sample``) also serves the GP baselines and ML learning.
+``as_sample``, ``spd_factor``) also serves the GP baselines and ML
+learning: the likelihood factors its labelled covariance through the same
+``spd_factor`` step as ``LabelledGp._condition``.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class LabelledGp:
         if self.jitter_used is None:
             self.jitter_used = float(hp.jitter if hp.jitter is not None else
                                      _AUTO_JITTER * np.trace(cov_l) / cov_l.shape[0])
-        self.gamma = _spd_inverse(cov_l, hp.sigma2 + self.jitter_used)
+        _, self.gamma = spd_factor(cov_l, hp.sigma2 + self.jitter_used)
         self.label_mean = self.positions.mean(axis=0)
         self.centered = self.positions - self.label_mean
         self.weights = self.gamma @ self.centered
@@ -254,7 +256,11 @@ def labelled_pool(training_set, labelled_positions, num_nodes: int):
     return pool, positions
 
 
-def _spd_inverse(sigma: np.ndarray, diag: float) -> np.ndarray:
+def spd_factor(sigma: np.ndarray, diag: float) -> tuple:
+    """``cho_factor``'s lower factor and the symmetrised inverse of ``sigma + diag * I``.
+
+    A matrix that is not positive definite raises the conditioning failure.
+    """
     n = sigma.shape[0]
     a = sigma + diag * np.eye(n)
     try:
@@ -266,7 +272,7 @@ def _spd_inverse(sigma: np.ndarray, diag: float) -> np.ndarray:
             f"definite (smallest eigenvalue {smallest:.3e}); increase sigma2 or jitter"
         ) from None
     inv = cho_solve(cf, np.eye(n))
-    return 0.5 * (inv + inv.T)
+    return cf, 0.5 * (inv + inv.T)
 
 
 def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:

@@ -72,16 +72,6 @@ def band_bins(cfg: SpectralConfig) -> np.ndarray:
     return k[(freqs >= cfg.band_low_hz) & (freqs <= cfg.band_high_hz)]
 
 
-def band_bin_count(cfg: SpectralConfig) -> int:
-    """Feature dimension D for one node under ``cfg``."""
-    return int(band_bins(cfg).size)
-
-
-def bin_frequencies(cfg: SpectralConfig) -> np.ndarray:
-    """Center frequencies in Hz of the band bins."""
-    return band_bins(cfg) * cfg.sample_rate / cfg.fft_size
-
-
 @dataclass
 class AggregatedRtf:
     """The M nodes' band RTFs for one source event, joined as one feature.

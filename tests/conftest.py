@@ -180,7 +180,7 @@ def reference_estimate_rtf(record, node_index: int, cfg):
     if record.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"record rate {record.sample_rate} != config rate {cfg.sample_rate}")
-    y_ref, y_sec = record.node_channels(node_index)
+    y_ref, y_sec = record.signals[2 * node_index - 2:2 * node_index]
     if not np.any(y_ref):
         raise ValueError("degenerate recording: reference channel is all zeros")
     s_auto = rf.welch_cross_spectrum(y_ref, y_ref, cfg).real
@@ -255,7 +255,7 @@ def reference_update_recursive(model, h_t):
     k = kn.gram_stack(model.labeled_features, t, hp).summed
     model.s_ld = np.concatenate([model.s_ld, k], axis=1)
     model.sigma_l = kn.fused_from_sums(model.s_ld, None, hp.num_nodes)
-    model.gamma = mm._spd_inverse(model.sigma_l, hp.sigma2 + model.jitter_used)
+    _, model.gamma = mm.spd_factor(model.sigma_l, hp.sigma2 + model.jitter_used)
     model.weights = model.gamma @ model.centered
     model.pool = np.concatenate([model.pool, t])
     model.update_count += 1

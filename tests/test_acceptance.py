@@ -44,13 +44,17 @@ def test_p1_kernel_oracle_equivalence():
         pool = make_set(rng, n_d, num_nodes, dim)
         hp = kn.Hyperparameters(eps=rng.uniform(0.5, 10.0, num_nodes), sigma2=0.1)
 
+        # the path fit and predict run: node-summed Grams against the
+        # model's FeaturePool, fused by fused_from_sums
+        feature_pool = kn.FeaturePool(pool)
         a = pool[: int(rng.integers(1, 4))]
         b = pool[-int(rng.integers(1, 4)):]
-        got = kn.mmgp_covariance(a, b, pool, hp)
+        got = kn.fused_from_sums(kn.gram_stack(a, feature_pool, hp).summed,
+                                 kn.gram_stack(b, feature_pool, hp).summed, num_nodes)
         want = brute_mmgp(a, b, pool, hp)
         worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / np.abs(want))))
 
-        full = kn.mmgp_covariance(pool, None, pool, hp)
+        full = kn.fused_from_sums(kn.gram_stack(pool, feature_pool, hp).summed, None, num_nodes)
         eigs = np.linalg.eigvalsh(full)
         floor = -1e-10 * float(np.max(np.abs(eigs)))
         worst_eig = min(worst_eig, float(eigs.min() - floor))
@@ -177,12 +181,12 @@ def test_p4_gradient_checks():
         def of_eps(e, hp=hp, pool=pool, positions=positions, m=m):
             eps2 = hp.eps.copy()
             eps2[m - 1] = e
-            return ho.log_likelihood(
-                kn.Hyperparameters(eps=eps2, sigma2=hp.sigma2), pool, positions)
+            return ho.log_likelihood_and_grad(
+                kn.Hyperparameters(eps=eps2, sigma2=hp.sigma2), pool, positions)[0]
 
         def of_sig(s, hp=hp, pool=pool, positions=positions):
-            return ho.log_likelihood(
-                kn.Hyperparameters(eps=hp.eps, sigma2=s), pool, positions)
+            return ho.log_likelihood_and_grad(
+                kn.Hyperparameters(eps=hp.eps, sigma2=s), pool, positions)[0]
 
         # both derivatives are compared in log-parameter space: d/d log x
         # = x * d/dx, which keeps the difference quotient well scaled
@@ -190,12 +194,13 @@ def test_p4_gradient_checks():
         fd_sig, ok_sig = _fd_log_derivative(of_sig, hp.sigma2)
         if not (ok and ok_sig):
             continue
-        analytic = ho.grad_eps(hp, pool, positions, m) * hp.eps[m - 1]
+        _, g_eps, g_sig = ho.log_likelihood_and_grad(hp, pool, positions)
+        analytic = g_eps[m - 1] * hp.eps[m - 1]
         rel = abs(analytic - fd) / abs(fd)
         worst = max(worst, rel)
         assert rel <= 1e-5
 
-        g_sig = ho.grad_sigma2(hp, pool, positions) * hp.sigma2
+        g_sig = g_sig * hp.sigma2
         rel_sig = abs(g_sig - fd_sig) / abs(fd_sig)
         worst = max(worst, rel_sig)
         assert rel_sig <= 1e-5
@@ -251,7 +256,7 @@ def test_p5a_rtf_fidelity():
     strict=True)
 def test_p5b_band_bin_count_target():
     cfg = rf.SpectralConfig()
-    assert rf.band_bin_count(cfg) == 286
+    assert rf.band_bins(cfg).size == 286
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +368,7 @@ def test_p8_width_sweep_consistency(desk):
     likelihoods, rmses = [], []
     for e1 in sweep:
         hp = kn.Hyperparameters(eps=[e1, eps_ml[1], eps_ml[2]], sigma2=sig_ml)
-        likelihoods.append(ho.log_likelihood(hp, pool, positions))
+        likelihoods.append(ho.log_likelihood_and_grad(hp, pool, positions)[0])
         rmses.append(rmse_for(hp))
     likelihoods = np.asarray(likelihoods)
     rmses = np.asarray(rmses)
@@ -388,7 +393,7 @@ def test_p6_ml_learning_converges(desk):
     result = ho.optimize(pool, positions)
     iterations = len(result.trace) - 1
     assert result.converged and result.warning is None
-    assert iterations < ho.OptimizerConfig().max_iters
+    assert iterations < ho._MAX_ITERS
     np.testing.assert_array_equal(result.hyperparameters.eps, desk["sidecar"]["eps"])
     assert result.hyperparameters.sigma2 == desk["sidecar"]["sigma2"]
     _report("P6 ml-learning-converges",

@@ -104,6 +104,21 @@ def test_resolve_config_validation(tmp_path):
         cli.resolve_config(path)
 
 
+def test_minimal_config_fingerprint_pinned(tmp_path):
+    # every scene and spectral default enters the hash; the digest was
+    # recorded when resolve_config still spelled the defaults out itself
+    minimal = {
+        "scene": {"room_dims": [4.0, 5.0, 3.0],
+                  "mic_positions": [[[0.8, 0.9, 1.2], [0.8, 1.1, 1.2]]],
+                  "t60": 0.0, "snr_db": "inf", "sample_rate": 16000.0},
+        "labeled": {}, "unlabeled": {}, "test": {},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(minimal))
+    assert (cli.config_fingerprint(cli.resolve_config(path))
+            == "6dac8c71b42244e0f7bb489c3797808ab110e19a4047eeb716aa90271afcfe58")
+
+
 def test_config_fingerprint_ignores_output_dir(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(tiny_config()))

@@ -1,6 +1,7 @@
 """Dataset persistence tests: blob format, manifests, truth separation."""
 
 import builtins
+import dataclasses
 import json
 import struct
 import tempfile
@@ -210,7 +211,7 @@ def test_scene_dict_roundtrip():
 
 def test_spectral_dict_roundtrip():
     cfg = rf.SpectralConfig(sample_rate=16000.0)
-    again = dio.spectral_from_dict(dio.spectral_to_dict(cfg))
+    again = dio.spectral_from_dict(dataclasses.asdict(cfg))
     assert again == cfg
 
 

@@ -58,9 +58,10 @@ def test_save_model_bytes_pinned(tmp_path):
     assert sha256(path.read_bytes()) == PINS["save_model"]
 
 
-def test_trace_csv_pinned(tmp_path):
+def test_trace_csv_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(ho, "_MAX_ITERS", 30)
     pool, positions, _, _ = problem()
-    result = ho.optimize(pool, positions, ho.OptimizerConfig(max_iters=30))
+    result = ho.optimize(pool, positions)
     path = tmp_path / "trace.csv"
     ho.write_trace_csv(result, path)
     assert sha256(path.read_bytes()) == PINS["trace_csv"]

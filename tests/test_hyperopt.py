@@ -15,6 +15,11 @@ from scipy import stats
 
 from mmgploc import hyperopt as ho
 from mmgploc import kernels as kn
+from mmgploc import mmgp_model as mm
+
+
+def log_likelihood(hp, pool, positions):
+    return ho.log_likelihood_and_grad(hp, pool, positions)[0]
 
 
 def random_problem(rng, n_l=None, n_u=None, num_nodes=None, dim=4, c=2):
@@ -32,7 +37,7 @@ def test_single_label_likelihood_closed_form():
     rng = np.random.default_rng(3)
     pool = make_set(rng, 3, 2, 4)
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.4)
-    got = ho.log_likelihood(hp, pool, np.array([[1.5, 2.5]]))
+    got = log_likelihood(hp, pool, np.array([[1.5, 2.5]]))
     var = brute_mmgp(pool[:1], pool[:1], pool, hp)[0, 0] + hp.sigma2
     # centered single label is zero, so only the normalizer remains, per coordinate
     want = 2 * (-0.5 * math.log(var) - 0.5 * math.log(2 * math.pi))
@@ -44,7 +49,7 @@ def test_likelihood_matches_density_oracle():
     for _ in range(8):
         pool, positions, hp = random_problem(rng)
         n_l = positions.shape[0]
-        got = ho.log_likelihood(hp, pool, positions)
+        got = log_likelihood(hp, pool, positions)
         cov = brute_mmgp(pool[:n_l], pool[:n_l], pool, hp) + hp.sigma2 * np.eye(n_l)
         centered = positions - positions.mean(axis=0)
         want = sum(stats.multivariate_normal.logpdf(centered[:, c], cov=cov,
@@ -58,7 +63,7 @@ def test_zero_labels_leave_only_normalizer():
     pool = make_set(rng, 5, 1, 4)
     hp = kn.Hyperparameters(eps=[3.0], sigma2=0.2)
     positions = np.zeros((3, 2))
-    got = ho.log_likelihood(hp, pool, positions)
+    got = log_likelihood(hp, pool, positions)
     cov = brute_mmgp(pool[:3], pool[:3], pool, hp) + hp.sigma2 * np.eye(3)
     logdet = np.linalg.slogdet(cov)[1]
     want = 2 * (-0.5 * logdet - 1.5 * math.log(2 * math.pi))
@@ -75,12 +80,12 @@ def test_grad_eps_matches_finite_differences():
     for _ in range(10):
         pool, positions, hp = random_problem(rng)
         m = int(rng.integers(1, hp.num_nodes + 1))
-        analytic = ho.grad_eps(hp, pool, positions, m)
+        analytic = ho.log_likelihood_and_grad(hp, pool, positions)[1][m - 1]
 
         def of_eps(e):
             eps = hp.eps.copy()
             eps[m - 1] = e
-            return ho.log_likelihood(
+            return log_likelihood(
                 kn.Hyperparameters(eps=eps, sigma2=hp.sigma2), pool, positions)
 
         fd = central_fd(of_eps, hp.eps[m - 1], hp.eps[m - 1] * 1e-5)
@@ -101,18 +106,19 @@ def test_grad_eps_zero_for_degenerate_node():
         pool.append(rf.AggregatedRtf(features=np.stack([shared, own])))
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.3)
     positions = rng.uniform(0.0, 4.0, (3, 2))
-    assert ho.grad_eps(hp, pool, positions, 1) == 0.0
-    assert ho.grad_eps(hp, pool, positions, 2) != 0.0
+    _, g_eps, _ = ho.log_likelihood_and_grad(hp, pool, positions)
+    assert g_eps[0] == 0.0
+    assert g_eps[1] != 0.0
 
 
 def test_grad_sigma2_matches_finite_differences():
     rng = np.random.default_rng(19)
     for _ in range(8):
         pool, positions, hp = random_problem(rng)
-        analytic = ho.grad_sigma2(hp, pool, positions)
+        analytic = ho.log_likelihood_and_grad(hp, pool, positions)[2]
 
         def of_sig(s):
-            return ho.log_likelihood(
+            return log_likelihood(
                 kn.Hyperparameters(eps=hp.eps, sigma2=s), pool, positions)
 
         fd = central_fd(of_sig, hp.sigma2, hp.sigma2 * 1e-5)
@@ -123,7 +129,7 @@ def test_grad_sigma2_sign_with_zero_labels():
     rng = np.random.default_rng(23)
     pool = make_set(rng, 6, 2, 4)
     hp = kn.Hyperparameters(eps=[2.0, 4.0], sigma2=0.5)
-    g = ho.grad_sigma2(hp, pool, np.zeros((4, 2)))
+    g = ho.log_likelihood_and_grad(hp, pool, np.zeros((4, 2)))[2]
     assert g < 0  # nothing to explain: noise should shrink
 
 
@@ -140,7 +146,7 @@ def test_grad_sigma2_far_features_scalar_case():
     y = positions - positions.mean(axis=0)
     total = 1.0 + hp.sigma2
     want = 0.5 * (np.sum(y**2) / total**2 - 2 * 4 / total)
-    assert ho.grad_sigma2(hp, pool, positions) == pytest.approx(want, rel=1e-12)
+    assert ho.log_likelihood_and_grad(hp, pool, positions)[2] == pytest.approx(want, rel=1e-12)
 
 
 def test_wrong_width_count_rejected():
@@ -148,9 +154,7 @@ def test_wrong_width_count_rejected():
     pool, positions, _ = random_problem(rng, n_l=5, n_u=3, num_nodes=3)
     for eps in ([2.0], [2.0, 3.0], [2.0, 3.0, 4.0, 5.0]):
         hp = kn.Hyperparameters(eps=eps, sigma2=0.1)
-        for call in (lambda: ho.log_likelihood(hp, pool, positions),
-                     lambda: ho.grad_eps(hp, pool, positions, 1),
-                     lambda: ho.grad_sigma2(hp, pool, positions),
+        for call in (lambda: ho.log_likelihood_and_grad(hp, pool, positions),
                      lambda: ho.optimize(pool, positions, hp0=hp)):
             with pytest.raises(ValueError, match=f"M=3 nodes, hyperparameters have {len(eps)} widths"):
                 call()
@@ -166,8 +170,8 @@ def test_likelihood_invariant_to_node_order():
         return rf.AggregatedRtf(features=agg.features[perm])
 
     hp_p = kn.Hyperparameters(eps=hp.eps[perm], sigma2=hp.sigma2)
-    a = ho.log_likelihood(hp, pool, positions)
-    b = ho.log_likelihood(hp_p, [permute(s) for s in pool], positions)
+    a = log_likelihood(hp, pool, positions)
+    b = log_likelihood(hp_p, [permute(s) for s in pool], positions)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -176,16 +180,22 @@ def test_likelihood_non_pd_reports_eigenvalue():
     base = make_artf(rng, 1, 4)
     pool = [base, base, base]
     hp = kn.Hyperparameters(eps=[1.0], sigma2=0.0)
-    with pytest.raises(ValueError, match="eigenvalue"):
-        ho.log_likelihood(hp, pool, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="eigenvalue") as learned:
+        log_likelihood(hp, pool, np.zeros((3, 2)))
+    # the fitted model conditions through the same factor step, so with no
+    # jitter it fails on the same matrix with the same message
+    with pytest.raises(ValueError, match="conditioning failure") as fitted:
+        mm.fit(pool, np.zeros((3, 2)), kn.Hyperparameters(eps=[1.0], sigma2=0.0, jitter=0.0))
+    assert str(learned.value) == str(fitted.value)
 
 
-def test_optimize_improves_and_trace_is_monotone():
+def test_optimize_improves_and_trace_is_monotone(monkeypatch):
+    monkeypatch.setattr(ho, "_MAX_ITERS", 60)
     rng = np.random.default_rng(43)
     pool, positions, _ = random_problem(rng, n_l=7, n_u=5, num_nodes=2)
     hp0 = kn.Hyperparameters(eps=[0.5, 0.5], sigma2=0.5)
-    result = ho.optimize(pool, positions, ho.OptimizerConfig(max_iters=60), hp0=hp0)
-    start = ho.log_likelihood(hp0, pool, positions)
+    result = ho.optimize(pool, positions, hp0=hp0)
+    start = log_likelihood(hp0, pool, positions)
     assert result.log_likelihood >= start
     values = [row[1] for row in result.trace]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -196,23 +206,24 @@ def test_optimize_improves_and_trace_is_monotone():
     assert result.hyperparameters.sigma2 > 0
 
 
-def test_optimize_restart_at_optimum_terminates_immediately():
+def test_optimize_restart_at_optimum_terminates_immediately(monkeypatch):
+    monkeypatch.setattr(ho, "_MAX_ITERS", 150)
+    monkeypatch.setattr(ho, "_GRAD_TOL", 1e-6)
     rng = np.random.default_rng(47)
     pool, positions, _ = random_problem(rng, n_l=6, n_u=4, num_nodes=1)
-    cfg = ho.OptimizerConfig(max_iters=150, grad_tol=1e-6)
-    first = ho.optimize(pool, positions, cfg)
-    again = ho.optimize(pool, positions, cfg, hp0=first.hyperparameters)
+    first = ho.optimize(pool, positions)
+    again = ho.optimize(pool, positions, hp0=first.hyperparameters)
     assert again.converged
     assert len(again.trace) <= 3  # initial row plus at most two touch-up steps
     assert again.log_likelihood >= first.log_likelihood - 1e-9
 
 
-def test_optimize_budget_exhaustion_warns_and_returns_best():
+def test_optimize_budget_exhaustion_warns_and_returns_best(monkeypatch):
+    monkeypatch.setattr(ho, "_MAX_ITERS", 2)
+    monkeypatch.setattr(ho, "_GRAD_TOL", 1e-14)
     rng = np.random.default_rng(53)
     pool, positions, _ = random_problem(rng, n_l=6, n_u=4, num_nodes=2)
-    cfg = ho.OptimizerConfig(max_iters=2, grad_tol=1e-14)
-    result = ho.optimize(pool, positions, cfg,
-                         hp0=kn.Hyperparameters(eps=[0.3, 0.3], sigma2=0.8))
+    result = ho.optimize(pool, positions, hp0=kn.Hyperparameters(eps=[0.3, 0.3], sigma2=0.8))
     assert not result.converged
     assert result.warning is not None
     best_traced = max(row[1] for row in result.trace)
@@ -230,6 +241,21 @@ def test_optimize_start_below_sigma2_floor_is_raised_to_it():
     assert result.hyperparameters.sigma2 >= ho._SIGMA2_FLOOR
 
 
+def test_optimize_trace_and_result_are_the_likelihood():
+    # optimize evaluates the likelihood through the same call the public
+    # value-and-gradient function makes, so its start row and its result
+    # equal that function's value bit for bit
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        pool, positions, hp = random_problem(rng)
+        result = ho.optimize(pool, positions, hp0=hp)
+        m = hp.num_nodes
+        start = kn.Hyperparameters(eps=result.trace[0][2:2 + m], sigma2=result.trace[0][-1])
+        assert result.trace[0][1] == ho.log_likelihood_and_grad(start, pool, positions)[0]
+        learned = ho.log_likelihood_and_grad(result.hyperparameters, pool, positions)[0]
+        assert result.log_likelihood == learned
+
+
 def test_optimize_validation():
     rng = np.random.default_rng(67)
     pool, positions, _ = random_problem(rng, num_nodes=2)
@@ -241,16 +267,13 @@ def test_optimize_validation():
         ho.optimize(pool, bad)
     with pytest.raises(ValueError, match="positive start"):
         ho.optimize(pool, positions, hp0=kn.Hyperparameters(eps=[1.0, 1.0], sigma2=0.0))
-    with pytest.raises(ValueError):
-        ho.OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        ho.OptimizerConfig(grad_tol=0.0)
 
 
-def test_trace_csv_roundtrip(tmp_path):
+def test_trace_csv_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setattr(ho, "_MAX_ITERS", 10)
     rng = np.random.default_rng(71)
     pool, positions, _ = random_problem(rng, n_l=5, n_u=3, num_nodes=2)
-    result = ho.optimize(pool, positions, ho.OptimizerConfig(max_iters=10))
+    result = ho.optimize(pool, positions)
     path = tmp_path / "trace.csv"
     ho.write_trace_csv(result, path)
     with open(path) as fh:

@@ -1,13 +1,18 @@
-"""The benchmark's span tracing must find every function it wraps.
+"""The benchmark must keep running against the program.
 
 ``perfbench/tracing.py`` replaces program functions at named lookup
-places; a rename in the program would otherwise break ``--trace 1``
-without failing any test of the program itself.
+places, and ``perfbench/workloads.py`` calls the program directly; a
+rename or a changed return type in the program would otherwise break the
+benchmark without failing any test of the program itself.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_instrument_wraps_every_target_and_restores(monkeypatch):
@@ -26,3 +31,15 @@ def test_instrument_wraps_every_target_and_restores(monkeypatch):
         restore()
     for (owner, attr), original in zip(places, originals):
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_benchmark_toy_pass_runs_clean():
+    # untraced: the traced pass adds timing checks that can fail on a busy host
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "all", "--size", "toy",
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, run.stderr
+    assert result["failed"] == 0
