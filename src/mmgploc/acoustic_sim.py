@@ -3,27 +3,30 @@
 Multichannel measurements are rendered with the mirror-image method for
 rectangular rooms: every wall reflection is represented by an image source
 whose tap lands at the rounded sample delay with 1/(4*pi*d) spherical
-attenuation.  The image sum is built by one vectorized NumPy kernel,
-``_accumulate_images``: it drops every lattice point whose images all
-exceed the reflection-order cap before any per-image arithmetic, works on
-flip-major rows (one row of lattice points per mirror flip, squared axis
-offsets summed as ``(x + y) + z``, the reflection order reused as the
-exponent of the wall coefficient), and adds all taps with a single
-``np.bincount``, which sums them in the same order as a tap-by-tap
-accumulation and so keeps the output bits of the unpruned kernel.
-``render_measurement`` convolves through one excitation spectrum per FFT
-length, with the same bits as a per-channel ``fftconvolve``.
+attenuation.  The image sum has two parts.  ``_image_lattice`` lists the
+images within the reflection-order cap, pruned lattice point by lattice
+point, as per-axis table indices plus the reflection order (int32, 12 B
+per image); it depends only on the lattice half-extents and the cap, so it
+is cached on ``(half, max_order)`` and built once for the responses that
+share them.  ``_accumulate_images`` fills per-axis tables of squared
+offsets for one source/mic pair, looks every image up in them (summed as
+``(x + y) + z``, the reflection order reused as the exponent of the wall
+coefficient) and adds all taps with a single ``np.bincount``, which sums
+them in the same order as a tap-by-tap accumulation and so keeps the
+output bits of the unpruned kernel.  ``render_measurement`` convolves
+through one excitation spectrum per FFT length, with the same bits as a
+per-channel ``fftconvolve``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.signal import butter, sosfilt
 
 # tail beyond the nominal decay time kept in each impulse response, so the
 # -60 dB point stays resolvable after truncation
@@ -34,7 +37,8 @@ _FOUR_PI = 4.0 * np.pi
 # the 8 mirror-flip combinations, last axis fastest
 _FLIPS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
 
-# lattice points processed per vectorized block, bounds peak memory
+# lattice points per block of the lattice build; the tap sum takes their
+# 8 * _CHUNK images per block.  Bounds peak memory
 _CHUNK = 1 << 16
 
 
@@ -228,69 +232,120 @@ def _lattice_half_extent(n, room_dims, samples_per_meter) -> list:
     return [int(math.ceil(n / (2.0 * L * samples_per_meter))) + 1 for L in room_dims]
 
 
+@functools.lru_cache(maxsize=4)
+def _image_lattice(half: tuple, max_order: int) -> np.ndarray:
+    """Every image within the order cap of the ``half``-extent lattice box.
+
+    Returns a read-only (3, K) int32 array, 12 bytes per image.  Along one
+    axis with half-extent ``h``, lattice index ``i`` with mirror flip ``a``
+    has the table index ``2 (i + h) + a``; row 0 indexes the flattened
+    x-by-y table of ``_accumulate_images`` (x index times the y table
+    length, plus the y index), row 1 the z table, and row 2 is the
+    reflection order, ``|2i - a|`` summed over the axes.  Images are in
+    visiting order: lattice points lexicographic, mirror flips inner in
+    ``_FLIPS`` order.  Lattice points whose 8 images all exceed the cap
+    are dropped first, and the rest are expanded in blocks of ``_CHUNK``
+    points, so the build holds one int32 block at a time besides the
+    result.  Nothing here depends on
+    the room, the source or the microphone, and the half-extents change
+    only when the response length crosses a room-size step, so a few
+    entries serve every response of a scene.
+    """
+    # along one axis, lattice index i with flip a has order |2i - a|;
+    # the lowest over both flips bounds the point's 8 images from below
+    lowest = [np.minimum(np.abs(2 * i), np.abs(2 * i - 1))
+              for i in (np.arange(-h, h + 1) for h in half)]
+    within = lowest[0][:, None, None] + lowest[1][:, None] + lowest[2] <= max_order
+    # per axis, i + h for every kept lattice point
+    corner = np.nonzero(within)
+    y_size = 2 * (2 * half[1] + 1)
+    blocks = []
+    for start in range(0, corner[0].size, _CHUNK):
+        c = [corner[k][start:start + _CHUNK, None] for k in range(3)]
+        index = [2 * c[k] + _FLIPS[:, k] for k in range(3)]
+        rows = np.empty((3, c[0].size, 8), dtype=np.int32)
+        np.multiply(index[0], y_size, out=rows[0], casting="unsafe")
+        rows[0] += index[1]
+        rows[1] = index[2]
+        rows[2] = 0
+        for k, h in enumerate(half):
+            rows[2] += np.abs(2 * (c[k] - h) - _FLIPS[:, k])
+        rows = rows.reshape(3, -1)
+        blocks.append(rows[:, rows[2] <= max_order])
+    images = np.concatenate(blocks, axis=1)
+    images.flags.writeable = False
+    return images
+
+
 def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_meter):
     """Sum every image-source tap of one source/mic pair into an n-sample response.
 
     ``half`` holds the lattice half-extents per axis and ``max_order`` the
-    reflection-order cap (negative disables it).  Lattice points whose
-    8 images all exceed the cap are dropped before any per-image
-    arithmetic; the rest are visited in lexicographic order, mirror flips
-    inner, in blocks of ``_CHUNK`` points.
-
-    Each block works on flip-major rows of its N points: per axis and flip
-    one squared offset ``((1 - 2a) * src + 2 i L - mic) ** 2`` and one
-    order ``|2i - a|``, summed into the 8 flip rows as ``(x + y) + z``.
-    That grouping is the one a sum over the last axis of an (N, 8, 3)
-    array uses, so the distances keep their bits; ``x + (y + z)`` would
-    not.  The order doubles as the reflection exponent, since
-    ``|i - a| + |i| == |2i - a|`` for integer ``i`` and ``a`` in {0, 1}.
-    The rows are transposed back to point-major, flip-inner order, and
-    the taps of all blocks go through one ``np.bincount`` from zeros,
-    which adds them in visiting order, so the output bits equal a
-    tap-by-tap ``np.add.at`` into a zero buffer.  Summing per block and
-    adding the partial sums would not: ``r + (a + b)`` and ``(r + a) + b``
-    can differ in the last bit.  The bits also depend on the exact form of
-    the amplitude ``bpow[order] / (4 pi d)``.
+    reflection-order cap (negative disables it).  The images within the
+    cap come from ``_image_lattice``, cached on ``(half, max_order)``.
+    Only the per-axis squared offsets ``((1 - 2a) * src + 2 i L - mic) ** 2``
+    of each lattice index ``i`` and flip ``a`` depend on the room, source
+    and microphone; the x and y tables are added into one x-by-y table,
+    and each image looks up its entry there and in the z table.  That
+    sums its squared offsets as ``(x + y) + z``, the grouping the unpruned
+    kernel's sum over the last axis of an (N, 8, 3) array uses, so the
+    distances keep their bits; ``x + (y + z)`` would not.  The order
+    doubles as the reflection exponent, since ``|i - a| + |i| == |2i - a|``
+    for integer ``i`` and ``a`` in {0, 1}.  Dropping the images over the
+    cap before the tap filter keeps the same set as filtering both at
+    once, and taps past the response go to an extra bin ``n`` that is cut
+    off, which leaves every other bin's sum alone.  The images are visited
+    in the cached order, in blocks of ``8 * _CHUNK``, and the taps of all
+    blocks go through one ``np.bincount`` from zeros, which adds them in
+    visiting order, so the output bits equal a tap-by-tap ``np.add.at``
+    into a zero buffer.  Summing per block and adding the partial sums
+    would not: ``r + (a + b)`` and ``(r + a) + b`` can differ in the last
+    bit.  The bits also depend on the exact form of the amplitude
+    ``bpow[order] / (4 pi d)``.
     """
     emax = 2 * sum(half) + 3
     bpow = np.empty(emax + 1)
     bpow[0] = 1.0  # covers the anechoic direct path when beta == 0
     np.cumprod(np.full(emax, beta), out=bpow[1:])
 
-    if max_order < 0:
-        within = np.ones([2 * h + 1 for h in half], dtype=bool)
-    else:
-        # along one axis, lattice index i with flip a has order |2i - a|;
-        # the lowest over both flips bounds the point's 8 images from below
-        lowest = [np.minimum(np.abs(2 * i), np.abs(2 * i - 1))
-                  for i in (np.arange(-h, h + 1) for h in half)]
-        within = lowest[0][:, None, None] + lowest[1][:, None] + lowest[2] <= max_order
-    # (3, points) in lexicographic order, the transpose of np.argwhere
-    lattice = np.array(np.nonzero(within)) - np.array(half)[:, None]
+    # no image of the box has an order above emax, so no cap is the cap emax
+    images = _image_lattice(tuple(half), max_order if max_order >= 0 else emax)
+    tables = []
+    for k, h in enumerate(half):
+        rm = 2.0 * np.arange(-h, h + 1) * dims[k]
+        table = np.empty((2 * h + 1, 2))
+        for a in (0, 1):
+            table[:, a] = ((1 - 2 * a) * src[k] + rm - mic[k]) ** 2
+        tables.append(table.ravel())
+    xy = (tables[0][:, None] + tables[1]).ravel()
+    z = tables[2]
 
-    taps, amps = [], []
-    for start in range(0, lattice.shape[1], _CHUNK):
-        idx = lattice[:, start:start + _CHUNK]
-        rm = 2.0 * idx * dims[:, None]
-        sq = [[((1 - 2 * a) * src[k] + rm[k] - mic[k]) ** 2 for a in (0, 1)] for k in range(3)]
-        axis_order = [[np.abs(2 * idx[k] - a) for a in (0, 1)] for k in range(3)]
-        d2 = np.empty((8, idx.shape[1]))
-        order = np.empty((8, idx.shape[1]), dtype=np.int64)
-        for j, (ax, ay, az) in enumerate(_FLIPS):
-            np.add(sq[0][ax], sq[1][ay], out=d2[j])
-            d2[j] += sq[2][az]
-            np.add(axis_order[0][ax], axis_order[1][ay], out=order[j])
-            order[j] += axis_order[2][az]
-        d = np.sqrt(d2.T).ravel()
-        order = order.T.ravel()
+    count = images.shape[1]
+    taps = np.empty(count, dtype=np.int64)
+    amps = np.empty(count)
+    # int32 to intp once into a reused buffer: np.take converts other
+    # index types on every call.  Every cached index is within its table,
+    # so mode="clip" only skips the bounds check and its buffering
+    index = np.empty(min(8 * _CHUNK, count), dtype=np.intp)
+    work = np.empty(index.size)
+    for start in range(0, count, index.size):
+        stop = min(start + index.size, count)
+        i, w, d = index[:stop - start], work[:stop - start], amps[start:stop]
+        np.copyto(i, images[0, start:stop])
+        np.take(xy, i, out=d, mode="clip")
+        np.copyto(i, images[1, start:stop])
+        d += np.take(z, i, out=w, mode="clip")
+        np.sqrt(d, out=d)
         # round half up; d is never negative
-        tap = np.floor(d * samples_per_meter + 0.5).astype(np.int64)
-        keep = tap < n
-        if max_order >= 0:
-            keep &= order <= max_order
-        taps.append(tap[keep])
-        amps.append(bpow[order[keep]] / (_FOUR_PI * d[keep]))
-    return np.bincount(np.concatenate(taps), weights=np.concatenate(amps), minlength=n)
+        np.multiply(d, samples_per_meter, out=w)
+        w += 0.5
+        np.floor(w, out=w)
+        np.minimum(w, n, out=w)
+        taps[start:stop] = w
+        np.copyto(i, images[2, start:stop])
+        np.multiply(d, _FOUR_PI, out=d)
+        np.divide(np.take(bpow, i, out=w, mode="clip"), d, out=d)
+    return np.bincount(taps, weights=amps, minlength=n + 1)[:n]
 
 
 def white_noise_signal(duration_s: float, sample_rate: float, rng) -> np.ndarray:
@@ -306,6 +361,9 @@ def speech_surrogate_signal(duration_s: float, sample_rate: float, rng) -> np.nd
     feature band lives, and a 4 Hz random envelope mimics syllabic
     amplitude modulation.  Normalized to unit RMS.
     """
+    # scipy.signal loads scipy.stats and more; only this excitation needs it
+    from scipy.signal import butter, sosfilt
+
     n = int(round(duration_s * sample_rate))
     sos = butter(2, min(2500.0, 0.45 * sample_rate), btype="low", fs=sample_rate, output="sos")
     x = sosfilt(sos, rng.standard_normal(n))

@@ -13,12 +13,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .acoustic_sim import MeasurementRecord
 from .kernels import Hyperparameters, gram_stack, stack_features
 from .mmgp_model import LabelledGp, Prediction, as_sample, labelled_pool
 from .mmgp_model import fit as fit_mmgp
+from .rtf_features import hann_window
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _averaged_gcc(signals: np.ndarray, cfg: SrpConfig):
         signals = padded
     hop = n // 2
     starts = range(0, signals.shape[1] - n + 1, hop)
-    window = get_window("hann", n)
+    window = hann_window(n)
     freqs = np.fft.rfftfreq(n, 1.0 / cfg.sample_rate)
     band = (freqs >= cfg.band_low_hz) & (freqs <= cfg.band_high_hz)
     pairs = list(itertools.combinations(range(signals.shape[0]), 2))

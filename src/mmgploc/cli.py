@@ -43,9 +43,11 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
     Command-line overrides replace the corresponding fields before
     defaults are filled in, so the config hash reflects what actually
     ran.  Scene and spectral defaults are the ``SceneConfig`` and
-    ``SpectralConfig`` field defaults.  Output locations never enter the hash.
+    ``SpectralConfig`` field defaults, and a key neither class has a field
+    for is a ``ValueError``.  Output locations never enter the hash.
     """
     from .acoustic_sim import SceneConfig
+    from .dataio import check_section_keys
     from .rtf_features import SpectralConfig
 
     with open(path) as fh:
@@ -66,10 +68,13 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
     if "scene" not in cfg:
         raise ValueError("config needs a 'scene' section")
+    spectral = cfg.get("spectral") or {}
+    check_section_keys(cfg["scene"], SceneConfig, "scene")
+    check_section_keys(spectral, SpectralConfig, "spectral")
     scene = {**_field_defaults(SceneConfig), **cfg["scene"]}
     cfg["scene"] = scene
     cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
-                       **(cfg.get("spectral") or {})}
+                       **spectral}
 
     for role in ("labeled", "unlabeled", "test"):
         if role not in cfg:

@@ -117,10 +117,23 @@ def scene_to_dict(scene) -> dict:
     }
 
 
+def check_section_keys(d: dict, cls, section: str) -> None:
+    """Reject a key of config section ``section`` that ``cls`` has no field for.
+
+    A typo such as ``"sound_sped"`` would otherwise be ignored in favour of
+    the default while still entering the config hash.
+    """
+    known = [f.name for f in dataclasses.fields(cls)]
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown {section} key {key!r}; known keys: {', '.join(known)}")
+
+
 def scene_from_dict(d: dict):
     """A ``SceneConfig`` from its dict; absent optional fields take the class defaults."""
     from .acoustic_sim import SceneConfig
 
+    check_section_keys(d, SceneConfig, "scene")
     snr = d["snr_db"]
     optional = {k: d[k] for k in ("sound_speed", "max_reflection_order") if k in d}
     return SceneConfig(
@@ -136,6 +149,7 @@ def scene_from_dict(d: dict):
 def spectral_from_dict(d: dict):
     from .rtf_features import SpectralConfig
 
+    check_section_keys(d, SpectralConfig, "spectral")
     return SpectralConfig(**d)
 
 

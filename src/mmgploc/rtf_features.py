@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
-from scipy import signal as sp_signal
 
 # relative weight of the spectral-floor guard added to the denominator
 _DENOM_DELTA = 1e-10
@@ -114,7 +113,10 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
     nper = cfg.window_samples
     if x.size < nper:
         raise ValueError(f"signal ({x.size} samples) shorter than one window ({nper})")
-    _, s = sp_signal.csd(
+    # scipy.signal loads scipy.stats and more; only this reference path needs it
+    from scipy.signal import csd
+
+    _, s = csd(
         x, y,
         fs=cfg.sample_rate,
         window="hann",
@@ -129,12 +131,25 @@ def welch_cross_spectrum(x, y, cfg: SpectralConfig) -> np.ndarray:
     return s
 
 
+def hann_window(n: int) -> np.ndarray:
+    """Periodic Hann window of ``n`` samples, ``scipy.signal.get_window("hann", n)``.
+
+    SciPy's ``general_cosine`` with coefficients 0.5 and 0.5 over ``n + 1``
+    points from -pi to pi, last point dropped: its sum ``0 + 0.5 * cos(0)
+    + 0.5 * cos(x)`` rounds as ``0.5 + 0.5 * cos(x)``, so the bits match,
+    without importing ``scipy.signal``.
+    """
+    if n <= 1:
+        return np.ones(n)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+
+
 @functools.lru_cache(maxsize=8)
 def _psd_window(fs: float, nper: int) -> np.ndarray:
     # the Hann window scaled to unit-area power as scipy.signal.ShortTimeFFT
     # scales it for scale_to="psd"; the builtin sum keeps its rounding.
     # Cached per (fs, nper) and read-only, since every block shares it
-    h = sp_signal.get_window("hann", nper)
+    h = hann_window(nper)
     window = h * (1 / np.sqrt(sum(h**2) / (1 / fs)))
     window.flags.writeable = False
     return window

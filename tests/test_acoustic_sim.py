@@ -173,12 +173,91 @@ def test_golden_render_bits():
             == "03a6169f932b1ff845aefac0784919161c98117a912f21f3639363a1aca938a7")
 
 
+def test_lattice_cache_interleaved_scenes_match_reference():
+    # scenes take turns, so every response reads a lattice another scene
+    # built or used; the first two share (half, max_order) but differ in
+    # room, wall coefficient and microphones, and the last caps the order
+    scenes = [_scene(t60=0.3, fs=8000.0),
+              _scene(room=(4.2, 5.1, 3.1), t60=0.31, fs=8000.0, max_reflection_order=33,
+                     mics=[[[3.0, 4.0, 2.0], [2.9, 4.1, 2.0]]]),
+              _scene(room=(3.2, 4.1, 2.7), t60=0.35, fs=16000.0),
+              _scene(room=(5.0, 3.5, 2.9), t60=0.3, max_reflection_order=4)]
+    keys = []
+    for scene in scenes:
+        src = np.array([2.0, 1.6, 1.3])
+        mic = scene.flat_mics()[0]
+        n = ac.simulate_rir(scene, src, mic).size
+        spm = scene.sample_rate / scene.sound_speed
+        keys.append((tuple(ac._lattice_half_extent(n, scene.room_dims, spm)),
+                     ac._reflection_and_order(scene)[1]))
+    assert keys[0] == keys[1]
+    assert ac._reflection_and_order(scenes[0])[0] != ac._reflection_and_order(scenes[1])[0]
+    assert keys[3][1] == 4
+
+    ac._image_lattice.cache_clear()
+    for scene in scenes[:2]:
+        ac.simulate_rir(scene, [2.0, 1.6, 1.3], scene.flat_mics()[0])
+    info = ac._image_lattice.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    rng = np.random.default_rng(41)
+    for rep in range(3):
+        for scene in scenes:
+            src = (np.array([2.0, 1.6, 1.3]) if rep == 0
+                   else rng.uniform(0.15, 0.85, 3) * scene.room_dims)
+            for mic in scene.flat_mics():
+                rir = ac.simulate_rir(scene, src, mic)
+                beta, max_order = ac._reflection_and_order(scene)
+                spm = scene.sample_rate / scene.sound_speed
+                half = ac._lattice_half_extent(rir.size, scene.room_dims, spm)
+                expected = reference_image_rir(np.zeros(rir.size), scene.room_dims, src, mic,
+                                               beta, half, max_order, spm)
+                assert rir.tobytes() == expected.tobytes()
+    assert ac._image_lattice.cache_info().hits > 0
+
+
+def test_record_responses_share_the_cached_lattice():
+    # the 6 responses of one desk record differ in length, but only a few
+    # lattice half-extents come out of those lengths
+    scene = _scene(t60=0.4, mics=DESK_MICS)
+    src = np.array([2.0, 2.5, 1.5])
+    spm = scene.sample_rate / scene.sound_speed
+    max_order = ac._reflection_and_order(scene)[1]
+    keys = set()
+    for mic in scene.flat_mics():
+        n = math.ceil(ac.rir_duration(scene, src, mic) * scene.sample_rate)
+        keys.add((tuple(ac._lattice_half_extent(n, scene.room_dims, spm)), max_order))
+    ac._image_lattice.cache_clear()
+    sig = ac.white_noise_signal(0.1, scene.sample_rate, np.random.default_rng(2))
+    ac.render_measurement(scene, src, sig, seed=(1, 0, 1))
+    info = ac._image_lattice.cache_info()
+    assert (info.misses, info.hits) == (len(keys), 6 - len(keys))
+    assert info.misses < 6
+    # a second record at the same spot builds nothing
+    ac.render_measurement(scene, src, sig, seed=(1, 1, 1))
+    info = ac._image_lattice.cache_info()
+    assert (info.misses, info.hits) == (len(keys), 12 - len(keys))
+
+
+def test_cached_lattice_is_read_only():
+    images = ac._image_lattice((5, 4, 6), 7)
+    assert images.dtype == np.int32 and images.shape[0] == 3
+    assert not images.flags.writeable
+    with pytest.raises(ValueError):
+        images[0, 0] = 1
+    with pytest.raises(ValueError):
+        images[2] += 1
+    assert ac._image_lattice((5, 4, 6), 7) is images
+
+
 def test_peak_memory_bounded_in_long_reverb():
-    # auto order 114 here; the kernel evaluates its images in blocks of
-    # _CHUNK lattice points (peak about 88 MiB), and evaluating them all
-    # at once peaks at about 190 MiB
+    # auto order 114 here, about 1.9 million images.  From a cold lattice
+    # cache the run holds the cached int32 lattice (12 B per image), the
+    # per-image taps and amplitudes (16 B) and blocks of 8 * _CHUNK images:
+    # about 67 MiB at peak.  Evaluating every image at once, or int64
+    # lattice indices, would pass the bound
     scene = _scene(t60=0.9)
     assert ac._reflection_and_order(scene)[1] == 114
+    ac._image_lattice.cache_clear()
     tracemalloc.start()
     try:
         ac.simulate_rir(scene, [2.0, 2.5, 1.5], [0.5, 1.0, 1.5])

@@ -119,6 +119,17 @@ def test_minimal_config_fingerprint_pinned(tmp_path):
             == "6dac8c71b42244e0f7bb489c3797808ab110e19a4047eeb716aa90271afcfe58")
 
 
+@pytest.mark.parametrize("section, key", [("scene", "sound_sped"), ("spectral", "fft_sise")])
+def test_unknown_scene_and_spectral_keys_rejected(tmp_path, section, key):
+    # a typo would otherwise fall back to the default and still enter the hash
+    cfg = tiny_config()
+    cfg[section] = {**cfg[section], key: 1.0}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=f"unknown {section} key '{key}'"):
+        cli.resolve_config(path)
+
+
 def test_config_fingerprint_ignores_output_dir(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(tiny_config()))

@@ -215,6 +215,15 @@ def test_spectral_dict_roundtrip():
     assert again == cfg
 
 
+def test_unknown_scene_and_spectral_keys_rejected():
+    scene = dio.scene_to_dict(small_scene())
+    with pytest.raises(ValueError, match="unknown scene key 'sound_sped'"):
+        dio.scene_from_dict({**scene, "sound_sped": 300.0})
+    spectral = dataclasses.asdict(rf.SpectralConfig())
+    with pytest.raises(ValueError, match="unknown spectral key 'fft_sise'"):
+        dio.spectral_from_dict({**spectral, "fft_sise": 1024})
+
+
 def test_dataset_truth_separation(tmp_path):
     scene = small_scene()
     path = dio.write_dataset(tmp_path / "ds", scene, make_records(scene),

@@ -3,10 +3,12 @@
 ``perfbench/tracing.py`` replaces program functions at named lookup
 places, and ``perfbench/workloads.py`` calls the program directly; a
 rename or a changed return type in the program would otherwise break the
-benchmark without failing any test of the program itself.
+benchmark without failing any test of the program itself.  The import
+graph is guarded too, since every process pays for what it loads.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +45,16 @@ def test_benchmark_toy_pass_runs_clean():
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, run.stderr
     assert result["failed"] == 0
+
+
+def test_program_imports_leave_scipy_signal_out():
+    # scipy.signal drags in scipy.stats, interpolate and spatial, about
+    # 0.7 s per process; only reference paths import it, inside functions
+    code = ("import sys\n"
+            "import mmgploc.cli, mmgploc.acoustic_sim, mmgploc.rtf_features\n"
+            "import mmgploc.mmgp_model, mmgploc.dataio, mmgploc.baselines\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

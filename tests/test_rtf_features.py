@@ -396,3 +396,10 @@ def test_artf_from_record_two_nodes():
                                      sample_rate=rec.sample_rate, num_nodes=1)
         np.testing.assert_array_equal(agg.features[m],
                                       rf.artf_from_record(alone, cfg).features[0])
+
+
+def test_hann_window_bits_match_scipy():
+    from scipy.signal import get_window
+
+    for n in list(range(1, 4097)) + [2048, 1024]:
+        assert rf.hann_window(n).tobytes() == get_window("hann", n).tobytes(), n
