@@ -41,7 +41,7 @@ class MeanOfNodesModel:
         return len(self.node_models)
 
     def predict(self, h_t) -> Prediction:
-        row = as_sample(h_t, (self.num_nodes,) + self.node_models[0].feature_pool.shape[2:])
+        row = as_sample(h_t, (self.num_nodes,) + self.node_models[0].pool.shape[2:])
         preds = [model.predict(row[:, m:m + 1, :])
                  for m, model in enumerate(self.node_models)]
         m = self.num_nodes

@@ -391,6 +391,8 @@ def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
     manifest = dio.load_manifest(Path(dataset_dir) / dio.EVALUATION_NAME)
     est_hash, rows = _read_estimates(estimates_path)
     _check_hash(est_hash, manifest["config_hash"], "estimates", "dataset")
+    if not rows:
+        raise ValueError(f"{estimates_path}: no estimates to evaluate")
     truth = {r["id"]: r["true_position"] for r in manifest["records"]
              if r["true_position"] is not None}
     errors = []

@@ -212,18 +212,41 @@ def load_manifest(path) -> dict:
         raise FileNotFoundError(f"manifest not found: {path}")
     with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {manifest.get('format_version')}")
+    if not isinstance(manifest.get("records"), list):
+        raise ValueError(f"{path}: 'records' must be a list of record objects")
+    for index, rec in enumerate(manifest["records"]):
+        _check_record(index, rec)
     ids = [r["id"] for r in manifest["records"]]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate record ids in manifest")
-    for rec in manifest["records"]:
-        if rec["role"] not in _ROLES:
-            raise ValueError(f"record {rec['id']}: unknown role {rec['role']!r}")
-        if rec["role"] == "labeled" and rec["true_position"] is None:
-            raise ValueError(f"labeled record {rec['id']} lacks a position")
     manifest["_dir"] = str(path.parent)
     return manifest
+
+
+def _check_record(index: int, rec) -> None:
+    """A manifest entry: an object with a string id, a known role and, if labelled, a position."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"record #{index}: not an object")
+    rec_id = rec.get("id")
+    if not isinstance(rec_id, str):
+        raise ValueError(f"record #{index}: missing or non-string id")
+    if "role" not in rec:
+        raise ValueError(f"record {rec_id}: missing role")
+    if rec["role"] not in _ROLES:
+        raise ValueError(f"record {rec_id}: unknown role {rec['role']!r}")
+    if rec["role"] != "labeled":
+        return
+    pos = rec.get("true_position")
+    if pos is None:
+        raise ValueError(f"labeled record {rec_id} lacks a position")
+    if not (isinstance(pos, list) and len(pos) == 3
+            and all(type(v) in (int, float) and math.isfinite(v) for v in pos)):
+        raise ValueError(f"labeled record {rec_id}: true_position must be a finite "
+                         f"3-vector, got {pos!r}")
 
 
 def records_by_role(manifest: dict, role: str) -> list:

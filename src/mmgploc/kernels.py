@@ -5,12 +5,8 @@ comparing their per-node RTF vectors.  The fused covariance couples all
 node pairs through products of kernel sums over a training pool; it is
 always computed through the S*S^T factorization, which is algebraically
 equal to the pairwise double sum but cheaper and positive semidefinite by
-construction.
-
-A model's training pool is a ``FeaturePool``: it keeps each node's
-conjugated rows and squared row norms, so a Gram against the pool reads
-them instead of rebuilding them on every call, and appending a sample costs
-amortised O(1) copies.
+construction.  A model's pool is a plain (n, M, D) complex array; a Gram
+against it forms each node's conjugated rows and squared norms afresh.
 """
 
 from __future__ import annotations
@@ -54,14 +50,6 @@ class GramStack:
     per_node: np.ndarray  # (M, |A|, |B|)
     summed: np.ndarray    # (|A|, |B|), sum over the node axis
 
-    @property
-    def num_nodes(self) -> int:
-        return self.per_node.shape[0]
-
-    @property
-    def shape(self) -> tuple:
-        return self.per_node.shape[1:]
-
 
 def stack_features(samples) -> np.ndarray:
     """Aggregated RTFs as one (n, M, D) complex array; validates consistency."""
@@ -86,77 +74,8 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 def sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared complex Euclidean distances between row sets."""
-    return _sq_dists_conj(x, y.conj(), _sq_norms(y))
-
-
-def _sq_dists_conj(x: np.ndarray, y_conj: np.ndarray, yy: np.ndarray) -> np.ndarray:
-    """``sq_dists`` from the conjugated rows of y and their squared norms."""
-    cross = (x @ y_conj.T).real
-    return np.clip(_sq_norms(x)[:, None] + yy[None, :] - 2.0 * cross, 0.0, None)
-
-
-class FeaturePool:
-    """A growable (n, M, D) training pool with per-node Gram operands cached.
-
-    Besides the features it keeps, per node, the conjugated rows as one
-    C-contiguous (capacity, D) slab and the squared row norms, each filled
-    in once when its row is appended.  ``gram_stack`` reads them when the
-    pool is its B set, so a Gram against the pool copies nothing pool-wide
-    and gives the same bits as one against the plain feature array.  The
-    buffers double when full, so ``append`` costs amortised O(1) copies per
-    row.  The price is memory: with the slack of both buffers, the features
-    and the conjugate slab take at most about four times the pool's own
-    bytes.
-    """
-
-    def __init__(self, features):
-        features = stack_features(features)
-        n, m, d = features.shape
-        self._size = 0
-        self._features = np.empty((n, m, d), dtype=complex)
-        self._conj = np.empty((m, n, d), dtype=complex)
-        self._norms = np.empty((m, n))
-        self.append(features)
-
-    @property
-    def features(self) -> np.ndarray:
-        """The (n, M, D) features, C-contiguous and read-only."""
-        view = self._features[: self._size]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def shape(self) -> tuple:
-        return (self._size,) + self._features.shape[1:]
-
-    def node_operands(self, m: int) -> tuple:
-        """Node m's conjugated rows, a C-contiguous (n, D) view, and their norms."""
-        return self._conj[m, : self._size], self._norms[m, : self._size]
-
-    def append(self, rows) -> None:
-        """Add (k, M, D) feature rows; only the new rows' operands are computed."""
-        rows = stack_features(rows)
-        if rows.shape[1:] != self._features.shape[1:]:
-            raise ValueError(f"row shape {rows.shape[1:]} != pool {self._features.shape[1:]}")
-        start, stop = self._size, self._size + rows.shape[0]
-        if stop > self._features.shape[0]:
-            self._grow(max(stop, 2 * self._features.shape[0]))
-        self._features[start:stop] = rows
-        for m in range(rows.shape[1]):
-            y = self._features[start:stop, m, :]
-            np.conjugate(y, out=self._conj[m, start:stop])
-            self._norms[m, start:stop] = _sq_norms(y)
-        self._size = stop
-
-    def _grow(self, capacity: int) -> None:
-        n = self._size
-        features = np.empty((capacity,) + self._features.shape[1:], dtype=complex)
-        features[:n] = self._features[:n]
-        conj = np.empty((self._conj.shape[0], capacity, self._conj.shape[2]), dtype=complex)
-        conj[:, :n] = self._conj[:, :n]
-        norms = np.empty((self._norms.shape[0], capacity))
-        norms[:, :n] = self._norms[:, :n]
-        self._features, self._conj, self._norms = features, conj, norms
+    cross = (x @ y.conj().T).real
+    return np.clip(_sq_norms(x)[:, None] + _sq_norms(y)[None, :] - 2.0 * cross, 0.0, None)
 
 
 def _sq_dists_symmetric(x: np.ndarray) -> np.ndarray:
@@ -172,13 +91,11 @@ def gram_stack(a_samples, b_samples, hp: Hyperparameters) -> GramStack:
     """All M per-node Gram matrices between two sample sets and their sum.
 
     Pass ``b_samples=None`` for the symmetric A=A case; that path has an
-    exactly-unit diagonal and exact symmetry.  A ``FeaturePool`` as the B
-    set supplies its cached per-node conjugates and norms.
+    exactly-unit diagonal and exact symmetry.
     """
     a = stack_features(a_samples)
     symmetric = b_samples is None
-    pooled = isinstance(b_samples, FeaturePool)
-    b = a if symmetric else b_samples if pooled else stack_features(b_samples)
+    b = a if symmetric else stack_features(b_samples)
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"inconsistent (M, D): {a.shape[1:]} vs {b.shape[1:]}")
     if a.shape[1] != hp.num_nodes:
@@ -188,8 +105,6 @@ def gram_stack(a_samples, b_samples, hp: Hyperparameters) -> GramStack:
         x = a[:, m, :]
         if symmetric:
             d2 = _sq_dists_symmetric(x)
-        elif pooled:
-            d2 = _sq_dists_conj(x, *b.node_operands(m))
         else:
             d2 = sq_dists(x, b[:, m, :])
         per_node[m] = np.exp(-d2 / hp.eps[m])

@@ -9,9 +9,9 @@ pool sample), the labels, the hyperparameters and the jitter resolved at
 fit.  Fit, every streaming update and a model load derive the labelled
 covariance, its inverse and the weights from that state by one
 conditioning step, so a streamed model always equals a fit on its own
-S_LD.  The pool is a ``FeaturePool`` that caches each node's conjugated
-rows and squared norms, so an update appends in amortised O(1) copies and
-a prediction builds only the test row's Gram against the pool.
+S_LD.  The pool and S_LD are plain read-only arrays.  A prediction builds
+only the test row's Gram against the pool; an absorbed sample copies the
+pool and S_LD once to grow them, the same order of work as that Gram.
 
 Streaming prediction absorbs only novel samples: a sample whose kernel
 values against the pool come close to 1 on average over the nodes adds
@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataio import atomic_write
 # mmgp_covariance stays importable here: perfbench/tracing.py wraps this lookup place
-from .kernels import (FeaturePool, Hyperparameters, fused_from_sums, gram_stack,  # noqa: F401
+from .kernels import (Hyperparameters, fused_from_sums, gram_stack,  # noqa: F401
                       mmgp_covariance, stack_features)
 
 _MAGIC = b"MMGP"
@@ -122,15 +122,11 @@ class LabelledGp:
 class MmgpModel(LabelledGp):
     """Fused-kernel GP: pool features, the labelled Gram S_LD and the labels.
 
-    ``feature_pool`` holds the (n_D, M, D) training features with the
-    labelled samples first, plus each node's cached Gram operands;
-    streaming updates append to it and ``pool`` reads it as a read-only
-    array.
-
-    ``labelled_gram`` is the node-summed Gram S_LD of the labelled set
-    against the pool, (n_L, n_D).  It lives in a buffer whose width doubles
-    when full, so it costs up to 2 n_L n_D doubles; ``s_ld`` is its initial
-    content, built against ``feature_pool``.  S_LD, ``positions``,
+    ``pool`` holds the (n_D, M, D) training features with the labelled
+    samples first.  ``labelled_gram`` is the node-summed Gram S_LD of the
+    labelled set against the pool, (n_L, n_D).  Both are read-only arrays
+    the model owns; an update replaces each with a grown copy, so a
+    reference taken before it keeps its contents.  S_LD, ``positions``,
     ``hyperparameters`` and ``jitter_used`` are the whole state: on
     construction and after every update ``_recondition`` derives
     ``sigma_l`` = S_LD S_LD^T / M^2 from S_LD and conditions on it.
@@ -141,30 +137,20 @@ class MmgpModel(LabelledGp):
     A model file keeps it.
     """
 
-    feature_pool: FeaturePool
+    pool: np.ndarray              # (n_D, M, D)
     n_labeled: int
+    labelled_gram: np.ndarray     # (n_L, n_D)
     update_count: int = 0
-    s_ld: InitVar[np.ndarray]     # (n_L, n_D)
     sigma_l: np.ndarray = field(init=False)   # (n_L, n_L)
 
-    def __post_init__(self, s_ld):
-        self._s_ld = s_ld
+    def __post_init__(self):
+        _read_only(self.pool)
+        _read_only(self.labelled_gram)
         self._recondition()
 
     def _recondition(self) -> None:
         self.sigma_l = fused_from_sums(self.labelled_gram, None, self.hyperparameters.num_nodes)
         self._condition(self.sigma_l)
-
-    @property
-    def labelled_gram(self) -> np.ndarray:
-        """S_LD, the (n_L, n_D) node-summed Gram of the labelled set against the pool, read-only."""
-        view = self._s_ld[:, : self.feature_pool.shape[0]]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def pool(self) -> np.ndarray:
-        return self.feature_pool.features
 
     @property
     def labeled_features(self) -> np.ndarray:
@@ -182,9 +168,9 @@ class MmgpModel(LabelledGp):
 
     def predict(self, h_t) -> Prediction:
         """Posterior mean and variance for one test sample; read-only."""
-        t = as_sample(h_t, self.feature_pool.shape[1:])
+        t = as_sample(h_t, self.pool.shape[1:])
         # the test row's node-summed Gram is built once for both k and the prior
-        return self._predict_row(gram_stack(t, self.feature_pool, self.hyperparameters).summed)
+        return self._predict_row(gram_stack(t, self.pool, self.hyperparameters).summed)
 
     def _predict_row(self, s_t: np.ndarray) -> Prediction:
         """The posterior of a test sample from its (1, n_D) node-summed Gram against the pool."""
@@ -201,13 +187,10 @@ class MmgpModel(LabelledGp):
         S_LD afresh with the jitter resolved at fit.  ``update_count``
         counts the samples absorbed this way.  Returns self for chaining.
         """
-        t = as_sample(h_t, self.feature_pool.shape[1:])
-        k = gram_stack(self.labeled_features, t, self.hyperparameters).summed[:, 0]
-        n = self.feature_pool.shape[0]
-        if n == self._s_ld.shape[1]:  # full: double the buffer's width
-            self._s_ld = np.concatenate([self._s_ld, np.empty_like(self._s_ld)], axis=1)
-        self._s_ld[:, n] = k
-        self.feature_pool.append(t)
+        t = as_sample(h_t, self.pool.shape[1:])
+        k = gram_stack(self.labeled_features, t, self.hyperparameters).summed
+        self.labelled_gram = _read_only(np.concatenate([self.labelled_gram, k], axis=1))
+        self.pool = _read_only(np.concatenate([self.pool, t]))
         self.update_count += 1
         self._recondition()
         return self
@@ -222,12 +205,17 @@ class MmgpModel(LabelledGp):
         already covers is predicted from the row at hand, as ``predict``
         would, and leaves the model unchanged.
         """
-        t = as_sample(h_t, self.feature_pool.shape[1:])
-        rows = gram_stack(t, self.feature_pool, self.hyperparameters)
+        t = as_sample(h_t, self.pool.shape[1:])
+        rows = gram_stack(t, self.pool, self.hyperparameters)
         if rows.per_node[:, 0].max(axis=1).mean() < _NOVELTY:
             self.update_recursive(t)
             return self.predict(t)
         return self._predict_row(rows.summed)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def as_sample(h_t, shape) -> np.ndarray:
@@ -242,9 +230,12 @@ def as_sample(h_t, shape) -> np.ndarray:
 
 
 def labelled_pool(training_set, labelled_positions, num_nodes: int):
-    """The (n_D, M, D) pool and finite (n_L, C) labels, 1 <= n_L <= n_D, M == num_nodes."""
+    """The (n_D, M, D) pool and finite (n_L, C) labels, 1 <= n_L <= n_D, C >= 1, M == num_nodes."""
     pool = stack_features(training_set)
     positions = np.atleast_2d(np.asarray(labelled_positions, dtype=float))
+    # an empty label array becomes (1, 0): one label with no coordinate
+    if positions.shape[1] == 0:
+        raise ValueError("no labelled positions: each label needs at least one coordinate")
     if not np.all(np.isfinite(positions)):
         raise ValueError("labelled positions must be finite")
     n_l = positions.shape[0]
@@ -283,14 +274,15 @@ def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
     features so large that their kernel Gram overflows are rejected.
     """
     pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
+    # stack_features may hand back the caller's own array; the model owns a copy
+    pool = pool.copy()
     n_l = positions.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        feature_pool = FeaturePool(pool)
-        s_ld = gram_stack(pool[:n_l], feature_pool, hp).summed
+        s_ld = gram_stack(pool[:n_l], pool, hp).summed
     if not np.isfinite(s_ld).all():
         raise ValueError("features overflow the kernel Gram")
-    return MmgpModel(feature_pool=feature_pool, n_labeled=n_l, positions=positions,
-                     hyperparameters=hp, s_ld=s_ld)
+    return MmgpModel(pool=pool, n_labeled=n_l, labelled_gram=s_ld, positions=positions,
+                     hyperparameters=hp)
 
 
 def save_model(model: MmgpModel, path) -> None:

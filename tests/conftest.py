@@ -213,11 +213,11 @@ def reference_predict(model, h_t):
 
 
 class ArrayPoolModel:
-    """An ``MmgpModel``'s state with the pool and S_LD as plain arrays.
+    """An ``MmgpModel``'s state as writeable copies, detached from the model.
 
-    The twin that ``reference_update_recursive`` grows by concatenation and
-    ``reference_predict`` reads, so a stream through it involves no
-    ``FeaturePool`` and no S_LD buffer.
+    The twin that ``reference_update_recursive`` grows and
+    ``reference_predict`` reads, so a stream through it shares no array
+    and no code path of the model's own update.
     """
 
     def __init__(self, model):
@@ -246,9 +246,9 @@ def reference_update_recursive(model, h_t):
     """``MmgpModel.update_recursive`` on concatenated arrays.
 
     Kept as the bit-level oracle: it grows the pool and S_LD with
-    ``np.concatenate``, so every Gram against the pool rebuilds the
-    pool-side operands, and re-conditions on the whole S_LD with the
-    jitter resolved at fit.
+    ``np.concatenate`` and re-conditions on the whole S_LD with the jitter
+    resolved at fit, spelled out here instead of through
+    ``LabelledGp._condition``.
     """
     t = mm.as_sample(h_t, model.pool.shape[1:])
     hp = model.hyperparameters

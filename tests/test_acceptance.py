@@ -45,16 +45,16 @@ def test_p1_kernel_oracle_equivalence():
         hp = kn.Hyperparameters(eps=rng.uniform(0.5, 10.0, num_nodes), sigma2=0.1)
 
         # the path fit and predict run: node-summed Grams against the
-        # model's FeaturePool, fused by fused_from_sums
-        feature_pool = kn.FeaturePool(pool)
+        # model's stacked pool array, fused by fused_from_sums
+        stacked = kn.stack_features(pool)
         a = pool[: int(rng.integers(1, 4))]
         b = pool[-int(rng.integers(1, 4)):]
-        got = kn.fused_from_sums(kn.gram_stack(a, feature_pool, hp).summed,
-                                 kn.gram_stack(b, feature_pool, hp).summed, num_nodes)
+        got = kn.fused_from_sums(kn.gram_stack(a, stacked, hp).summed,
+                                 kn.gram_stack(b, stacked, hp).summed, num_nodes)
         want = brute_mmgp(a, b, pool, hp)
         worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / np.abs(want))))
 
-        full = kn.fused_from_sums(kn.gram_stack(pool, feature_pool, hp).summed, None, num_nodes)
+        full = kn.fused_from_sums(kn.gram_stack(pool, stacked, hp).summed, None, num_nodes)
         eigs = np.linalg.eigvalsh(full)
         floor = -1e-10 * float(np.max(np.abs(eigs)))
         worst_eig = min(worst_eig, float(eigs.min() - floor))

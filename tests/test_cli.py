@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -256,6 +257,15 @@ def test_evaluate_exact_truth_gives_zero_rmse(pipeline, tmp_path):
     cli._write_estimates(est, manifest["config_hash"], offset)
     metrics = cli.cmd_evaluate(est, pipeline["ds"], tmp_path / "m.csv")
     assert metrics["rmse"] == pytest.approx(0.3, rel=1e-12)
+
+
+def test_evaluate_rejects_an_estimates_file_without_rows(pipeline, tmp_path):
+    manifest = dio.load_manifest(Path(pipeline["ds"]) / dio.EVALUATION_NAME)
+    est = tmp_path / "empty.csv"
+    cli._write_estimates(est, manifest["config_hash"], [])
+    with pytest.raises(ValueError, match=f"{re.escape(str(est))}: no estimates"):
+        cli.cmd_evaluate(est, pipeline["ds"], tmp_path / "m.csv")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_streaming_and_shuffle(pipeline, tmp_path):

@@ -312,8 +312,51 @@ def test_manifest_validation(tmp_path):
     with pytest.raises(ValueError, match="manifest version"):
         dio.load_manifest(path)
 
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="JSON object"):
+        dio.load_manifest(path)
+
     with pytest.raises(FileNotFoundError):
         dio.load_manifest(tmp_path / "missing")
+
+
+def _set_record(index, value):
+    return lambda doc: doc["records"].__setitem__(index, value)
+
+
+def _drop_key(index, key):
+    return lambda doc: doc["records"][index].pop(key)
+
+
+def _set_position(value):
+    return lambda doc: doc["records"][0].__setitem__("true_position", value)
+
+
+# make_records lists labeled_0000, unlabeled_0001, test_0002
+_MANIFEST_FAULTS = {
+    "records missing": (lambda doc: doc.pop("records"), "'records' must be a list"),
+    "records not a list": (lambda doc: doc.__setitem__("records", 5), "'records' must be a list"),
+    "entry not an object": (_set_record(1, "unlabeled_0001"), "record #1: not an object"),
+    "entry without id": (_drop_key(1, "id"), "record #1: missing or non-string id"),
+    "entry without role": (_drop_key(2, "role"), "record test_0002: missing role"),
+    "position of length 2": (_set_position([1.0, 2.0]), "labeled record labeled_0000: .*3-vector"),
+    "position not a list": (_set_position(1.5), "labeled record labeled_0000: .*3-vector"),
+    "position with a string": (_set_position([1.0, "2", 1.5]), "labeled_0000: .*3-vector"),
+    "position with NaN": (_set_position([1.0, float("nan"), 1.5]), "labeled_0000: .*3-vector"),
+    "position with inf": (_set_position([1.0, 2.0, float("inf")]), "labeled_0000: .*3-vector"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_MANIFEST_FAULTS))
+def test_manifest_rejects_malformed_records(tmp_path, fault):
+    mutate, message = _MANIFEST_FAULTS[fault]
+    path = Path(dio.write_dataset(tmp_path / "ds", small_scene(), make_records(small_scene())))
+    doc = json.loads(path.read_text())
+    dio.load_manifest(path)  # the unmutated manifest loads
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        dio.load_manifest(path)
 
 
 def test_generate_dataset_is_deterministic(tmp_path):

@@ -71,7 +71,7 @@ def test_gram_stack_singleton_and_symmetry():
 
     many = make_set(rng, 7, 3, 6)
     g = kn.gram_stack(many, None, hp)
-    assert g.shape == (7, 7)
+    assert g.per_node.shape[1:] == (7, 7)
     for m in range(3):
         np.testing.assert_array_equal(g.per_node[m], g.per_node[m].T)
         np.testing.assert_array_equal(np.diag(g.per_node[m]), np.ones(7))

@@ -8,7 +8,6 @@ refits (the keystone equivalence) and the conditioning residual directly.
 import copy
 import struct
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmgploc import acoustic_sim as sim
+from mmgploc import baselines as bl
 from mmgploc import cli
 from mmgploc import hyperopt as ho
 from mmgploc import kernels as kn
@@ -238,7 +238,7 @@ def test_stream_bits_match_concatenating_reference(tmp_path):
     model, *_ = fitted(rng, n_l=3, n_u=2, num_nodes=3, dim=7, c=3)
     twin = ArrayPoolModel(model)
     resumed = None
-    for step in range(320):  # the 5-sample pool's buffer doubles 7 times
+    for step in range(320):  # 320 absorptions, each growing the 5-sample pool by one copy
         t = make_artf(rng, 3, 7)
         got = model.predict_recursive(t)
         reference_update_recursive(twin, t)
@@ -289,29 +289,6 @@ def test_cached_labelled_gram_matches_a_fresh_gram(tmp_path):
     assert model.labelled_gram.tobytes() == kept
     assert twin.labelled_gram.shape == (4, 310)
     np.testing.assert_allclose(twin.labelled_gram, fresh(twin), rtol=1e-12, atol=0)
-
-
-def test_pool_side_operands_are_not_copied_per_call():
-    rng = np.random.default_rng(89)
-    n, num_nodes, dim = 1000, 3, 64
-    feats = rng.standard_normal((n, num_nodes, dim)) + 1j * rng.standard_normal((n, num_nodes, dim))
-    hp = kn.Hyperparameters(eps=np.full(num_nodes, 4.0 * dim), sigma2=0.05)
-    model = mm.fit(feats, rng.uniform(0.0, 4.0, (4, 2)), hp)
-    model.update_recursive(feats[0])  # leaves room for more rows
-    t = feats[1]
-    pool_bytes = model.pool.nbytes
-    slab_bytes = model.pool.shape[0] * dim * 16
-    tracemalloc.start()
-    try:
-        model.predict(t)
-        predict_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        model.update_recursive(t)
-        update_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert predict_peak < slab_bytes
-    assert update_peak < pool_bytes
 
 
 def test_predict_recursive_is_update_then_predict():
@@ -428,6 +405,42 @@ def test_fit_validation_errors():
         mm.fit(pool, np.zeros((2, 2)), kn.Hyperparameters(eps=[1.0], sigma2=0.1))
     with pytest.raises(ValueError, match="one sample at a time"):
         mm.fit(pool, np.zeros((2, 2)), hp).predict(np.zeros((2, 2, 4), dtype=complex))
+
+
+def test_labels_without_coordinates_are_rejected():
+    # an empty label array, as a dataset without labelled records gives
+    rng = np.random.default_rng(71)
+    pool = make_set(rng, 4, 2, 4)
+    hp = kn.Hyperparameters(eps=[1.0, 1.0], sigma2=0.1)
+    for labels in (np.asarray([], dtype=float), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            mm.fit(pool, labels, hp)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            ho.log_likelihood_and_grad(hp, pool, labels)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            bl.fit_kernel_product(pool, labels, hp)
+
+
+def test_fit_copies_the_callers_features():
+    rng = np.random.default_rng(73)
+    feats = kn.stack_features(make_set(rng, 7, 2, 4))
+    hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.05)
+    model = mm.fit(feats, rng.uniform(0.0, 4.0, (4, 2)), hp)
+    assert feats.flags.writeable and not np.shares_memory(feats, model.pool)
+    t = make_artf(rng, 2, 4)
+    before = model.predict(t)
+    feats[:] = 0.0
+    after = model.predict(t)
+    assert after.position.tobytes() == before.position.tobytes()
+    assert after.variance.tobytes() == before.variance.tobytes()
+
+    # an update replaces the arrays: references taken before it keep their contents
+    pool, s_ld = model.pool, model.labelled_gram
+    kept = pool.tobytes(), s_ld.tobytes()
+    model.update_recursive(make_artf(rng, 2, 4))
+    assert (pool.tobytes(), s_ld.tobytes()) == kept
+    assert model.pool.shape == (8, 2, 4) and model.labelled_gram.shape == (4, 8)
+    assert not model.pool.flags.writeable and not model.labelled_gram.flags.writeable
 
 
 def test_singular_covariance_reports_conditioning():
