@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic_sim import MeasurementRecord
-from .kernels import Hyperparameters, gram_stack, stack_features
+from .kernels import Hyperparameters, gram_stack
 from .mmgp_model import LabelledGp, Prediction, as_sample, labelled_pool
 from .mmgp_model import fit as fit_mmgp
 from .rtf_features import hann_window
+
+# SRP-PHAT frame length in samples; frames hop by half of it
+_FRAME_LENGTH = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +44,8 @@ class MeanOfNodesModel:
         return len(self.node_models)
 
     def predict(self, h_t) -> Prediction:
-        row = as_sample(h_t, (self.num_nodes,) + self.node_models[0].pool.shape[2:])
-        preds = [model.predict(row[:, m:m + 1, :])
+        sample = as_sample(h_t, (self.num_nodes,) + self.node_models[0].pool.shape[2:])
+        preds = [model.predict(sample[m:m + 1])
                  for m, model in enumerate(self.node_models)]
         m = self.num_nodes
         position = np.mean([p.position for p in preds], axis=0)
@@ -87,8 +90,8 @@ class KernelProductModel(LabelledGp):
         self._condition(product_gram(self.features, None, self.hyperparameters))
 
     def predict(self, h_t) -> Prediction:
-        row = as_sample(h_t, self.features.shape[1:])
-        k = product_gram(row, self.features, self.hyperparameters)[0]
+        sample = as_sample(h_t, self.features.shape[1:])
+        k = product_gram(sample[None], self.features, self.hyperparameters)[0]
         # unit kernel diagonal, so the prior variance is exactly one
         return self._posterior(k, 1.0)
 
@@ -120,7 +123,6 @@ class SrpConfig:
     band_high_hz: float = 2500.0
     sample_rate: float = 16000.0
     sound_speed: float = 343.0
-    frame_length: int = 4096
 
     def __post_init__(self):
         self.mic_positions = np.asarray(self.mic_positions, dtype=float)
@@ -140,8 +142,6 @@ class SrpConfig:
             raise ValueError("need 0 <= band_low_hz < band_high_hz")
         if self.band_high_hz > self.sample_rate / 2:
             raise ValueError("band_high_hz exceeds the Nyquist frequency")
-        if self.frame_length < 2:
-            raise ValueError("frame_length must be at least 2")
 
     @property
     def num_channels(self) -> int:
@@ -161,10 +161,10 @@ def grid_points(cfg: SrpConfig) -> np.ndarray:
 def _averaged_gcc(signals: np.ndarray, cfg: SrpConfig):
     """Frame-averaged band-limited GCC-PHAT for every channel pair.
 
-    Returns (gcc, pairs): gcc is (num_pairs, frame_length) at circular
+    Returns (gcc, pairs): gcc is (num_pairs, _FRAME_LENGTH) at circular
     integer lags, pairs lists (i, j) channel indices with i < j.
     """
-    n = cfg.frame_length
+    n = _FRAME_LENGTH
     if signals.shape[1] < n:
         padded = np.zeros((signals.shape[0], n))
         padded[:, :signals.shape[1]] = signals
@@ -218,7 +218,7 @@ def srp_phat(record, cfg: SrpConfig) -> np.ndarray:
     gcc, pairs = _averaged_gcc(signals, cfg)
     pts = grid_points(cfg)
     dists = np.linalg.norm(pts[:, None, :] - cfg.mic_positions[None], axis=2)
-    n = cfg.frame_length
+    n = _FRAME_LENGTH
     samples_per_meter = cfg.sample_rate / cfg.sound_speed
     power = np.zeros(pts.shape[0])
     for p, (i, j) in enumerate(pairs):

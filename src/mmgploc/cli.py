@@ -378,7 +378,7 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
             else bl.fit_kernel_product(pool, positions, hp)
         for entry in entries:
             features = dio.read_record_features(manifest, entry)
-            pred = fitted.predict(features[None])
+            pred = fitted.predict(features)
             rows.append((entry["id"], pred.position, pred.variance))
     _write_estimates(out_path, manifest["config_hash"], rows)
     return str(out_path)
@@ -455,7 +455,9 @@ def _read_estimates(path):
             raise ValueError(f"{path}: missing config hash line")
         est_hash = first.split("=", 1)[1]
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row after the config hash line")
         c = (len(header) - 1) // 2
         rows = []
         for line in reader:

@@ -268,13 +268,24 @@ def read_record_features(manifest: dict, entry: dict) -> np.ndarray:
 
 
 def _read_record_blob(manifest: dict, entry: dict, ref: dict) -> np.ndarray:
-    """The blob ``ref`` names, which must resolve inside the dataset directory."""
+    """The blob ``ref`` names, which must resolve inside the dataset directory.
+
+    Its ``shape`` must be a list of non-negative ints whose product is the
+    blob's value count.
+    """
     root = Path(manifest["_dir"]).resolve()
     path = (root / ref["path"]).resolve()
     if not path.is_relative_to(root):
         raise ValueError(f"record {entry['id']}: blob path {ref['path']!r} "
                          f"resolves outside the dataset directory")
-    return read_blob(path).reshape(ref["shape"])
+    blob = read_blob(path)
+    shape = ref["shape"]
+    # type() rather than isinstance: a bool is an int, and neither it nor a float is a size
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+            and math.prod(shape) == blob.size):
+        raise ValueError(f"record {entry['id']}: blob shape {shape!r} does not fit "
+                         f"its {blob.size} values")
+    return blob.reshape(shape)
 
 
 def attach_features(dataset_dir, features: dict) -> None:

@@ -88,13 +88,14 @@ class _Problem:
             dk = (self.d2[m] / eps[m] ** 2) * grams[m]
             half = dk @ s.T
             d_cov = (half + half.T) / m2
+            trace_term = float(np.sum(gamma * d_cov))
             acc = 0.0
             for c in range(self.num_coords):
-                acc += 0.5 * (alphas[:, c] @ d_cov @ alphas[:, c]
-                              - float(np.sum(gamma * d_cov)))
+                acc += 0.5 * (alphas[:, c] @ d_cov @ alphas[:, c] - trace_term)
             g_eps[m] = acc
+        trace_gamma = float(np.trace(gamma))
         g_sig = np.array([
-            0.5 * (float(alphas[:, c] @ alphas[:, c]) - float(np.trace(gamma)))
+            0.5 * (float(alphas[:, c] @ alphas[:, c]) - trace_gamma)
             for c in range(self.num_coords)
         ]).sum()
         return total, g_eps, g_sig

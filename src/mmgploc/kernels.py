@@ -52,19 +52,10 @@ class GramStack:
 
 
 def stack_features(samples) -> np.ndarray:
-    """Aggregated RTFs as one (n, M, D) complex array; validates consistency."""
-    if isinstance(samples, np.ndarray):
-        if samples.ndim != 3:
-            raise ValueError("feature array must have shape (n, M, D)")
-        return np.ascontiguousarray(samples, dtype=complex)
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    mats = [s.stack() for s in samples]
-    shape0 = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape0:
-            raise ValueError(f"inconsistent feature shapes: {m.shape} vs {shape0}")
-    return np.ascontiguousarray(np.stack(mats))
+    """An (n, M, D) feature array as C-contiguous complex; may be the caller's own array."""
+    if np.ndim(samples) != 3:
+        raise ValueError("feature array must have shape (n, M, D)")
+    return np.ascontiguousarray(samples, dtype=complex)
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:

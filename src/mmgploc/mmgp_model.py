@@ -37,9 +37,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataio import atomic_write
+from .kernels import Hyperparameters, fused_from_sums, gram_stack, stack_features
 # mmgp_covariance stays importable here: perfbench/tracing.py wraps this lookup place
-from .kernels import (Hyperparameters, fused_from_sums, gram_stack,  # noqa: F401
-                      mmgp_covariance, stack_features)
+from .kernels import mmgp_covariance  # noqa: F401
 
 _MAGIC = b"MMGP"
 _FORMAT_VERSION = 2
@@ -170,7 +170,7 @@ class MmgpModel(LabelledGp):
         """Posterior mean and variance for one test sample; read-only."""
         t = as_sample(h_t, self.pool.shape[1:])
         # the test row's node-summed Gram is built once for both k and the prior
-        return self._predict_row(gram_stack(t, self.pool, self.hyperparameters).summed)
+        return self._predict_row(gram_stack(t[None], self.pool, self.hyperparameters).summed)
 
     def _predict_row(self, s_t: np.ndarray) -> Prediction:
         """The posterior of a test sample from its (1, n_D) node-summed Gram against the pool."""
@@ -187,7 +187,7 @@ class MmgpModel(LabelledGp):
         S_LD afresh with the jitter resolved at fit.  ``update_count``
         counts the samples absorbed this way.  Returns self for chaining.
         """
-        t = as_sample(h_t, self.pool.shape[1:])
+        t = as_sample(h_t, self.pool.shape[1:])[None]
         k = gram_stack(self.labeled_features, t, self.hyperparameters).summed
         self.labelled_gram = _read_only(np.concatenate([self.labelled_gram, k], axis=1))
         self.pool = _read_only(np.concatenate([self.pool, t]))
@@ -206,7 +206,7 @@ class MmgpModel(LabelledGp):
         would, and leaves the model unchanged.
         """
         t = as_sample(h_t, self.pool.shape[1:])
-        rows = gram_stack(t, self.pool, self.hyperparameters)
+        rows = gram_stack(t[None], self.pool, self.hyperparameters)
         if rows.per_node[:, 0].max(axis=1).mean() < _NOVELTY:
             self.update_recursive(t)
             return self.predict(t)
@@ -219,14 +219,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def as_sample(h_t, shape) -> np.ndarray:
-    """One test sample as a (1, M, D) block; ``shape`` is the model's (M, D)."""
-    t = stack_features([h_t]) if not isinstance(h_t, np.ndarray) else \
-        stack_features(h_t[None] if h_t.ndim == 2 else h_t)
-    if t.shape[0] != 1:
+    """One test sample, an (M, D) array, as C-contiguous complex; ``shape`` is the model's (M, D)."""
+    if np.ndim(h_t) != 2:
         raise ValueError("predict/update take one sample at a time")
-    if t.shape[1:] != tuple(shape):
-        raise ValueError(f"sample shape {t.shape[1:]} != model features {tuple(shape)}")
-    return t
+    if np.shape(h_t) != tuple(shape):
+        raise ValueError(f"sample shape {np.shape(h_t)} != model features {tuple(shape)}")
+    return np.ascontiguousarray(h_t, dtype=complex)
 
 
 def labelled_pool(training_set, labelled_positions, num_nodes: int):
@@ -269,9 +267,10 @@ def spd_factor(sigma: np.ndarray, diag: float) -> tuple:
 def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
     """Fit the model on a pool whose first n_L samples are labelled.
 
-    ``training_set`` holds all aggregated RTFs, labelled first, unlabelled
-    after; ``labelled_positions`` is (n_L, C) and sets n_L.  Finite
-    features so large that their kernel Gram overflows are rejected.
+    ``training_set`` is the (n_D, M, D) feature array, labelled samples
+    first, unlabelled after; ``labelled_positions`` is (n_L, C) and sets
+    n_L.  Finite features so large that their kernel Gram overflows are
+    rejected.
     """
     pool, positions = labelled_pool(training_set, labelled_positions, hp.num_nodes)
     # stack_features may hand back the caller's own array; the model owns a copy

@@ -4,8 +4,8 @@ A node's two microphones share the source signal, so the ratio of their
 cross- and auto-spectra estimates the acoustic transfer ratio between the
 channels independently of what the source emitted.  Features are restricted
 to a fixed frequency band, and one source event's feature is the (M, D)
-complex array of its M nodes' band RTFs (row m - 1 is node m), held by
-``AggregatedRtf`` with the event's position when it is labelled.
+complex array of its M nodes' band RTFs (row m - 1 is node m); a pool of
+n events is the (n, M, D) stack of those arrays.
 
 Each node of a record takes one framed real FFT over its two channels;
 the node's Welch auto- and cross-spectra are frame means of that one
@@ -73,14 +73,14 @@ def band_bins(cfg: SpectralConfig) -> np.ndarray:
 
 @dataclass
 class AggregatedRtf:
-    """The M nodes' band RTFs for one source event, joined as one feature.
+    """The M nodes' band RTFs for one source event, as ``artf_from_record`` returns them.
 
-    ``features`` is an (M, D) complex array whose row m - 1 is node m.
-    ``true_position`` is set for labelled events only.
+    ``features`` is a checked, finite (M, D) complex array whose row m - 1
+    is node m; ``stack()`` hands it back.  The model layer takes only such
+    arrays.
     """
 
     features: np.ndarray
-    true_position: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=complex)
@@ -88,10 +88,6 @@ class AggregatedRtf:
             raise ValueError("features must be a nonempty (M, D) complex array")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite RTF entries")
-        if self.true_position is not None:
-            self.true_position = np.asarray(self.true_position, dtype=float)
-            if self.true_position.shape != (3,):
-                raise ValueError("true_position must be a 3-vector")
 
     def stack(self) -> np.ndarray:
         """The (M, D) complex feature array."""
@@ -219,5 +215,5 @@ def _band_rtfs(record, cfg: SpectralConfig) -> np.ndarray:
 
 
 def artf_from_record(record, cfg: SpectralConfig) -> AggregatedRtf:
-    """Full feature-extraction step: the record's (M, D) band RTFs and its position."""
-    return AggregatedRtf(features=_band_rtfs(record, cfg), true_position=record.true_position)
+    """Full feature-extraction step: the record's (M, D) band RTFs; ``.stack()`` gives the array."""
+    return AggregatedRtf(features=_band_rtfs(record, cfg))

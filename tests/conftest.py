@@ -15,14 +15,15 @@ from mmgploc.acoustic_sim import _CHUNK, _FLIPS, _FOUR_PI
 _SIGNS = 1 - 2 * _FLIPS
 
 
-def make_artf(rng, num_nodes, dim, pos=None):
-    """Random aggregated RTF with ``num_nodes`` nodes of dimension ``dim``."""
+def make_artf(rng, num_nodes, dim):
+    """Random (num_nodes, dim) complex feature of one sample."""
     rows = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(num_nodes)]
-    return rf.AggregatedRtf(features=np.stack(rows), true_position=pos)
+    return np.stack(rows)
 
 
 def make_set(rng, n, num_nodes, dim):
-    return [make_artf(rng, num_nodes, dim) for _ in range(n)]
+    """Random (n, num_nodes, dim) feature pool, drawn sample by sample as ``make_artf``."""
+    return np.stack([make_artf(rng, num_nodes, dim) for _ in range(n)])
 
 
 def gaussian_kernel(h_i, h_j, eps_m: float) -> float:
@@ -54,8 +55,8 @@ def cross_node_kernel(r, l, q: int, w: int, training_set, hp) -> float:
         raise ValueError("empty training set")
     if not (1 <= q <= hp.num_nodes and 1 <= w <= hp.num_nodes):
         raise ValueError("node indices are 1-based")
-    kr = np.exp(-kn.sq_dists(r.stack()[None, q - 1], pool[:, q - 1, :]) / hp.eps[q - 1])[0]
-    kl = np.exp(-kn.sq_dists(l.stack()[None, w - 1], pool[:, w - 1, :]) / hp.eps[w - 1])[0]
+    kr = np.exp(-kn.sq_dists(r[None, q - 1], pool[:, q - 1, :]) / hp.eps[q - 1])[0]
+    kl = np.exp(-kn.sq_dists(l[None, w - 1], pool[:, w - 1, :]) / hp.eps[w - 1])[0]
     return float(kr @ kl)
 
 
@@ -63,8 +64,8 @@ def brute_cross_node(r, l, q, w, pool, hp):
     """Literal sum over the pool of per-node kernel products (1-based q, w)."""
     total = 0.0
     for s in pool:
-        total += (gaussian_kernel(r.features[q - 1], s.features[q - 1], hp.eps[q - 1])
-                  * gaussian_kernel(l.features[w - 1], s.features[w - 1], hp.eps[w - 1]))
+        total += (gaussian_kernel(r[q - 1], s[q - 1], hp.eps[q - 1])
+                  * gaussian_kernel(l[w - 1], s[w - 1], hp.eps[w - 1]))
     return total
 
 
@@ -90,7 +91,8 @@ def conditional_gaussian_oracle(labeled, test, pool, hp, positions, diag):
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     mean = positions.mean(axis=0)
-    joint = brute_mmgp(labeled + [test], labeled + [test], pool, hp)
+    both = np.concatenate([labeled, test[None]])
+    joint = brute_mmgp(both, both, pool, hp)
     n_l = len(labeled)
     s_ll = joint[:n_l, :n_l] + diag * np.eye(n_l)
     s_tl = joint[n_l, :n_l]
@@ -190,9 +192,9 @@ def reference_estimate_rtf(record, node_index: int, cfg):
 
 
 def reference_artf_from_record(record, cfg):
-    """Aggregated RTF of a record, node by node through ``reference_estimate_rtf``."""
+    """A record's (M, D) band RTFs, node by node through ``reference_estimate_rtf``."""
     rows = [reference_estimate_rtf(record, m, cfg) for m in range(1, record.num_nodes + 1)]
-    return rf.AggregatedRtf(features=np.stack(rows), true_position=record.true_position)
+    return np.stack(rows)
 
 
 def reference_predict(model, h_t):
@@ -201,7 +203,7 @@ def reference_predict(model, h_t):
     ``MmgpModel.predict`` as it was before it shared the test row's Gram
     between k and the prior, kept as the bit-level oracle.
     """
-    t = mm.as_sample(h_t, model.pool.shape[1:])
+    t = mm.as_sample(h_t, model.pool.shape[1:])[None]
     hp = model.hyperparameters
     k_lt = kn.mmgp_covariance(model.labeled_features, t, model.pool, hp)[:, 0]
     prior = float(kn.mmgp_covariance(t, None, model.pool, hp)[0, 0])
@@ -250,7 +252,7 @@ def reference_update_recursive(model, h_t):
     resolved at fit, spelled out here instead of through
     ``LabelledGp._condition``.
     """
-    t = mm.as_sample(h_t, model.pool.shape[1:])
+    t = mm.as_sample(h_t, model.pool.shape[1:])[None]
     hp = model.hyperparameters
     k = kn.gram_stack(model.labeled_features, t, hp).summed
     model.s_ld = np.concatenate([model.s_ld, k], axis=1)

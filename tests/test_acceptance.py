@@ -118,7 +118,7 @@ def test_p3_recursive_batch_equivalence():
         for sample in stream:
             got = model.predict_recursive(sample)
             absorbed.append(sample)
-            batch = mm.fit(pool + absorbed, positions, hp).predict(sample)
+            batch = mm.fit(np.concatenate([pool, absorbed]), positions, hp).predict(sample)
             rel = float(np.max(np.abs(got.position - batch.position)
                                / np.maximum(np.abs(batch.position), 1e-12)))
             worst_pred = max(worst_pred, rel)
@@ -174,8 +174,7 @@ def test_p4_gradient_checks():
         m = int(rng.integers(1, num_nodes + 1))
         scale = math.sqrt(eps[m - 1] / 16.0)
         pool = make_set(rng, n_l + n_u, num_nodes, 4)
-        for sample in pool:
-            sample.features *= scale
+        pool *= scale
         hp = kn.Hyperparameters(eps=eps, sigma2=float(rng.uniform(0.05, 0.5)))
 
         def of_eps(e, hp=hp, pool=pool, positions=positions, m=m):

@@ -13,7 +13,6 @@ import mmgploc.acoustic_sim as sim
 import mmgploc.baselines as bl
 import mmgploc.kernels as kn
 import mmgploc.mmgp_model as mm
-import mmgploc.rtf_features as rf
 
 
 def features_and_labels(rng, n_l, n_u, num_nodes, dim, c=3):
@@ -39,13 +38,10 @@ def test_mean_of_nodes_single_node_equals_main_model():
 def test_mean_of_nodes_identical_features_equal_single_node():
     rng = np.random.default_rng(7)
     single = make_set(rng, 8, 1, 5)
-    pool, tests = [], []
-    for agg in single:
-        pool.append(rf.AggregatedRtf(features=np.repeat(agg.features, 3, axis=0),
-                                     true_position=agg.true_position))
+    pool = np.repeat(single, 3, axis=1)
     positions = rng.uniform(0.0, 4.0, (5, 3))
     probe = make_artf(rng, 1, 5)
-    probe3 = rf.AggregatedRtf(features=np.repeat(probe.features, 3, axis=0))
+    probe3 = np.repeat(probe, 3, axis=0)
     hp3 = kn.Hyperparameters(eps=[2.5, 2.5, 2.5], sigma2=0.2)
     hp1 = kn.Hyperparameters(eps=[2.5], sigma2=0.2)
     got = bl.fit_mean_of_nodes(pool, positions, hp3).predict(probe3).position
@@ -58,13 +54,11 @@ def test_mean_of_nodes_two_nodes_explicit_average():
     pool, positions = features_and_labels(rng, 6, 3, 2, 4)
     hp = kn.Hyperparameters(eps=[2.0, 5.0], sigma2=0.15)
     test = make_artf(rng, 2, 4)
-    stacked = kn.stack_features(pool)
-    t = kn.stack_features([test])
     parts = []
     for m in range(2):
         node_hp = kn.Hyperparameters(eps=[hp.eps[m]], sigma2=hp.sigma2)
-        parts.append(mm.fit(stacked[:, m:m + 1, :], positions, node_hp)
-                     .predict(t[:, m:m + 1, :]).position)
+        parts.append(mm.fit(pool[:, m:m + 1, :], positions, node_hp)
+                     .predict(test[m:m + 1]).position)
     want = 0.5 * (parts[0] + parts[1])
     got = bl.fit_mean_of_nodes(pool, positions, hp).predict(test).position
     assert got == pytest.approx(want, rel=1e-12)
@@ -90,7 +84,7 @@ def test_product_gram_equal_widths_matches_concatenated_kernel():
         eps = float(rng.uniform(1.0, 6.0))
         hp = kn.Hyperparameters(eps=[eps] * num_nodes, sigma2=0.1)
         got = bl.product_gram(samples, None, hp)
-        concat = np.stack([s.features.ravel() for s in samples])[:, None, :]
+        concat = samples.reshape(len(samples), 1, -1)
         want = kn.gram_stack(concat, None, kn.Hyperparameters(eps=[eps], sigma2=0.1)).summed
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -101,8 +95,8 @@ def test_kernel_product_single_node_is_plain_gaussian_gp():
     hp = kn.Hyperparameters(eps=[2.0], sigma2=0.1, jitter=1e-9)
     test = make_artf(rng, 1, 5)
     model = bl.fit_kernel_product(pool, positions, hp)
-    feats = np.stack([s.features.ravel() for s in pool])
-    probe = test.features.ravel()
+    feats = pool.reshape(len(pool), -1)
+    probe = test.ravel()
     def kern(a, b):
         return np.exp(-np.sum(np.abs(a - b) ** 2) / 2.0)
 
@@ -126,7 +120,7 @@ def test_kernel_product_matches_conditional_oracle():
         hp = kn.Hyperparameters(eps=rng.uniform(1.0, 5.0, num_nodes),
                                 sigma2=float(rng.uniform(0.05, 0.3)), jitter=0.0)
         test = make_artf(rng, num_nodes, 4)
-        joint = pool + [test]
+        joint = np.concatenate([pool, test[None]])
         gram = bl.product_gram(joint, None, hp)
         a = gram[:n_l, :n_l] + hp.sigma2 * np.eye(n_l)
         k = gram[:n_l, n_l]
@@ -139,7 +133,7 @@ def test_kernel_product_matches_conditional_oracle():
 def test_kernel_product_ignores_unlabelled_samples():
     rng = np.random.default_rng(29)
     pool, positions = features_and_labels(rng, 5, 0, 2, 4)
-    extra = pool + make_set(rng, 4, 2, 4)
+    extra = np.concatenate([pool, make_set(rng, 4, 2, 4)])
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.1)
     test = make_artf(rng, 2, 4)
     a = bl.fit_kernel_product(pool, positions, hp).predict(test).position

@@ -268,6 +268,18 @@ def test_evaluate_rejects_an_estimates_file_without_rows(pipeline, tmp_path):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_evaluate_rejects_an_estimates_file_without_header(pipeline, tmp_path, capsys):
+    manifest = dio.load_manifest(Path(pipeline["ds"]) / dio.EVALUATION_NAME)
+    est = tmp_path / "hash_only.csv"
+    est.write_text(f"# config_hash={manifest['config_hash']}\n")
+    assert cli.main(["evaluate", "--estimates", str(est), "--dataset", str(pipeline["ds"]),
+                     "--output", str(tmp_path / "m.csv")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ValueError"
+    assert err["error"] == f"{est}: no header row after the config hash line"
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_streaming_and_shuffle(pipeline, tmp_path):
     est1 = tmp_path / "s1.csv"
     assert cli.main(["localize", "--model", str(pipeline["model"]),

@@ -287,6 +287,20 @@ def test_record_blob_paths_stay_inside_the_dataset(tmp_path, reader, field, kind
         reader(manifest, entry)
 
 
+@pytest.mark.parametrize("shape", [[3, 10], [2, "x"], None, [-1, 10], [2.0, 10], [True, 20]])
+def test_record_blob_shape_must_fit_the_blob(tmp_path, shape):
+    scene = small_scene()
+    dio.write_dataset(tmp_path / "ds", scene, make_records(scene), spectral=rf.SpectralConfig())
+    dio.write_blob(tmp_path / "ds" / "twenty.f64", np.arange(20.0))
+    manifest = dio.load_manifest(tmp_path / "ds")
+    entry = manifest["records"][0]
+    entry["signal"] = {"path": "twenty.f64", "shape": [2, 10]}
+    assert dio.read_record_signals(manifest, entry).shape == (2, 10)
+    entry["signal"]["shape"] = shape
+    with pytest.raises(ValueError, match=rf"record {entry['id']}: blob shape .* 20 values"):
+        dio.read_record_signals(manifest, entry)
+
+
 def test_manifest_validation(tmp_path):
     scene = small_scene()
     records = make_records(scene)

@@ -38,9 +38,9 @@ FITS = {"mmgp": mm.fit, "kernel-product": bl.fit_kernel_product, "mean": bl.fit_
 def problem():
     """3 nodes, 6 labelled and 4 unlabelled samples, 3 coordinates, 4 test samples."""
     rng = np.random.default_rng(2024)
-    pool = kn.stack_features(make_set(rng, 10, 3, 4))
+    pool = make_set(rng, 10, 3, 4)
     positions = rng.uniform(0.0, 5.0, (6, 3))
-    tests = kn.stack_features(make_set(rng, 4, 3, 4))
+    tests = make_set(rng, 4, 3, 4)
     hp = kn.Hyperparameters(eps=[2.0, 3.0, 5.0], sigma2=0.1)
     return pool, positions, tests, hp
 
@@ -83,8 +83,9 @@ def test_predictions_pinned(method):
 def test_predict_rejects_wrong_sample_shape(method):
     pool, positions, tests, hp = problem()
     model = FITS[method](pool, positions, hp)
-    with pytest.raises(ValueError, match="one sample at a time"):
-        model.predict(tests[:2])
-    for bad in (tests[:1, :2], np.concatenate([tests[:1], tests[:1, :, :1]], axis=2)):
+    for many in (tests[:2], tests[:1]):
+        with pytest.raises(ValueError, match="one sample at a time"):
+            model.predict(many)
+    for bad in (tests[0, :2], np.concatenate([tests[0], tests[0, :, :1]], axis=1)):
         with pytest.raises(ValueError, match="sample shape"):
             model.predict(bad)

@@ -99,11 +99,11 @@ def test_grad_eps_matches_finite_differences():
 def test_grad_eps_zero_for_degenerate_node():
     rng = np.random.default_rng(17)
     shared = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    import mmgploc.rtf_features as rf
     pool = []
     for _ in range(5):
         own = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        pool.append(rf.AggregatedRtf(features=np.stack([shared, own])))
+        pool.append(np.stack([shared, own]))
+    pool = np.stack(pool)
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.3)
     positions = rng.uniform(0.0, 4.0, (3, 2))
     _, g_eps, _ = ho.log_likelihood_and_grad(hp, pool, positions)
@@ -140,7 +140,7 @@ def test_grad_sigma2_far_features_scalar_case():
     rng = np.random.default_rng(29)
     pool = make_set(rng, 4, 1, 4)
     for i, agg in enumerate(pool):
-        agg.features[0] = agg.features[0] + 1e8 * (i + 1)
+        agg[0] = agg[0] + 1e8 * (i + 1)
     positions = rng.uniform(0.0, 3.0, (4, 2))
     hp = kn.Hyperparameters(eps=[1.0], sigma2=1.0)
     y = positions - positions.mean(axis=0)
@@ -162,16 +162,12 @@ def test_wrong_width_count_rejected():
 
 def test_likelihood_invariant_to_node_order():
     rng = np.random.default_rng(37)
-    import mmgploc.rtf_features as rf
     pool, positions, hp = random_problem(rng, num_nodes=3)
     perm = [2, 0, 1]
 
-    def permute(agg):
-        return rf.AggregatedRtf(features=agg.features[perm])
-
     hp_p = kn.Hyperparameters(eps=hp.eps[perm], sigma2=hp.sigma2)
     a = log_likelihood(hp, pool, positions)
-    b = log_likelihood(hp_p, [permute(s) for s in pool], positions)
+    b = log_likelihood(hp_p, pool[:, perm], positions)
     assert a == pytest.approx(b, rel=1e-12)
 
 

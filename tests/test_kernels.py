@@ -12,7 +12,6 @@ from conftest import (brute_cross_node, brute_mmgp, cross_node_kernel, gaussian_
                       make_artf, make_set, node_manifold_kernel)
 
 from mmgploc import kernels as kn
-from mmgploc import rtf_features as rf
 
 
 def test_hyperparameters_validation():
@@ -34,7 +33,7 @@ def test_hyperparameters_validation():
 
 def test_gaussian_kernel_identity_and_scale():
     rng = np.random.default_rng(2)
-    v = make_artf(rng, 1, 8).features[0]
+    v = make_artf(rng, 1, 8)[0]
     assert gaussian_kernel(v, v, 0.5) == 1.0
     # construct a pair at exactly squared distance eps
     a = np.zeros(4, complex)
@@ -58,7 +57,7 @@ def test_gaussian_kernel_errors():
     rng = np.random.default_rng(1)
     a = make_artf(rng, 2, 4)
     with pytest.raises(ValueError, match="positive"):
-        gaussian_kernel(a.features[0], a.features[0], 0.0)
+        gaussian_kernel(a[0], a[0], 0.0)
 
 
 def test_gram_stack_singleton_and_symmetry():
@@ -88,7 +87,7 @@ def test_gram_stack_matches_elementwise_kernel():
     for m in range(2):
         for i, a in enumerate(a_set):
             for j, b in enumerate(b_set):
-                want = gaussian_kernel(a.features[m], b.features[m], hp.eps[m])
+                want = gaussian_kernel(a[m], b[m], hp.eps[m])
                 assert g.per_node[m, i, j] == pytest.approx(want, rel=1e-12)
     np.testing.assert_allclose(g.summed, g.per_node.sum(axis=0), atol=0)
 
@@ -101,7 +100,7 @@ def test_gram_stack_shape_errors():
         kn.gram_stack(a_set, make_set(rng, 3, 2, 4), hp)
     with pytest.raises(ValueError, match="hyperparameters"):
         kn.gram_stack(make_set(rng, 3, 3, 5), None, hp)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match=r"shape \(n, M, D\)"):
         kn.gram_stack([], None, hp)
 
 
@@ -109,8 +108,8 @@ def test_node_manifold_kernel_small_cases():
     rng = np.random.default_rng(19)
     hp = kn.Hyperparameters(eps=[1.5])
     sole = make_artf(rng, 1, 4)
-    assert node_manifold_kernel(sole, sole, [sole], 1, hp) == pytest.approx(1.0, rel=1e-14)
-    pool = [sole] + make_set(rng, 5, 1, 4)
+    assert node_manifold_kernel(sole, sole, sole[None], 1, hp) == pytest.approx(1.0, rel=1e-14)
+    pool = np.concatenate([sole[None], make_set(rng, 5, 1, 4)])
     assert node_manifold_kernel(sole, sole, pool, 1, hp) >= 1.0
 
 
@@ -144,10 +143,10 @@ def test_cross_node_kernel_errors():
     rng = np.random.default_rng(31)
     hp = kn.Hyperparameters(eps=[1.0, 1.0])
     r = make_artf(rng, 2, 4)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match=r"shape \(n, M, D\)"):
         cross_node_kernel(r, r, 1, 1, [], hp)
     with pytest.raises(ValueError, match="1-based"):
-        cross_node_kernel(r, r, 0, 1, [r], hp)
+        cross_node_kernel(r, r, 0, 1, r[None], hp)
 
 
 def test_mmgp_covariance_matches_double_sum():
@@ -210,13 +209,9 @@ def test_mmgp_covariance_node_permutation_invariant():
     a_set = make_set(rng, 4, num_nodes, dim)
     perm = [2, 0, 1]
 
-    def permute(agg):
-        return rf.AggregatedRtf(features=agg.features[perm])
-
     hp_p = kn.Hyperparameters(eps=hp.eps[perm])
     base = kn.mmgp_covariance(a_set, None, pool, hp)
-    permuted = kn.mmgp_covariance([permute(a) for a in a_set], None,
-                                  [permute(s) for s in pool], hp_p)
+    permuted = kn.mmgp_covariance(a_set[:, perm], None, pool[:, perm], hp_p)
     np.testing.assert_allclose(permuted, base, rtol=1e-13)
 
 
@@ -244,7 +239,7 @@ def test_median_heuristic():
         assert eps[m] == pytest.approx(np.median(dists), rel=1e-12)
     # degenerate: every sample identical in one node
     clone = make_artf(rng, 1, 4)
-    eps_d = kn.median_heuristic([clone, clone, clone])
+    eps_d = kn.median_heuristic(np.stack([clone, clone, clone]))
     assert eps_d[0] == 1.0
     with pytest.raises(ValueError, match="two samples"):
-        kn.median_heuristic([clone])
+        kn.median_heuristic(clone[None])

@@ -126,7 +126,7 @@ def test_update_with_distant_sample_is_identity_on_inverse():
     gamma_before = model.gamma.copy()
     sigma_before = model.sigma_l.copy()
     far = make_artf(rng, 2, 4)
-    far.features += 1e6  # pushes every kernel to exact underflow
+    far += 1e6  # pushes every kernel to exact underflow
     model.update_recursive(far)
     np.testing.assert_array_equal(model.gamma, gamma_before)
     np.testing.assert_array_equal(model.sigma_l, sigma_before)
@@ -161,7 +161,7 @@ def test_recursive_equals_batch_refit():
         recursive = [model.predict_recursive(t) for t in stream]
 
         for i, t in enumerate(stream):
-            batch = mm.fit(pool + stream[: i + 1], positions, hp)
+            batch = mm.fit(np.concatenate([pool, stream[: i + 1]]), positions, hp)
             ref = batch.predict(t)
             scale = max(1.0, np.abs(ref.position).max())
             assert np.abs(recursive[i].position - ref.position).max() / scale < 1e-10
@@ -346,14 +346,15 @@ def test_near_duplicate_blocks_are_absorbed_once():
         return sim.render_measurement(scene, pos, signal, seed + (1,))
 
     grid = np.array([[1.25 + 0.5 * i, 1.75 + 0.5 * j, 1.5] for i in range(4) for j in range(4)])
-    pool = [rf.artf_from_record(record(p, 2.0, (5, k)), cfg) for k, p in enumerate(grid)]
+    pool = np.stack([rf.artf_from_record(record(p, 2.0, (5, k)), cfg).stack()
+                     for k, p in enumerate(grid)])
     model = mm.fit(pool, grid, ho.optimize(pool, grid).hyperparameters)
     errors = {"static": [], "gated": [], "every block": []}
     for s, spot in enumerate(cli.loop_positions([2.0, 2.5, 1.5], 0.6, 4, 0.05, 3003)):
         signals = record(spot, 1.0 + 0.25 * (num_blocks - 1), (5, 99, s)).signals
         blocks = [rf.artf_from_record(sim.MeasurementRecord(
-            signals=signals[:, k * fs // 4:k * fs // 4 + fs], sample_rate=fs, num_nodes=3), cfg)
-            for k in range(num_blocks)]
+            signals=signals[:, k * fs // 4:k * fs // 4 + fs], sample_rate=fs, num_nodes=3),
+            cfg).stack() for k in range(num_blocks)]
         gated, ungated = copy.deepcopy(model), copy.deepcopy(model)
         for block in blocks:
             errors["static"].append(model.predict(block).position - spot)
@@ -423,7 +424,7 @@ def test_labels_without_coordinates_are_rejected():
 
 def test_fit_copies_the_callers_features():
     rng = np.random.default_rng(73)
-    feats = kn.stack_features(make_set(rng, 7, 2, 4))
+    feats = make_set(rng, 7, 2, 4)
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.05)
     model = mm.fit(feats, rng.uniform(0.0, 4.0, (4, 2)), hp)
     assert feats.flags.writeable and not np.shares_memory(feats, model.pool)
@@ -578,7 +579,7 @@ def test_loaded_streamed_model_equals_a_fit_on_its_pool(tmp_path):
 
 def test_fit_rejects_features_that_overflow_the_gram():
     rng = np.random.default_rng(109)
-    pool = kn.stack_features(make_set(rng, 5, 2, 4))
+    pool = make_set(rng, 5, 2, 4)
     pool[1, 1, 2] = 1e200  # a labelled feature: finite, but its squared norm is not
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.05)
     with warnings.catch_warnings():

@@ -271,8 +271,7 @@ def test_one_stft_features_match_welch_reference_bits():
                                    true_position=rng.uniform(1.0, 2.0, 3))
         got = rf.artf_from_record(rec, cfg)
         want = reference_artf_from_record(rec, cfg)
-        assert got.stack().tobytes() == want.stack().tobytes()
-        assert got.true_position.tobytes() == want.true_position.tobytes()
+        assert got.stack().tobytes() == want.tobytes()
         m = int(rng.integers(1, num_nodes + 1))
         assert (rf.artf_from_record(rec, cfg).stack()[m - 1].tobytes()
                 == reference_estimate_rtf(rec, m, cfg).tobytes())
@@ -294,7 +293,7 @@ def test_features_do_not_depend_on_signal_layout():
     cfg = rf.SpectralConfig()
     want = reference_artf_from_record(
         ac.MeasurementRecord(signals=x[:, 500:16500].copy(), sample_rate=16000.0,
-                             num_nodes=3), cfg).stack().tobytes()
+                             num_nodes=3), cfg).tobytes()
     for signals in (np.asfortranarray(x[:, 500:16500]), x[:, 500:16500]):
         rec = ac.MeasurementRecord(signals=signals, sample_rate=16000.0, num_nodes=3)
         assert not rec.signals.flags.c_contiguous
@@ -357,11 +356,9 @@ def test_golden_desk_features_digest(tmp_path):
 
 def test_aggregated_rtf_validation():
     rows = np.arange(6.0).reshape(2, 3) * (1 - 1j)
-    agg = rf.AggregatedRtf(features=rows, true_position=[1, 2, 1.5])
+    agg = rf.AggregatedRtf(features=rows)
     assert agg.stack() is agg.features
     np.testing.assert_array_equal(agg.stack(), rows)
-    assert agg.true_position.dtype == float
-    assert rf.AggregatedRtf(features=rows).true_position is None
     for bad in (np.ones(3, complex), np.ones((2, 2, 2), complex), np.ones((0, 3), complex)):
         with pytest.raises(ValueError, match="nonempty"):
             rf.AggregatedRtf(features=bad)
@@ -370,8 +367,6 @@ def test_aggregated_rtf_validation():
         bad[1, 2] = entry
         with pytest.raises(ValueError, match="non-finite"):
             rf.AggregatedRtf(features=bad)
-    with pytest.raises(ValueError, match="3-vector"):
-        rf.AggregatedRtf(features=rows, true_position=[1.0, 2.0])
     # signals near the float limit overflow the spectra to inf and nan
     x = np.random.default_rng(67).standard_normal((2, 16000)) * 1e200
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -389,7 +384,6 @@ def test_artf_from_record_two_nodes():
     rec = ac.render_measurement(scene, [2.0, 2.5, 1.5], sig, seed=0)
     agg = rf.artf_from_record(rec, cfg)
     assert agg.features.shape == (2, rf.band_bins(cfg).size)
-    np.testing.assert_allclose(agg.true_position, [2.0, 2.5, 1.5])
     # each node's row equals the estimate from a record of that node alone
     for m in range(2):
         alone = ac.MeasurementRecord(signals=rec.signals[2 * m:2 * m + 2],
