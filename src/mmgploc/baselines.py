@@ -162,7 +162,10 @@ def _averaged_gcc(signals: np.ndarray, cfg: SrpConfig):
     """Frame-averaged band-limited GCC-PHAT for every channel pair.
 
     Returns (gcc, pairs): gcc is (num_pairs, _FRAME_LENGTH) at circular
-    integer lags, pairs lists (i, j) channel indices with i < j.
+    integer lags, pairs lists (i, j) channel indices with i < j.  Per frame
+    and pair, PHAT keeps the in-band bins above 1e-12 of the pair's peak
+    magnitude; the inverse FFT is linear, so the masked PHAT spectra are
+    summed over frames and inverted once.
     """
     n = _FRAME_LENGTH
     if signals.shape[1] < n:
@@ -175,20 +178,15 @@ def _averaged_gcc(signals: np.ndarray, cfg: SrpConfig):
     freqs = np.fft.rfftfreq(n, 1.0 / cfg.sample_rate)
     band = (freqs >= cfg.band_low_hz) & (freqs <= cfg.band_high_hz)
     pairs = list(itertools.combinations(range(signals.shape[0]), 2))
-    gcc = np.zeros((len(pairs), n))
+    first, second = np.array(pairs).T
+    acc = np.zeros((len(pairs), freqs.size), dtype=complex)
     for start in starts:
         spec = np.fft.rfft(signals[:, start:start + n] * window, axis=1)
-        for p, (i, j) in enumerate(pairs):
-            cross = np.conj(spec[i]) * spec[j]
-            mag = np.abs(cross)
-            phat = np.zeros_like(cross)
-            # masked normalization: bins with negligible power stay zero
-            peak = mag.max()
-            keep = band & (mag > 1e-12 * peak) if peak > 0 else np.zeros_like(band)
-            np.divide(cross, mag, out=phat, where=keep)
-            gcc[p] += np.fft.irfft(phat, n)
-    gcc /= len(starts)
-    return gcc, pairs
+        cross = np.conj(spec[first]) * spec[second]
+        mag = np.abs(cross)
+        keep = band & (mag > 1e-12 * mag.max(axis=1, keepdims=True))
+        acc += np.divide(cross, mag, out=np.zeros_like(cross), where=keep)
+    return np.fft.irfft(acc, n, axis=1) / len(starts), pairs
 
 
 def srp_phat(record, cfg: SrpConfig) -> np.ndarray:
@@ -196,9 +194,11 @@ def srp_phat(record, cfg: SrpConfig) -> np.ndarray:
 
     The GCC is evaluated at the exact fractional inter-channel delay of
     each candidate by linear interpolation between circular integer lags;
-    ties go to the lowest flat grid index.  A ``MeasurementRecord`` must
-    be sampled at the config's rate; a bare (channels, samples) array is
-    taken to be.
+    ties go to the lowest flat grid index.  The GCC inverts each pair's
+    frame-summed PHAT spectra once; a pair keeps only in-band bins above
+    1e-12 of its own frame peak, so a silent channel's pairs add nothing.
+    A ``MeasurementRecord`` must be sampled at the config's rate; a bare
+    (channels, samples) array is taken to be, and must be finite.
     """
     if isinstance(record, MeasurementRecord):
         if record.sample_rate != cfg.sample_rate:
@@ -212,6 +212,8 @@ def srp_phat(record, cfg: SrpConfig) -> np.ndarray:
     if signals.shape[0] != cfg.num_channels:
         raise ValueError(
             f"record has {signals.shape[0]} channels, config {cfg.num_channels}")
+    if not np.all(np.isfinite(signals)):
+        raise ValueError("non-finite samples in record")
     if not np.any(signals):
         raise ValueError("silent record: all channels are zero")
 

@@ -388,6 +388,8 @@ def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
     import numpy as np
     from . import dataio as dio
 
+    if block_size < 1:
+        raise ValueError(f"block size must be at least 1, got {block_size}")
     manifest = dio.load_manifest(Path(dataset_dir) / dio.EVALUATION_NAME)
     est_hash, rows = _read_estimates(estimates_path)
     _check_hash(est_hash, manifest["config_hash"], "estimates", "dataset")

@@ -52,10 +52,13 @@ class GramStack:
 
 
 def stack_features(samples) -> np.ndarray:
-    """An (n, M, D) feature array as C-contiguous complex; may be the caller's own array."""
+    """An (n, M, D) finite feature array as C-contiguous complex; may be the caller's own array."""
     if np.ndim(samples) != 3:
         raise ValueError("feature array must have shape (n, M, D)")
-    return np.ascontiguousarray(samples, dtype=complex)
+    features = np.ascontiguousarray(samples, dtype=complex)
+    if not np.isfinite(features).all():
+        raise ValueError("non-finite entries in feature array")
+    return features
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:

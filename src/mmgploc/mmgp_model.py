@@ -221,7 +221,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def as_sample(h_t, shape) -> np.ndarray:
     """One test sample, an (M, D) array, as C-contiguous complex; ``shape`` is the model's (M, D)."""
     if np.ndim(h_t) != 2:
-        raise ValueError("predict/update take one sample at a time")
+        raise ValueError("predict/update take one sample at a time, an (M, D) array; "
+                         f"got {type(h_t).__name__} of shape {np.shape(h_t)}")
     if np.shape(h_t) != tuple(shape):
         raise ValueError(f"sample shape {np.shape(h_t)} != model features {tuple(shape)}")
     return np.ascontiguousarray(h_t, dtype=complex)

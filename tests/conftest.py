@@ -1,11 +1,13 @@
 """Shared builders and brute-force oracles for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from mmgploc import acoustic_sim as ac
+from mmgploc import baselines as bl
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
 from mmgploc import rtf_features as rf
@@ -262,3 +264,37 @@ def reference_update_recursive(model, h_t):
     model.pool = np.concatenate([model.pool, t])
     model.update_count += 1
     return model
+
+
+def reference_averaged_gcc(signals, cfg):
+    """``baselines._averaged_gcc`` with one inverse FFT per frame and pair.
+
+    The GCC stage as it was before the frame-summed spectra, kept as the
+    oracle: each pair's masked PHAT spectrum is inverted frame by frame and
+    the GCCs are averaged, and a pair whose frame peak is 0 keeps no bin.
+    """
+    n = bl._FRAME_LENGTH
+    if signals.shape[1] < n:
+        padded = np.zeros((signals.shape[0], n))
+        padded[:, :signals.shape[1]] = signals
+        signals = padded
+    hop = n // 2
+    starts = range(0, signals.shape[1] - n + 1, hop)
+    window = rf.hann_window(n)
+    freqs = np.fft.rfftfreq(n, 1.0 / cfg.sample_rate)
+    band = (freqs >= cfg.band_low_hz) & (freqs <= cfg.band_high_hz)
+    pairs = list(itertools.combinations(range(signals.shape[0]), 2))
+    gcc = np.zeros((len(pairs), n))
+    for start in starts:
+        spec = np.fft.rfft(signals[:, start:start + n] * window, axis=1)
+        for p, (i, j) in enumerate(pairs):
+            cross = np.conj(spec[i]) * spec[j]
+            mag = np.abs(cross)
+            phat = np.zeros_like(cross)
+            # masked normalization: bins with negligible power stay zero
+            peak = mag.max()
+            keep = band & (mag > 1e-12 * peak) if peak > 0 else np.zeros_like(band)
+            np.divide(cross, mag, out=phat, where=keep)
+            gcc[p] += np.fft.irfft(phat, n)
+    gcc /= len(starts)
+    return gcc, pairs

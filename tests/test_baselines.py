@@ -5,9 +5,11 @@ models and a dense conditional-Gaussian oracle; SRP-PHAT against
 synthetic free-field scenes with known geometry.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from conftest import make_artf, make_set
+from conftest import make_artf, make_set, reference_averaged_gcc
 
 import mmgploc.acoustic_sim as sim
 import mmgploc.baselines as bl
@@ -272,6 +274,78 @@ def test_srp_phat_short_signal_is_padded():
                                  duration=0.1)  # shorter than one frame
     got = bl.srp_phat(signals, cfg)
     np.testing.assert_allclose(got, [2.5, 3.0, 1.5], atol=1e-12)
+
+
+def room_grid():
+    return bl.SrpConfig(mic_positions=room_mics(),
+                        grid_min=[1.0, 1.0, 1.0], grid_max=[3.0, 4.0, 2.0],
+                        resolution=0.5)
+
+
+def gcc_scenes():
+    """Free-field scenes (one shorter than a frame) and a reverberant, noisy record."""
+    rng = np.random.default_rng(67)
+    mics = room_mics()
+    scenes = [free_field_signals(rng, np.array(source), mics, duration=duration)
+              for source, duration in (([2.0, 2.5, 1.5], 1.0), ([1.5, 3.5, 1.5], 2.0),
+                                       ([2.5, 3.0, 1.5], 0.1))]
+    scene = sim.SceneConfig(room_dims=(4.0, 5.0, 3.0), mic_positions=mics.reshape(3, 2, 3),
+                            t60=0.4, snr_db=20.0, sample_rate=16000.0)
+    spec = sim.SourceSetSpec(positions=[[1.5, 3.0, 1.4]], signal_kind="wgn",
+                             duration_s=2.0, seed=71)
+    record = sim.render_measurement(scene, spec.positions[0],
+                                    sim.make_signal(spec, 0, scene.sample_rate),
+                                    seed=(71, 0, 1))
+    return scenes + [record.signals]
+
+
+def assert_gcc_near_oracle(got, want):
+    # summing the spectra before one inverse FFT reorders the additions;
+    # the measured difference is 5.3e-16 of the peak at most
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_averaged_gcc_matches_the_per_frame_oracle(monkeypatch):
+    cfg = room_grid()
+    scenes = gcc_scenes()
+    for signals in scenes:
+        got, pairs = bl._averaged_gcc(signals, cfg)
+        want, want_pairs = reference_averaged_gcc(signals, cfg)
+        assert pairs == want_pairs
+        assert_gcc_near_oracle(got, want)
+    estimates = [bl.srp_phat(signals, cfg) for signals in scenes]
+    monkeypatch.setattr(bl, "_averaged_gcc", reference_averaged_gcc)
+    for signals, estimate in zip(scenes, estimates):
+        np.testing.assert_array_equal(bl.srp_phat(signals, cfg), estimate)
+
+
+def test_averaged_gcc_pairs_with_a_silent_channel_are_zero():
+    rng = np.random.default_rng(73)
+    cfg = room_grid()
+    signals = free_field_signals(rng, np.array([2.0, 2.5, 1.5]), room_mics())
+    signals[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, pairs = bl._averaged_gcc(signals, cfg)
+        bl.srp_phat(signals, cfg)
+    want, _ = reference_averaged_gcc(signals, cfg)
+    silent = [p for p, pair in enumerate(pairs) if 2 in pair]
+    assert len(silent) == 5
+    assert not np.any(got[silent]) and not np.any(want[silent])
+    assert_gcc_near_oracle(got, want)
+
+
+def test_srp_phat_rejects_non_finite_samples():
+    rng = np.random.default_rng(79)
+    mics = room_mics()[:2]
+    cfg = bl.SrpConfig(mic_positions=mics, grid_min=[0.5, 0.5, 1.0],
+                       grid_max=[1.5, 1.5, 1.0], resolution=0.5)
+    signals = free_field_signals(rng, np.array([1.0, 1.5, 1.0]), mics)
+    for bad in (np.nan, np.inf, -np.inf):
+        corrupt = signals.copy()
+        corrupt[1, 100] = bad
+        with pytest.raises(ValueError, match="non-finite samples in record"):
+            bl.srp_phat(corrupt, cfg)
 
 
 def test_srp_config_validation():

@@ -280,6 +280,17 @@ def test_evaluate_rejects_an_estimates_file_without_header(pipeline, tmp_path, c
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_evaluate_rejects_a_block_size_below_one(pipeline, tmp_path, capsys):
+    for size in (0, -1):
+        assert cli.main(["evaluate", "--estimates", str(pipeline["est"]),
+                         "--dataset", str(pipeline["ds"]), "--output", str(tmp_path / "m.csv"),
+                         "--block-size", str(size)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "ValueError"
+        assert err["error"] == f"block size must be at least 1, got {size}"
+        assert not (tmp_path / "m.csv").exists()
+
+
 def test_streaming_and_shuffle(pipeline, tmp_path):
     est1 = tmp_path / "s1.csv"
     assert cli.main(["localize", "--model", str(pipeline["model"]),

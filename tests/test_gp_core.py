@@ -23,6 +23,7 @@ from mmgploc import baselines as bl
 from mmgploc import hyperopt as ho
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
+from mmgploc import rtf_features as rf
 
 PINS = {
     "save_model": "56dbc05558f2bcb312f1f32f18794d444aa0367641ff9db9abdb1bcc6883726e",
@@ -89,3 +90,39 @@ def test_predict_rejects_wrong_sample_shape(method):
     for bad in (tests[0, :2], np.concatenate([tests[0], tests[0, :, :1]], axis=1)):
         with pytest.raises(ValueError, match="sample shape"):
             model.predict(bad)
+    # one sample, but the object rather than its (M, D) array
+    with pytest.raises(ValueError, match=r"one sample at a time.*got AggregatedRtf of shape \(\)"):
+        model.predict(rf.AggregatedRtf(features=tests[0]))
+
+
+@pytest.mark.parametrize("method", sorted(FITS))
+def test_fit_and_predict_reject_non_finite_features(method):
+    pool, positions, tests, hp = problem()
+    model = FITS[method](pool, positions, hp)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        unlabelled = pool.copy()
+        unlabelled[8, 1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries in feature array"):
+            FITS[method](unlabelled, positions, hp)
+        sample = tests[0].copy()
+        sample[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries in feature array"):
+            model.predict(sample)
+
+
+def test_learning_and_streaming_reject_non_finite_features():
+    pool, positions, tests, hp = problem()
+    unlabelled = pool.copy()
+    unlabelled[8, 1, 2] = np.nan
+    for learn in (lambda: ho.optimize(unlabelled, positions),
+                  lambda: ho.log_likelihood_and_grad(hp, unlabelled, positions),
+                  lambda: kn.median_heuristic(unlabelled)):
+        with pytest.raises(ValueError, match="non-finite entries in feature array"):
+            learn()
+    model = mm.fit(pool, positions, hp)
+    sample = tests[0].copy()
+    sample[0, 3] = np.nan
+    for step in (model.update_recursive, model.predict_recursive):
+        with pytest.raises(ValueError, match="non-finite entries in feature array"):
+            step(sample)
+    assert model.update_count == 0 and model.pool.shape[0] == pool.shape[0]
