@@ -2,9 +2,10 @@
 
 One JSON config file drives the whole pipeline.  Every artifact carries
 the hash of the resolved config that produced it, and commands refuse to
-mix artifacts from different configs.  Heavy imports happen inside the
-command functions so the ``MMGP_THREADS`` cap is applied to the linear
-algebra backends before they load.
+mix artifacts from different configs.  Importing this module applies the
+``MMGP_THREADS`` cap before NumPy loads; the SciPy-backed modules are
+imported inside the commands that use them, so each process loads only
+what its command needs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-METHODS = ("mmgp", "mean", "kernel-product", "srp-phat")
-
-_ROLE_OFFSETS = {"labeled": 1, "unlabeled": 2, "test": 3}
-
 
 def _cap_threads() -> None:
     """Honor MMGP_THREADS by capping the numeric backends' thread pools."""
@@ -31,6 +28,19 @@ def _cap_threads() -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         os.environ[var] = cap
+
+
+_cap_threads()
+
+# NumPy, and every module that imports it, loads after the cap
+import numpy as np  # noqa: E402
+
+from . import dataio as dio  # noqa: E402
+from .kernels import Hyperparameters, median_heuristic  # noqa: E402
+
+METHODS = ("mmgp", "mean", "kernel-product", "srp-phat")
+
+_ROLE_OFFSETS = {"labeled": 1, "unlabeled": 2, "test": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +57,6 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
     for is a ``ValueError``.  Output locations never enter the hash.
     """
     from .acoustic_sim import SceneConfig
-    from .dataio import check_section_keys
     from .rtf_features import SpectralConfig
 
     with open(path) as fh:
@@ -69,8 +78,8 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
     if "scene" not in cfg:
         raise ValueError("config needs a 'scene' section")
     spectral = cfg.get("spectral") or {}
-    check_section_keys(cfg["scene"], SceneConfig, "scene")
-    check_section_keys(spectral, SpectralConfig, "spectral")
+    dio.check_section_keys(cfg["scene"], SceneConfig, "scene")
+    dio.check_section_keys(spectral, SpectralConfig, "spectral")
     scene = {**_field_defaults(SceneConfig), **cfg["scene"]}
     cfg["scene"] = scene
     cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
@@ -102,16 +111,12 @@ def _field_defaults(cls) -> dict:
 
 
 def config_fingerprint(cfg: dict) -> str:
-    from .dataio import config_hash
-
     hashed = {k: v for k, v in cfg.items() if k != "output_dir"}
-    return config_hash(hashed)
+    return dio.config_hash(hashed)
 
 
 def grid_positions(origin, spacing, counts):
     """Rectangular grid of source positions, first axis slowest."""
-    import numpy as np
-
     origin = np.asarray(origin, dtype=float)
     axes = [origin[i] + spacing * np.arange(int(counts[i])) for i in range(3)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -119,8 +124,6 @@ def grid_positions(origin, spacing, counts):
 
 
 def random_positions(low, high, count, seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     low = np.asarray(low, dtype=float)
     high = np.asarray(high, dtype=float)
@@ -129,8 +132,6 @@ def random_positions(low, high, count, seed):
 
 def nearest_neighbor_order(points):
     """Greedy tour from the first point; consecutive entries are neighbors."""
-    import numpy as np
-
     points = np.asarray(points, dtype=float)
     remaining = list(range(1, len(points)))
     order = [0]
@@ -147,8 +148,6 @@ def loop_positions(center, radius, count, jitter, seed):
     Consecutive points are neighbors and the path returns to its start,
     so samples absorbed early support the end of the stream.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
     theta = 2.0 * np.pi * np.arange(int(count)) / int(count)
@@ -159,8 +158,6 @@ def loop_positions(center, radius, count, jitter, seed):
 
 
 def _positions_for(sec: dict, role: str):
-    import numpy as np
-
     if "positions" in sec:
         pts = np.asarray(sec["positions"], dtype=float)
     elif "grid" in sec:
@@ -187,10 +184,9 @@ def _positions_for(sec: dict, role: str):
 
 def cmd_simulate(cfg: dict, out_dir) -> str:
     from . import acoustic_sim as sim
-    from .dataio import scene_from_dict, spectral_from_dict
 
-    scene = scene_from_dict(cfg["scene"])
-    spectral = spectral_from_dict(cfg["spectral"])
+    scene = dio.scene_from_dict(cfg["scene"])
+    spectral = dio.spectral_from_dict(cfg["spectral"])
     specs = {}
     for role in ("labeled", "unlabeled", "test"):
         sec = cfg[role]
@@ -206,7 +202,6 @@ def cmd_simulate(cfg: dict, out_dir) -> str:
 
 def cmd_features(dataset_dir) -> int:
     """Extract aggregated RTFs for every record and attach them."""
-    from . import dataio as dio
     from .rtf_features import artf_from_record
     from .acoustic_sim import MeasurementRecord
 
@@ -228,9 +223,6 @@ def cmd_features(dataset_dir) -> int:
 
 def _load_pool(manifest):
     """Training features, labeled first, plus the labeled positions."""
-    import numpy as np
-    from . import dataio as dio
-
     labeled = dio.records_by_role(manifest, "labeled")
     unlabeled = dio.records_by_role(manifest, "unlabeled")
     rows = [dio.read_record_features(manifest, r) for r in labeled + unlabeled]
@@ -239,9 +231,7 @@ def _load_pool(manifest):
 
 
 def _resolve_hyperparameters(cfg: dict, pool, positions, trace_path=None):
-    import numpy as np
     from . import hyperopt as ho
-    from .kernels import Hyperparameters, median_heuristic
 
     spec = cfg["hyperparameters"]
     if spec == "learn":
@@ -262,7 +252,6 @@ def _resolve_hyperparameters(cfg: dict, pool, positions, trace_path=None):
 
 
 def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
-    from . import dataio as dio
     from . import mmgp_model as mm
 
     manifest = dio.load_manifest(dataset_dir)
@@ -299,10 +288,7 @@ def _check_hash(a: str, b: str, what_a: str, what_b: str) -> None:
 
 
 def _test_entries(manifest, shuffle_seed=None):
-    import numpy as np
-    from .dataio import records_by_role
-
-    entries = records_by_role(manifest, "test")
+    entries = dio.records_by_role(manifest, "test")
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(len(entries))
         entries = [entries[i] for i in order]
@@ -311,7 +297,6 @@ def _test_entries(manifest, shuffle_seed=None):
 
 def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
                  shuffle_seed=None) -> str:
-    from . import dataio as dio
     from . import mmgp_model as mm
 
     manifest = dio.load_manifest(dataset_dir)
@@ -331,10 +316,7 @@ def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
 
 def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
                  model_path=None) -> str:
-    import numpy as np
     from . import baselines as bl
-    from . import dataio as dio
-    from .kernels import Hyperparameters
 
     if method not in ("mean", "kernel-product", "srp-phat"):
         raise ValueError(f"unknown baseline {method!r}")
@@ -385,9 +367,6 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
 
 
 def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
-    import numpy as np
-    from . import dataio as dio
-
     if block_size < 1:
         raise ValueError(f"block size must be at least 1, got {block_size}")
     manifest = dio.load_manifest(Path(dataset_dir) / dio.EVALUATION_NAME)
@@ -410,12 +389,9 @@ def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
 
 def _write_metrics(path, config_hash: str, ids, errors, rmse: float, block_size: int) -> None:
     """Metrics CSV: the RMSE, one error per sample and per-block means."""
-    import numpy as np
-    from .dataio import atomic_write
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(path, "w", newline="") as fh:
+    with dio.atomic_write(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["section", "key", "value"])
@@ -433,13 +409,11 @@ def _write_metrics(path, config_hash: str, ids, errors, rmse: float, block_size:
 
 
 def _write_estimates(path, config_hash: str, rows) -> None:
-    from .dataio import atomic_write
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     c = len(rows[0][1]) if rows else 3
     names = ["x", "y", "z"][:c]
-    with atomic_write(path, "w", newline="") as fh:
+    with dio.atomic_write(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["id"] + names + [f"var_{n}" for n in names])
@@ -449,8 +423,6 @@ def _write_estimates(path, config_hash: str, rows) -> None:
 
 
 def _read_estimates(path):
-    import numpy as np
-
     with open(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("# config_hash="):
@@ -552,7 +524,6 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     try:
         return run(argv)
     except Exception as exc:  # single machine-readable failure line

@@ -423,16 +423,49 @@ def test_thread_cap(monkeypatch):
     assert os.environ["MKL_NUM_THREADS"] == "2"
 
 
-def test_console_entry_point(pipeline, tmp_path):
+def _child_env():
     # the child must import the package under test, also when only
     # pytest's own path setting found it
     src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# a meta-path finder that notes OPENBLAS_NUM_THREADS when NumPy is first imported
+_NUMPY_SPY = """
+import os, sys
+class Spy:
+    seen = []
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+"""
+
+
+@pytest.mark.parametrize("run", ["python -m mmgploc evaluate", "import mmgploc.cli"])
+def test_thread_cap_is_set_before_numpy_loads(pipeline, tmp_path, run):
+    if run == "import mmgploc.cli":
+        body = "import mmgploc.cli\nimport numpy\n"
+    else:
+        argv = ["mmgploc", "evaluate", "--estimates", str(pipeline["est"]),
+                "--dataset", str(pipeline["ds"]), "--output", str(tmp_path / "m.csv")]
+        body = (f"import runpy\nsys.argv = {argv!r}\n"
+                "try:\n    runpy.run_module('mmgploc', run_name='__main__')\n"
+                "except SystemExit as exit:\n    assert exit.code == 0, exit.code\n")
+    env = {k: v for k, v in _child_env().items() if not k.endswith("_THREADS")}
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_SPY + body + "print(Spy.seen)\n"],
+        capture_output=True, text=True, env=dict(env, MMGP_THREADS="1"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "['1']"
+
+
+def test_console_entry_point(pipeline, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "mmgploc", "evaluate",
          "--estimates", str(pipeline["est"]), "--dataset", str(pipeline["ds"]),
          "--output", str(tmp_path / "m.csv")],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0
     assert result.stdout.startswith("rmse=")
