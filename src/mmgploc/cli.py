@@ -47,27 +47,23 @@ _ROLE_OFFSETS = {"labeled": 1, "unlabeled": 2, "test": 3}
 # configuration
 
 
-def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
+def resolve_config(path, seed=None) -> dict:
     """Load a config file and normalize it to a fully explicit dict.
 
-    Command-line overrides replace the corresponding fields before
-    defaults are filled in, so the config hash reflects what actually
-    ran.  Scene and spectral defaults are the ``SceneConfig`` and
-    ``SpectralConfig`` field defaults, and a key neither class has a field
-    for is a ``ValueError``.  Output locations never enter the hash.
+    A ``seed`` from the command line replaces the config's before defaults
+    are filled in, so the config hash reflects what actually ran.  Scene
+    and spectral defaults are the ``SceneConfig`` and ``SpectralConfig``
+    field defaults, and a key neither class has a field for is a
+    ``ValueError``, as is a section, placement or ``srp`` field of the
+    wrong type.  Output locations never enter the hash.
     """
     from .acoustic_sim import SceneConfig
     from .rtf_features import SpectralConfig
 
     with open(path) as fh:
-        raw = json.load(fh)
-    cfg = dict(raw)
+        cfg = dict(_object(json.load(fh), "config"))
     if seed is not None:
         cfg["seed"] = seed
-    if method is not None:
-        cfg["method"] = method
-    if streaming is not None:
-        cfg["streaming"] = streaming
 
     cfg.setdefault("seed", 0)
     cfg.setdefault("method", "mmgp")
@@ -77,10 +73,11 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
     if "scene" not in cfg:
         raise ValueError("config needs a 'scene' section")
-    spectral = cfg.get("spectral") or {}
-    dio.check_section_keys(cfg["scene"], SceneConfig, "scene")
+    scene = _object(cfg["scene"], "'scene' section")
+    spectral = _object(cfg.get("spectral") or {}, "'spectral' section")
+    dio.check_section_keys(scene, SceneConfig, "scene")
     dio.check_section_keys(spectral, SpectralConfig, "spectral")
-    scene = {**_field_defaults(SceneConfig), **cfg["scene"]}
+    scene = {**_field_defaults(SceneConfig), **scene}
     cfg["scene"] = scene
     cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
                        **spectral}
@@ -88,20 +85,85 @@ def resolve_config(path, seed=None, method=None, streaming=None) -> dict:
     for role in ("labeled", "unlabeled", "test"):
         if role not in cfg:
             raise ValueError(f"config needs a '{role}' section")
-        sec = dict(cfg[role])
+        sec = dict(_object(cfg[role], f"'{role}' section"))
+        _check_placement(sec, role)
         sec.setdefault("seed", 1000 * int(cfg["seed"]) + _ROLE_OFFSETS[role])
-        sig = dict(sec.get("signal") or {})
+        sig = dict(_object(sec.get("signal") or {}, f"'{role}' section's 'signal'"))
         sig.setdefault("kind", "wgn")
         sig.setdefault("duration_s", 2.0)
         sec["signal"] = sig
         cfg[role] = sec
 
+    if "srp" in cfg:
+        _check_fields(cfg["srp"], "'srp' section", _SRP_FIELDS)
     hp = cfg["hyperparameters"]
     if not (hp == "learn" or (isinstance(hp, dict) and
                               (hp.get("strategy") == "median" or "eps" in hp))):
         raise ValueError("hyperparameters must be 'learn', {'strategy': 'median', ...} "
                          "or an explicit {'eps': [...], 'sigma2': ...}")
     return cfg
+
+
+def _object(value, section: str) -> dict:
+    """``value`` if it is a JSON object, else a ``ValueError`` naming ``section``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{section} must be an object, got {value!r}")
+    return value
+
+
+def _is_number(v) -> bool:
+    # type() rather than isinstance: a bool is an int, but not a number here
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _is_point(v) -> bool:
+    return isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+# field -> (check, what it expects)
+_NUMBER = (_is_number, "a finite number")
+_POINT = (_is_point, "a list of 3 finite numbers")
+_COUNT = (_is_count, "a non-negative integer")
+_PLACEMENTS = {
+    "grid": {"origin": _POINT, "spacing": _NUMBER,
+             "counts": (lambda v: isinstance(v, list) and len(v) == 3
+                        and all(map(_is_count, v)), "a list of 3 non-negative integers")},
+    "random": {"low": _POINT, "high": _POINT, "count": _COUNT},
+    "loop": {"center": _POINT, "radius": _NUMBER, "count": _COUNT, "jitter": _NUMBER},
+}
+_SRP_FIELDS = {"grid_min": _POINT, "grid_max": _POINT, "resolution": _NUMBER}
+
+
+def _check_fields(spec, section: str, fields: dict, optional=()) -> None:
+    """``spec`` is an object whose ``fields`` pass their checks; those in ``optional`` may be absent."""
+    _object(spec, section)
+    for key, (ok, what) in fields.items():
+        if key not in spec:
+            if key in optional:
+                continue
+            raise ValueError(f"{section} needs {key!r}")
+        if not ok(spec[key]):
+            raise ValueError(f"{section}: {key!r} must be {what}, got {spec[key]!r}")
+
+
+def _check_placement(sec: dict, role: str) -> None:
+    """The placement ``_positions_for`` will use, the first of its four kinds present, is well typed.
+
+    A section with no placement resolves; ``_positions_for`` refuses it.
+    """
+    kind = next((k for k in ("positions", "grid", "random", "loop") if k in sec), None)
+    if kind is None:
+        return
+    section = f"'{role}' section's {kind!r}"
+    if kind != "positions":
+        _check_fields(sec[kind], section, _PLACEMENTS[kind], optional=("jitter",))
+    elif not (isinstance(sec[kind], list) and all(map(_is_point, sec[kind]))):
+        raise ValueError(f"{section} must be a list of [x, y, z] points of finite numbers, "
+                         f"got {sec[kind]!r}")
 
 
 def _field_defaults(cls) -> dict:
@@ -158,6 +220,7 @@ def loop_positions(center, radius, count, jitter, seed):
 
 
 def _positions_for(sec: dict, role: str):
+    """Source positions of a role section that ``resolve_config`` checked."""
     if "positions" in sec:
         pts = np.asarray(sec["positions"], dtype=float)
     elif "grid" in sec:

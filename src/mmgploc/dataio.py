@@ -216,6 +216,14 @@ def load_manifest(path) -> dict:
         raise ValueError(f"{path}: manifest must be a JSON object")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {manifest.get('format_version')}")
+    if not isinstance(manifest.get("config_hash"), str):
+        raise ValueError(f"{path}: 'config_hash' must be a string")
+    scene = manifest.get("scene")
+    mics = scene.get("mic_positions") if isinstance(scene, dict) else None
+    if not (isinstance(mics, list) and mics
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in mics)):
+        raise ValueError(f"{path}: 'scene' must be an object whose 'mic_positions' is a "
+                         f"non-empty list of per-node microphone pairs")
     if not isinstance(manifest.get("records"), list):
         raise ValueError(f"{path}: 'records' must be a list of record objects")
     for index, rec in enumerate(manifest["records"]):
@@ -228,7 +236,10 @@ def load_manifest(path) -> dict:
 
 
 def _check_record(index: int, rec) -> None:
-    """A manifest entry: an object with a string id, a known role and, if labelled, a position."""
+    """A manifest entry: an object with a string id, a known role and, if labelled, a position.
+
+    A position, where present, is a finite 3-vector.
+    """
     if not isinstance(rec, dict):
         raise ValueError(f"record #{index}: not an object")
     rec_id = rec.get("id")
@@ -238,14 +249,14 @@ def _check_record(index: int, rec) -> None:
         raise ValueError(f"record {rec_id}: missing role")
     if rec["role"] not in _ROLES:
         raise ValueError(f"record {rec_id}: unknown role {rec['role']!r}")
-    if rec["role"] != "labeled":
-        return
     pos = rec.get("true_position")
     if pos is None:
-        raise ValueError(f"labeled record {rec_id} lacks a position")
+        if rec["role"] == "labeled":
+            raise ValueError(f"labeled record {rec_id} lacks a position")
+        return
     if not (isinstance(pos, list) and len(pos) == 3
             and all(type(v) in (int, float) and math.isfinite(v) for v in pos)):
-        raise ValueError(f"labeled record {rec_id}: true_position must be a finite "
+        raise ValueError(f"{rec['role']} record {rec_id}: true_position must be a finite "
                          f"3-vector, got {pos!r}")
 
 
@@ -256,30 +267,47 @@ def records_by_role(manifest: dict, role: str) -> list:
 
 
 def read_record_signals(manifest: dict, entry: dict) -> np.ndarray:
-    return _read_record_blob(manifest, entry, entry["signal"])
+    """The record's (2M, n) signals: one row per microphone of the scene."""
+    signals = _read_record_blob(manifest, entry, entry.get("signal"))
+    channels = 2 * len(manifest["scene"]["mic_positions"])
+    if signals.ndim != 2 or signals.shape[0] != channels:
+        raise ValueError(f"record {entry['id']}: signals of shape {signals.shape}, not "
+                         f"(channels, samples) for the scene's {channels} microphones")
+    return signals
 
 
 def read_record_features(manifest: dict, entry: dict) -> np.ndarray:
+    """The record's (M, D) features: one row per node of the scene."""
     ref = entry.get("features")
     if ref is None:
         raise ValueError(f"record {entry['id']} has no extracted features; "
                          f"run feature extraction first")
-    return _read_record_blob(manifest, entry, ref)
+    features = _read_record_blob(manifest, entry, ref)
+    num_nodes = len(manifest["scene"]["mic_positions"])
+    if features.ndim != 2 or features.shape[0] != num_nodes:
+        raise ValueError(f"record {entry['id']}: features of shape {features.shape}, not "
+                         f"(nodes, D) for the scene's {num_nodes} nodes")
+    return features
 
 
-def _read_record_blob(manifest: dict, entry: dict, ref: dict) -> np.ndarray:
-    """The blob ``ref`` names, which must resolve inside the dataset directory.
+def _read_record_blob(manifest: dict, entry: dict, ref) -> np.ndarray:
+    """The blob ``ref`` names, a file that must resolve inside the dataset directory.
 
-    Its ``shape`` must be a list of non-negative ints whose product is the
-    blob's value count.
+    ``ref`` is an object with a string ``path`` and a ``shape``, a list of
+    non-negative ints whose product is the blob's value count.
     """
+    if not (isinstance(ref, dict) and isinstance(ref.get("path"), str)):
+        raise ValueError(f"record {entry['id']}: blob reference {ref!r} is not an object "
+                         f"with a string 'path'")
     root = Path(manifest["_dir"]).resolve()
     path = (root / ref["path"]).resolve()
     if not path.is_relative_to(root):
         raise ValueError(f"record {entry['id']}: blob path {ref['path']!r} "
                          f"resolves outside the dataset directory")
+    if not path.is_file():
+        raise ValueError(f"record {entry['id']}: blob path {ref['path']!r} is not a file")
     blob = read_blob(path)
-    shape = ref["shape"]
+    shape = ref.get("shape")
     # type() rather than isinstance: a bool is an int, and neither it nor a float is a size
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
             and math.prod(shape) == blob.size):

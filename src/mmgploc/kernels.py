@@ -81,15 +81,17 @@ def _sq_dists_symmetric(x: np.ndarray) -> np.ndarray:
     return np.clip(nn[:, None] + nn[None, :] - 2.0 * g, 0.0, None)
 
 
-def gram_stack(a_samples, b_samples, hp: Hyperparameters) -> GramStack:
+def gram_stack(a: np.ndarray, b: np.ndarray | None, hp: Hyperparameters) -> GramStack:
     """All M per-node Gram matrices between two sample sets and their sum.
 
-    Pass ``b_samples=None`` for the symmetric A=A case; that path has an
-    exactly-unit diagonal and exact symmetry.
+    The operands are checked (n, M, D) complex arrays, as ``stack_features``,
+    ``labelled_pool`` and ``as_sample`` return them; only their shapes are
+    checked here.  Pass ``b=None`` for the symmetric A=A case; that path has
+    an exactly-unit diagonal and exact symmetry.
     """
-    a = stack_features(a_samples)
-    symmetric = b_samples is None
-    b = a if symmetric else stack_features(b_samples)
+    symmetric = b is None
+    if symmetric:
+        b = a
     if a.shape[1:] != b.shape[1:]:
         raise ValueError(f"inconsistent (M, D): {a.shape[1:]} vs {b.shape[1:]}")
     if a.shape[1] != hp.num_nodes:
@@ -115,8 +117,8 @@ def mmgp_covariance(a_samples, b_samples, training_set, hp: Hyperparameters) -> 
     pool = stack_features(training_set)
     if pool.shape[0] == 0:
         raise ValueError("empty training set")
-    s_ad = gram_stack(a_samples, pool, hp).summed
-    s_bd = None if b_samples is None else gram_stack(b_samples, pool, hp).summed
+    s_ad = gram_stack(stack_features(a_samples), pool, hp).summed
+    s_bd = None if b_samples is None else gram_stack(stack_features(b_samples), pool, hp).summed
     return fused_from_sums(s_ad, s_bd, hp.num_nodes)
 
 

@@ -219,13 +219,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def as_sample(h_t, shape) -> np.ndarray:
-    """One test sample, an (M, D) array, as C-contiguous complex; ``shape`` is the model's (M, D)."""
+    """One finite test sample, an (M, D) array, as C-contiguous complex; ``shape`` is the model's (M, D)."""
     if np.ndim(h_t) != 2:
         raise ValueError("predict/update take one sample at a time, an (M, D) array; "
                          f"got {type(h_t).__name__} of shape {np.shape(h_t)}")
     if np.shape(h_t) != tuple(shape):
         raise ValueError(f"sample shape {np.shape(h_t)} != model features {tuple(shape)}")
-    return np.ascontiguousarray(h_t, dtype=complex)
+    return stack_features(np.asarray(h_t)[None])[0]
 
 
 def labelled_pool(training_set, labelled_positions, num_nodes: int):

@@ -78,11 +78,9 @@ def test_resolve_config_defaults(tmp_path):
     assert cfg["spectral"]["band_low_hz"] == 200.0
     assert cfg["labeled"]["seed"] == 5001
     assert cfg["test"]["seed"] == 5003
-    # explicit per-set seeds and overrides win
+    # a command-line seed wins
     override = cli.resolve_config(path, seed=9)
     assert override["seed"] == 9 and override["labeled"]["seed"] == 9001
-    assert cli.resolve_config(path, method="mean")["method"] == "mean"
-    assert cli.resolve_config(path, streaming=True)["streaming"] is True
 
 
 def test_resolve_config_validation(tmp_path):
@@ -103,6 +101,67 @@ def test_resolve_config_validation(tmp_path):
     path.write_text(json.dumps(tiny_config(hyperparameters={"nope": 1})))
     with pytest.raises(ValueError, match="hyperparameters"):
         cli.resolve_config(path)
+
+
+def _set(*keys, value=None, drop=False):
+    """A config mutation that sets (or drops) the entry at ``keys``."""
+    def mutate(cfg):
+        *parents, last = keys
+        for key in parents:
+            cfg = cfg[key]
+        if drop:
+            del cfg[last]
+        else:
+            cfg[last] = value
+    return mutate
+
+
+_CONFIG_FAULTS = {
+    "role section a list": (_set("labeled", value=[1, 2]),
+                            "'labeled' section must be an object, got [1, 2]"),
+    "signal a list": (_set("test", "signal", value=[1]), "'test' section's 'signal' must be"),
+    "grid counts a string": (_set("labeled", "grid", "counts", value="22"),
+                             "'labeled' section's 'grid': 'counts' must be a list of 3 "
+                             "non-negative integers, got '22'"),
+    "grid without origin": (_set("labeled", "grid", "origin", drop=True),
+                            "'labeled' section's 'grid' needs 'origin'"),
+    "grid spacing a bool": (_set("labeled", "grid", "spacing", value=True),
+                            "'grid': 'spacing' must be a finite number"),
+    "random count a float": (_set("unlabeled", "random", "count", value=2.0),
+                             "'unlabeled' section's 'random': 'count' must be a non-negative"),
+    "random low of length 2": (_set("test", "random", "low", value=[1.5, 2.0]),
+                               "'test' section's 'random': 'low' must be a list of 3"),
+    "random a string": (_set("test", "random", value="uniform"),
+                        "'test' section's 'random' must be an object"),
+    "positions with a string": (_set("test", "positions", value=[[1.5, "2", 1.5]]),
+                                "'test' section's 'positions' must be a list of"),
+    "loop jitter a string": (_set("test", value={"loop": {"center": [2.0, 2.5, 1.5],
+                                                          "radius": 0.3, "count": 3,
+                                                          "jitter": "0.05"}}),
+                             "'test' section's 'loop': 'jitter' must be a finite number"),
+    "srp a list": (_set("srp", value=[1]), "'srp' section must be an object, got [1]"),
+    "srp without resolution": (_set("srp", "resolution", drop=True),
+                               "'srp' section needs 'resolution'"),
+    "srp grid_max a number": (_set("srp", "grid_max", value=2.0),
+                              "'srp' section: 'grid_max' must be a list of 3"),
+    "spectral a string": (_set("spectral", value="fast"), "'spectral' section must be an object"),
+    "hyperparameters a list": (_set("hyperparameters", value=[1.0]), "hyperparameters must be"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_CONFIG_FAULTS))
+def test_malformed_config_sections_are_rejected(tmp_path, capsys, fault):
+    # the unmutated config simulates; each fault stops simulate before it writes anything
+    mutate, message = _CONFIG_FAULTS[fault]
+    cfg = tiny_config()
+    mutate(cfg)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(path), "--output", str(tmp_path / "ds")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ValueError"
+    assert message in err["error"]
+    assert not (tmp_path / "ds").exists()
 
 
 def test_minimal_config_fingerprint_pinned(tmp_path):
@@ -411,6 +470,25 @@ def test_localize_before_features_errors(pipeline, tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert "features" in err["error"]
+
+
+def test_features_with_more_rows_than_nodes_are_rejected(pipeline, tmp_path, capsys):
+    # each 1-node record's features repeated into 2 rows
+    ds = tmp_path / "ds"
+    shutil.copytree(pipeline["ds"], ds)
+    manifest = dio.load_manifest(ds)
+    dio.attach_features(ds, {e["id"]: np.repeat(dio.read_record_features(manifest, e), 2, axis=0)
+                             for e in manifest["records"]})
+    assert cli.main(["fit", "--config", str(pipeline["cfg"]), "--dataset", str(ds),
+                     "--output", str(tmp_path / "m.bin")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ValueError"
+    assert err["error"].startswith("record labeled_0000: features of shape (2, ")
+    assert not (tmp_path / "m.bin").exists()
+    assert cli.main(["localize", "--model", str(pipeline["model"]), "--dataset", str(ds),
+                     "--output", str(tmp_path / "e.csv")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"].startswith("record test_0000: features of shape (2, ")
 
 
 def test_thread_cap(monkeypatch):

@@ -373,6 +373,94 @@ def test_manifest_rejects_malformed_records(tmp_path, fault):
         dio.load_manifest(path)
 
 
+@pytest.fixture(scope="module")
+def featured_dataset(tmp_path_factory):
+    """A 1-node dataset with features, its manifest text and what each record holds.
+
+    Beside the record blobs lie a blob outside the dataset and two blobs of
+    the wrong shape for this scene, for mutations to point at.
+    """
+    root = tmp_path_factory.mktemp("mutants")
+    scene, records = small_scene(), make_records(small_scene())
+    path = Path(dio.write_dataset(root / "ds", scene, records, spectral=rf.SpectralConfig()))
+    rng = np.random.default_rng(4)
+    feats = {rec.record_id: rng.standard_normal((1, 7)) + 1j * rng.standard_normal((1, 7))
+             for _, rec in records}
+    dio.attach_features(root / "ds", feats)
+    dio.write_blob(root / "outside.f64", np.ones((2, 50)))
+    dio.write_blob(root / "ds" / "features" / "two_rows.c128", np.ones((2, 7), complex))
+    dio.write_blob(root / "ds" / "signals" / "four_rows.f64", np.ones((4, 50)))
+    truth = {rec.record_id: (rec.signals, feats[rec.record_id]) for _, rec in records}
+    return path, path.read_text(), truth
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a JSON document, as the keys and indices leading to it."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+_JUNK = [None, True, 0, -1, 2.5, float("nan"), "", "x", [], [1], {}, {"path": 3}]
+_BLOB_PATHS = ["../outside.f64", "signals/../../outside.f64", "/outside.f64", "", "signals",
+               "missing.f64", "manifest.json", "features/two_rows.c128",
+               "signals/four_rows.f64", "signals/labeled_0000.f64\0"]
+_SHAPES = [[2, 49], [100], [50, 2], [1, 7, 1], [7, 1], [7], [2, 7], [4, 50], [-2, -50]]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_manifest_is_rejected_or_loads_correctly(featured_dataset, data):
+    path, text, truth = featured_dataset
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 2))):
+        action = data.draw(st.sampled_from(["drop", "junk", "path", "shape"]))
+        if action in ("drop", "junk"):
+            where = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            if action == "drop":
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = data.draw(st.sampled_from(_JUNK))
+        else:
+            records = [r for r in doc.get("records", []) if isinstance(r, dict)]
+            refs = [r[k] for r in records for k in ("signal", "features")
+                    if isinstance(r.get(k), dict)]
+            if not refs:
+                continue
+            ref = data.draw(st.sampled_from(refs))
+            if action == "path":
+                ref["path"] = data.draw(st.sampled_from(_BLOB_PATHS))
+            else:
+                ref["shape"] = data.draw(st.sampled_from(_SHAPES))
+    mutant = path.with_name("mutant.json")
+    mutant.write_text(json.dumps(doc))
+    try:
+        manifest = dio.load_manifest(mutant)
+        read = {e["id"]: (dio.read_record_signals(manifest, e),
+                          dio.read_record_features(manifest, e)
+                          if e.get("features") is not None else None)
+                for e in manifest["records"]}
+    except ValueError:
+        return
+    # what loads is what the manifest names, in the scene's shape
+    original = {r["id"]: r for r in json.loads(text)["records"]}
+    for entry in manifest["records"]:
+        signals, features = read[entry["id"]]
+        assert signals.shape == tuple(entry["signal"]["shape"]) and signals.shape[0] == 2
+        if features is not None:
+            assert features.shape == tuple(entry["features"]["shape"]) == (1, 7)
+        before = original.get(entry["id"])
+        if before is not None and entry["signal"] == before["signal"]:
+            np.testing.assert_array_equal(signals, truth[entry["id"]][0])
+        if before is not None and features is not None and entry["features"] == before["features"]:
+            np.testing.assert_array_equal(features, truth[entry["id"]][1])
+
+
 def test_generate_dataset_is_deterministic(tmp_path):
     scene = small_scene()
     labeled = sim.SourceSetSpec(positions=[[1.0, 2.0, 1.5], [2.0, 3.0, 1.5]],

@@ -101,7 +101,7 @@ def test_gram_stack_shape_errors():
     with pytest.raises(ValueError, match="hyperparameters"):
         kn.gram_stack(make_set(rng, 3, 3, 5), None, hp)
     with pytest.raises(ValueError, match=r"shape \(n, M, D\)"):
-        kn.gram_stack([], None, hp)
+        kn.stack_features([])
 
 
 def test_node_manifold_kernel_small_cases():
