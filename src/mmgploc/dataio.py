@@ -238,7 +238,7 @@ def load_manifest(path) -> dict:
 def _check_record(index: int, rec) -> None:
     """A manifest entry: an object with a string id, a known role and, if labelled, a position.
 
-    A position, where present, is a finite 3-vector.
+    Any position given, on a record of any role, is a finite 3-vector.
     """
     if not isinstance(rec, dict):
         raise ValueError(f"record #{index}: not an object")
