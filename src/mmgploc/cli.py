@@ -61,7 +61,7 @@ def resolve_config(path, seed=None) -> dict:
     from .rtf_features import SpectralConfig
 
     with open(path) as fh:
-        cfg = dict(_object(json.load(fh), "config"))
+        cfg = dict(dio.check_fields(json.load(fh), "config", {}))
     if seed is not None:
         cfg["seed"] = seed
 
@@ -71,31 +71,34 @@ def resolve_config(path, seed=None) -> dict:
     cfg.setdefault("hyperparameters", "learn")
     if cfg["method"] not in METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
-    if "scene" not in cfg:
-        raise ValueError("config needs a 'scene' section")
-    scene = _object(cfg["scene"], "'scene' section")
-    spectral = _object(cfg.get("spectral") or {}, "'spectral' section")
-    dio.check_section_keys(scene, SceneConfig, "scene")
-    dio.check_section_keys(spectral, SpectralConfig, "spectral")
+    scene = dio.check_fields(cfg.get("scene"), "'scene' section", {},
+                             known=dio.field_names(SceneConfig))
+    spectral = dio.check_fields(cfg.get("spectral") or {}, "'spectral' section", {},
+                                known=dio.field_names(SpectralConfig))
     scene = {**_field_defaults(SceneConfig), **scene}
     cfg["scene"] = scene
     cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
                        **spectral}
 
     for role in ("labeled", "unlabeled", "test"):
-        if role not in cfg:
-            raise ValueError(f"config needs a '{role}' section")
-        sec = dict(_object(cfg[role], f"'{role}' section"))
-        _check_placement(sec, role)
+        where = f"'{role}' section"
+        sec = dict(dio.check_fields(cfg.get(role), where, {"positions": _POINTS},
+                                    optional=("positions",)))
+        # the placement _positions_for will use is the first of the four present;
+        # a section with none resolves, and _positions_for refuses it
+        kind = next((k for k in ("positions", *_PLACEMENTS) if k in sec), None)
+        if kind in _PLACEMENTS:
+            dio.check_fields(sec[kind], f"{where}'s {kind!r}", _PLACEMENTS[kind],
+                             optional=("jitter",))
         sec.setdefault("seed", 1000 * int(cfg["seed"]) + _ROLE_OFFSETS[role])
-        sig = dict(_object(sec.get("signal") or {}, f"'{role}' section's 'signal'"))
+        sig = dict(dio.check_fields(sec.get("signal") or {}, f"{where}'s 'signal'", {}))
         sig.setdefault("kind", "wgn")
         sig.setdefault("duration_s", 2.0)
         sec["signal"] = sig
         cfg[role] = sec
 
     if "srp" in cfg:
-        _check_fields(cfg["srp"], "'srp' section", _SRP_FIELDS)
+        dio.check_fields(cfg["srp"], "'srp' section", _SRP_FIELDS)
     hp = cfg["hyperparameters"]
     if not (hp == "learn" or (isinstance(hp, dict) and
                               (hp.get("strategy") == "median" or "eps" in hp))):
@@ -104,66 +107,18 @@ def resolve_config(path, seed=None) -> dict:
     return cfg
 
 
-def _object(value, section: str) -> dict:
-    """``value`` if it is a JSON object, else a ``ValueError`` naming ``section``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{section} must be an object, got {value!r}")
-    return value
-
-
-def _is_number(v) -> bool:
-    # type() rather than isinstance: a bool is an int, but not a number here
-    return type(v) in (int, float) and math.isfinite(v)
-
-
-def _is_point(v) -> bool:
-    return isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))
-
-
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
-
-
-# field -> (check, what it expects)
-_NUMBER = (_is_number, "a finite number")
-_POINT = (_is_point, "a list of 3 finite numbers")
-_COUNT = (_is_count, "a non-negative integer")
+# field -> (check, what it expects), as dataio.check_fields takes them
+_POINTS = (lambda v: isinstance(v, list) and all(map(dio.is_point, v)),
+           "a list of [x, y, z] points of finite numbers")
 _PLACEMENTS = {
-    "grid": {"origin": _POINT, "spacing": _NUMBER,
+    "grid": {"origin": dio.POINT, "spacing": dio.NUMBER,
              "counts": (lambda v: isinstance(v, list) and len(v) == 3
-                        and all(map(_is_count, v)), "a list of 3 non-negative integers")},
-    "random": {"low": _POINT, "high": _POINT, "count": _COUNT},
-    "loop": {"center": _POINT, "radius": _NUMBER, "count": _COUNT, "jitter": _NUMBER},
+                        and all(map(dio.is_count, v)), "a list of 3 non-negative integers")},
+    "random": {"low": dio.POINT, "high": dio.POINT, "count": dio.COUNT},
+    "loop": {"center": dio.POINT, "radius": dio.NUMBER, "count": dio.COUNT,
+             "jitter": dio.NUMBER},
 }
-_SRP_FIELDS = {"grid_min": _POINT, "grid_max": _POINT, "resolution": _NUMBER}
-
-
-def _check_fields(spec, section: str, fields: dict, optional=()) -> None:
-    """``spec`` is an object whose ``fields`` pass their checks; those in ``optional`` may be absent."""
-    _object(spec, section)
-    for key, (ok, what) in fields.items():
-        if key not in spec:
-            if key in optional:
-                continue
-            raise ValueError(f"{section} needs {key!r}")
-        if not ok(spec[key]):
-            raise ValueError(f"{section}: {key!r} must be {what}, got {spec[key]!r}")
-
-
-def _check_placement(sec: dict, role: str) -> None:
-    """The placement ``_positions_for`` will use, the first of its four kinds present, is well typed.
-
-    A section with no placement resolves; ``_positions_for`` refuses it.
-    """
-    kind = next((k for k in ("positions", "grid", "random", "loop") if k in sec), None)
-    if kind is None:
-        return
-    section = f"'{role}' section's {kind!r}"
-    if kind != "positions":
-        _check_fields(sec[kind], section, _PLACEMENTS[kind], optional=("jitter",))
-    elif not (isinstance(sec[kind], list) and all(map(_is_point, sec[kind]))):
-        raise ValueError(f"{section} must be a list of [x, y, z] points of finite numbers, "
-                         f"got {sec[kind]!r}")
+_SRP_FIELDS = {"grid_min": dio.POINT, "grid_max": dio.POINT, "resolution": dio.NUMBER}
 
 
 def _field_defaults(cls) -> dict:

@@ -96,6 +96,58 @@ def read_blob(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# field checks of input from outside the program: configs, manifests, sidecars
+
+
+def is_number(v) -> bool:
+    # type() rather than isinstance: a bool is an int, but neither a number nor an integer here
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def is_point(v) -> bool:
+    return isinstance(v, list) and len(v) == 3 and all(map(is_number, v))
+
+
+# field -> (check, what it expects)
+NUMBER = (is_number, "a finite number")
+INTEGER = (lambda v: type(v) is int, "an integer")
+COUNT = (is_count, "a non-negative integer")
+POINT = (is_point, "a list of 3 finite numbers")
+TEXT = (lambda v: isinstance(v, str), "a string")
+
+
+def check_fields(spec, where: str, fields: dict, optional=(), known=None) -> dict:
+    """``spec`` is an object whose ``fields`` pass their checks; returns it.
+
+    A field in ``optional`` may be absent, and if ``known`` is given a key
+    outside it is an error: a typo such as ``"sound_sped"`` would otherwise
+    fall back to a default.  Each error names ``where`` and the key.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be an object, got {spec!r}")
+    for key in spec:
+        if known is not None and key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}; known keys: {', '.join(known)}")
+    for key, (ok, what) in fields.items():
+        if key not in spec:
+            if key in optional:
+                continue
+            raise ValueError(f"{where} needs {key!r}")
+        if not ok(spec[key]):
+            raise ValueError(f"{where}: {key!r} must be {what}, got {spec[key]!r}")
+    return spec
+
+
+def field_names(cls) -> list:
+    """A dataclass's field names, the keys its config section may hold."""
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+# ---------------------------------------------------------------------------
 # configuration hashing and echoes
 
 
@@ -117,23 +169,11 @@ def scene_to_dict(scene) -> dict:
     }
 
 
-def check_section_keys(d: dict, cls, section: str) -> None:
-    """Reject a key of config section ``section`` that ``cls`` has no field for.
-
-    A typo such as ``"sound_sped"`` would otherwise be ignored in favour of
-    the default while still entering the config hash.
-    """
-    known = [f.name for f in dataclasses.fields(cls)]
-    for key in d:
-        if key not in known:
-            raise ValueError(f"unknown {section} key {key!r}; known keys: {', '.join(known)}")
-
-
 def scene_from_dict(d: dict):
     """A ``SceneConfig`` from its dict; absent optional fields take the class defaults."""
     from .acoustic_sim import SceneConfig
 
-    check_section_keys(d, SceneConfig, "scene")
+    check_fields(d, "scene", {}, known=field_names(SceneConfig))
     snr = d["snr_db"]
     optional = {k: d[k] for k in ("sound_speed", "max_reflection_order") if k in d}
     return SceneConfig(
@@ -149,7 +189,7 @@ def scene_from_dict(d: dict):
 def spectral_from_dict(d: dict):
     from .rtf_features import SpectralConfig
 
-    check_section_keys(d, SpectralConfig, "spectral")
+    check_fields(d, "spectral", {}, known=field_names(SpectralConfig))
     return SpectralConfig(**d)
 
 
@@ -211,23 +251,13 @@ def load_manifest(path) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
     with open(path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest must be a JSON object")
-    if manifest.get("format_version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {manifest.get('format_version')}")
-    if not isinstance(manifest.get("config_hash"), str):
-        raise ValueError(f"{path}: 'config_hash' must be a string")
-    scene = manifest.get("scene")
-    mics = scene.get("mic_positions") if isinstance(scene, dict) else None
-    if not (isinstance(mics, list) and mics
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in mics)):
-        raise ValueError(f"{path}: 'scene' must be an object whose 'mic_positions' is a "
-                         f"non-empty list of per-node microphone pairs")
-    if not isinstance(manifest.get("records"), list):
-        raise ValueError(f"{path}: 'records' must be a list of record objects")
+        manifest = check_fields(json.load(fh), str(path), _MANIFEST)
+    check_fields(manifest.get("scene"), f"{path}: 'scene'", {"mic_positions": _MIC_PAIRS})
     for index, rec in enumerate(manifest["records"]):
-        _check_record(index, rec)
+        check_fields(rec, f"record #{index}", {"id": TEXT})
+        check_fields(rec, f"record {rec['id']}", _RECORD, optional=("true_position",))
+        if rec["role"] == "labeled" and rec.get("true_position") is None:
+            raise ValueError(f"labeled record {rec['id']} lacks a position")
     ids = [r["id"] for r in manifest["records"]]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate record ids in manifest")
@@ -235,29 +265,18 @@ def load_manifest(path) -> dict:
     return manifest
 
 
-def _check_record(index: int, rec) -> None:
-    """A manifest entry: an object with a string id, a known role and, if labelled, a position.
-
-    Any position given, on a record of any role, is a finite 3-vector.
-    """
-    if not isinstance(rec, dict):
-        raise ValueError(f"record #{index}: not an object")
-    rec_id = rec.get("id")
-    if not isinstance(rec_id, str):
-        raise ValueError(f"record #{index}: missing or non-string id")
-    if "role" not in rec:
-        raise ValueError(f"record {rec_id}: missing role")
-    if rec["role"] not in _ROLES:
-        raise ValueError(f"record {rec_id}: unknown role {rec['role']!r}")
-    pos = rec.get("true_position")
-    if pos is None:
-        if rec["role"] == "labeled":
-            raise ValueError(f"labeled record {rec_id} lacks a position")
-        return
-    if not (isinstance(pos, list) and len(pos) == 3
-            and all(type(v) in (int, float) and math.isfinite(v) for v in pos)):
-        raise ValueError(f"{rec['role']} record {rec_id}: true_position must be a finite "
-                         f"3-vector, got {pos!r}")
+_MANIFEST = {
+    "format_version": (lambda v: v == MANIFEST_VERSION,
+                       f"{MANIFEST_VERSION}, the supported manifest version"),
+    "config_hash": TEXT,
+    "records": (lambda v: isinstance(v, list), "a list of record objects"),
+}
+_MIC_PAIRS = (lambda v: isinstance(v, list) and len(v) > 0
+              and all(isinstance(pair, list) and len(pair) == 2 for pair in v),
+              "a non-empty list of per-node microphone pairs")
+# any position given, on a record of any role, is a finite 3-vector
+_RECORD = {"role": (lambda v: v in _ROLES, f"one of {', '.join(_ROLES)}"),
+           "true_position": (lambda v: v is None or is_point(v), "null or a finite 3-vector")}
 
 
 def records_by_role(manifest: dict, role: str) -> list:
@@ -296,9 +315,7 @@ def _read_record_blob(manifest: dict, entry: dict, ref) -> np.ndarray:
     ``ref`` is an object with a string ``path`` and a ``shape``, a list of
     non-negative ints whose product is the blob's value count.
     """
-    if not (isinstance(ref, dict) and isinstance(ref.get("path"), str)):
-        raise ValueError(f"record {entry['id']}: blob reference {ref!r} is not an object "
-                         f"with a string 'path'")
+    check_fields(ref, f"record {entry['id']}: blob reference", {"path": TEXT})
     root = Path(manifest["_dir"]).resolve()
     path = (root / ref["path"]).resolve()
     if not path.is_relative_to(root):
@@ -308,8 +325,7 @@ def _read_record_blob(manifest: dict, entry: dict, ref) -> np.ndarray:
         raise ValueError(f"record {entry['id']}: blob path {ref['path']!r} is not a file")
     blob = read_blob(path)
     shape = ref.get("shape")
-    # type() rather than isinstance: a bool is an int, and neither it nor a float is a size
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+    if not (isinstance(shape, list) and all(map(is_count, shape))
             and math.prod(shape) == blob.size):
         raise ValueError(f"record {entry['id']}: blob shape {shape!r} does not fit "
                          f"its {blob.size} values")

@@ -134,7 +134,7 @@ _CONFIG_FAULTS = {
     "random a string": (_set("test", "random", value="uniform"),
                         "'test' section's 'random' must be an object"),
     "positions with a string": (_set("test", "positions", value=[[1.5, "2", 1.5]]),
-                                "'test' section's 'positions' must be a list of"),
+                                "'test' section: 'positions' must be a list of"),
     "loop jitter a string": (_set("test", value={"loop": {"center": [2.0, 2.5, 1.5],
                                                           "radius": 0.3, "count": 3,
                                                           "jitter": "0.05"}}),
@@ -186,7 +186,7 @@ def test_unknown_scene_and_spectral_keys_rejected(tmp_path, section, key):
     cfg[section] = {**cfg[section], key: 1.0}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(ValueError, match=f"unknown {section} key '{key}'"):
+    with pytest.raises(ValueError, match=f"'{section}' section: unknown key '{key}'"):
         cli.resolve_config(path)
 
 

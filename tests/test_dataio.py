@@ -217,10 +217,10 @@ def test_spectral_dict_roundtrip():
 
 def test_unknown_scene_and_spectral_keys_rejected():
     scene = dio.scene_to_dict(small_scene())
-    with pytest.raises(ValueError, match="unknown scene key 'sound_sped'"):
+    with pytest.raises(ValueError, match="scene: unknown key 'sound_sped'"):
         dio.scene_from_dict({**scene, "sound_sped": 300.0})
     spectral = dataclasses.asdict(rf.SpectralConfig())
-    with pytest.raises(ValueError, match="unknown spectral key 'fft_sise'"):
+    with pytest.raises(ValueError, match="spectral: unknown key 'fft_sise'"):
         dio.spectral_from_dict({**spectral, "fft_sise": 1024})
 
 
@@ -327,7 +327,7 @@ def test_manifest_validation(tmp_path):
         dio.load_manifest(path)
 
     path.write_text("[]")
-    with pytest.raises(ValueError, match="JSON object"):
+    with pytest.raises(ValueError, match="must be an object"):
         dio.load_manifest(path)
 
     with pytest.raises(FileNotFoundError):
@@ -348,13 +348,13 @@ def _set_position(value):
 
 # make_records lists labeled_0000, unlabeled_0001, test_0002
 _MANIFEST_FAULTS = {
-    "records missing": (lambda doc: doc.pop("records"), "'records' must be a list"),
+    "records missing": (lambda doc: doc.pop("records"), "needs 'records'"),
     "records not a list": (lambda doc: doc.__setitem__("records", 5), "'records' must be a list"),
-    "entry not an object": (_set_record(1, "unlabeled_0001"), "record #1: not an object"),
-    "entry without id": (_drop_key(1, "id"), "record #1: missing or non-string id"),
-    "entry without role": (_drop_key(2, "role"), "record test_0002: missing role"),
-    "position of length 2": (_set_position([1.0, 2.0]), "labeled record labeled_0000: .*3-vector"),
-    "position not a list": (_set_position(1.5), "labeled record labeled_0000: .*3-vector"),
+    "entry not an object": (_set_record(1, "unlabeled_0001"), "record #1 must be an object"),
+    "entry without id": (_drop_key(1, "id"), "record #1 needs 'id'"),
+    "entry without role": (_drop_key(2, "role"), "record test_0002 needs 'role'"),
+    "position of length 2": (_set_position([1.0, 2.0]), "labeled_0000: .*3-vector"),
+    "position not a list": (_set_position(1.5), "labeled_0000: .*3-vector"),
     "position with a string": (_set_position([1.0, "2", 1.5]), "labeled_0000: .*3-vector"),
     "position with NaN": (_set_position([1.0, float("nan"), 1.5]), "labeled_0000: .*3-vector"),
     "position with inf": (_set_position([1.0, 2.0, float("inf")]), "labeled_0000: .*3-vector"),
