@@ -54,8 +54,9 @@ def resolve_config(path, seed=None) -> dict:
     are filled in, so the config hash reflects what actually ran.  Scene
     and spectral defaults are the ``SceneConfig`` and ``SpectralConfig``
     field defaults, and a key neither class has a field for is a
-    ``ValueError``, as is a section, placement or ``srp`` field of the
-    wrong type.  Output locations never enter the hash.
+    ``ValueError``, as is a master ``seed`` that is not an integer and a
+    section, placement, ``srp`` or ``hyperparameters`` field of the wrong
+    type.  Output locations never enter the hash.
     """
     from .acoustic_sim import SceneConfig
     from .rtf_features import SpectralConfig
@@ -71,6 +72,7 @@ def resolve_config(path, seed=None) -> dict:
     cfg.setdefault("hyperparameters", "learn")
     if cfg["method"] not in METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
+    dio.check_fields(cfg, "config", {"seed": dio.INTEGER})
     scene = dio.check_fields(cfg.get("scene"), "'scene' section", {},
                              known=dio.field_names(SceneConfig))
     spectral = dio.check_fields(cfg.get("spectral") or {}, "'spectral' section", {},
@@ -90,7 +92,7 @@ def resolve_config(path, seed=None) -> dict:
         if kind in _PLACEMENTS:
             dio.check_fields(sec[kind], f"{where}'s {kind!r}", _PLACEMENTS[kind],
                              optional=("jitter",))
-        sec.setdefault("seed", 1000 * int(cfg["seed"]) + _ROLE_OFFSETS[role])
+        sec.setdefault("seed", 1000 * cfg["seed"] + _ROLE_OFFSETS[role])
         sig = dict(dio.check_fields(sec.get("signal") or {}, f"{where}'s 'signal'", {}))
         sig.setdefault("kind", "wgn")
         sig.setdefault("duration_s", 2.0)
@@ -104,6 +106,11 @@ def resolve_config(path, seed=None) -> dict:
                               (hp.get("strategy") == "median" or "eps" in hp))):
         raise ValueError("hyperparameters must be 'learn', {'strategy': 'median', ...} "
                          "or an explicit {'eps': [...], 'sigma2': ...}")
+    if isinstance(hp, dict):
+        # the median strategy derives eps and defaults sigma2; the explicit form needs both
+        median = hp.get("strategy") == "median"
+        dio.check_fields(hp, "'hyperparameters'", _HYPERPARAMETERS,
+                         optional=tuple(_HYPERPARAMETERS) if median else ("jitter",))
     return cfg
 
 
@@ -119,6 +126,9 @@ _PLACEMENTS = {
              "jitter": dio.NUMBER},
 }
 _SRP_FIELDS = {"grid_min": dio.POINT, "grid_max": dio.POINT, "resolution": dio.NUMBER}
+_EPS = (lambda v: isinstance(v, list) and all(map(dio.is_number, v)), "a list of finite numbers")
+_HYPERPARAMETERS = {"eps": _EPS, "sigma2": dio.NUMBER, "jitter": dio.NUMBER}
+_SIDECAR = {"config_hash": dio.TEXT, "eps": _EPS, "sigma2": dio.NUMBER}
 
 
 def _field_defaults(cls) -> dict:
@@ -299,6 +309,13 @@ def _sidecar_path(model_path) -> Path:
     return Path(str(model_path) + ".meta.json")
 
 
+def _read_sidecar(model_path) -> dict:
+    """The model's sidecar, with a string config hash and well-typed eps and sigma2."""
+    path = _sidecar_path(model_path)
+    with open(path) as fh:
+        return dio.check_fields(json.load(fh), str(path), _SIDECAR)
+
+
 def _check_hash(a: str, b: str, what_a: str, what_b: str) -> None:
     if a != b:
         raise ValueError(f"config hash mismatch: {what_a} has {a[:12]}…, "
@@ -318,8 +335,7 @@ def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
     from . import mmgp_model as mm
 
     manifest = dio.load_manifest(dataset_dir)
-    with open(_sidecar_path(model_path)) as fh:
-        sidecar = json.load(fh)
+    sidecar = _read_sidecar(model_path)
     _check_hash(sidecar["config_hash"], manifest["config_hash"], "model", "dataset")
     model = mm.load_model(model_path)
     rows = []
@@ -364,8 +380,7 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
     else:
         pool, positions = _load_pool(manifest)
         if model_path is not None:
-            with open(_sidecar_path(model_path)) as fh:
-                sidecar = json.load(fh)
+            sidecar = _read_sidecar(model_path)
             _check_hash(sidecar["config_hash"], manifest["config_hash"],
                         "model", "dataset")
             # the hashes match, so the model was fit with this config's jitter
@@ -453,9 +468,15 @@ def _read_estimates(path):
         c = (len(header) - 1) // 2
         rows = []
         for line in reader:
-            pos = np.asarray([float(v) for v in line[1:1 + c]])
-            var = np.asarray([float(v) for v in line[1 + c:1 + 2 * c]])
-            rows.append((line[0], pos, var))
+            try:
+                if len(line) != len(header):
+                    raise ValueError
+                values = [float(v) for v in line[1:]]
+            except ValueError:
+                # the hash line was read before the reader started counting
+                raise ValueError(f"{path}: line {reader.line_num + 1}: expected the {len(header)} "
+                                 f"fields of the header, an id then numbers, got {line!r}") from None
+            rows.append((line[0], np.asarray(values[:c]), np.asarray(values[c:2 * c])))
     return est_hash, rows
 
 

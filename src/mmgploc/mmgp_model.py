@@ -13,13 +13,16 @@ S_LD.  The pool and S_LD are plain read-only arrays.  A prediction builds
 only the test row's Gram against the pool; an absorbed sample copies the
 pool and S_LD once to grow them, the same order of work as that Gram.
 
-Streaming prediction absorbs only novel samples: a sample whose kernel
-values against the pool come close to 1 on average over the nodes adds
-almost nothing the pool does not already hold, and absorbing many such
+Streaming prediction absorbs only novel samples: a sample whose largest
+kernel value against the pool comes close to 1 on average over the nodes
+adds almost nothing the pool does not already hold, and absorbing many such
 near-duplicates lets them dominate the unnormalised fused covariance.
-This is the approximate-linear-dependence test of sparse online GPs
-(Csato & Opper 2002) and kernel RLS (Engel, Mannor & Meir 2004); it bounds
-the pool on a redundant stream, and with it the cost of each step.
+Comparing a sample with its nearest pool row only is the coherence
+criterion of kernel affine-projection filters (Richard, Bermudez & Honeine,
+IEEE TSP 2009), not the approximate-linear-dependence test of sparse online
+GPs and kernel RLS, which measures the residual of projecting the sample on
+the span of the whole pool; it bounds the pool on a redundant stream, and
+with it the cost of each step.
 
 The labelled-set core below (``LabelledGp``, ``labelled_pool``,
 ``as_sample``, ``spd_factor``) also serves the GP baselines and ML

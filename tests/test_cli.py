@@ -146,6 +146,16 @@ _CONFIG_FAULTS = {
                               "'srp' section: 'grid_max' must be a list of 3"),
     "spectral a string": (_set("spectral", value="fast"), "'spectral' section must be an object"),
     "hyperparameters a list": (_set("hyperparameters", value=[1.0]), "hyperparameters must be"),
+    "seed a list": (_set("seed", value=[1]), "config: 'seed' must be an integer, got [1]"),
+    "seed a bool": (_set("seed", value=True), "config: 'seed' must be an integer, got True"),
+    "sigma2 a list": (_set("hyperparameters", "sigma2", value=[1]),
+                      "'hyperparameters': 'sigma2' must be a finite number, got [1]"),
+    "jitter a string": (_set("hyperparameters", "jitter", value="0.01"),
+                        "'hyperparameters': 'jitter' must be a finite number, got '0.01'"),
+    "eps with a string": (_set("hyperparameters", value={"eps": [1.0, "2"], "sigma2": 0.1}),
+                          "'hyperparameters': 'eps' must be a list of finite numbers"),
+    "eps without sigma2": (_set("hyperparameters", value={"eps": [1.0]}),
+                           "'hyperparameters' needs 'sigma2'"),
 }
 
 
@@ -339,6 +349,24 @@ def test_evaluate_rejects_an_estimates_file_without_header(pipeline, tmp_path, c
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("fault", ["blank", "short", "not a number"])
+def test_evaluate_rejects_malformed_estimate_rows(pipeline, tmp_path, capsys, fault):
+    # the file's lines are the hash, the header, then one row per estimate
+    lines = pipeline["est"].read_text().splitlines()
+    first = lines[2].split(",")
+    row = {"blank": [], "short": first[:3], "not a number": first[:1] + ["abc"] + first[2:]}[fault]
+    lines.insert(3, ",".join(row))
+    est = tmp_path / "bad_row.csv"
+    est.write_text("\n".join(lines) + "\n")
+    assert cli.main(["evaluate", "--estimates", str(est), "--dataset", str(pipeline["ds"]),
+                     "--output", str(tmp_path / "m.csv")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ValueError"
+    assert err["error"] == (f"{est}: line 4: expected the 7 fields of the header, an id then "
+                            f"numbers, got {row!r}")
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_evaluate_rejects_a_block_size_below_one(pipeline, tmp_path, capsys):
     for size in (0, -1):
         assert cli.main(["evaluate", "--estimates", str(pipeline["est"]),
@@ -451,6 +479,35 @@ def test_hash_mismatch_detected(pipeline, tmp_path, capsys):
                      "--output", str(tmp_path / "m.csv")])
     assert code == 1
     assert "hash mismatch" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+_SIDECAR_FAULTS = {
+    "empty object": (lambda doc: {}, "needs 'config_hash'"),
+    "a list": (lambda doc: [], "must be an object, got []"),
+    "sigma2 null": (lambda doc: {**doc, "sigma2": None},
+                    ": 'sigma2' must be a finite number, got None"),
+}
+
+
+@pytest.mark.parametrize("command", ["localize", "baseline"])
+@pytest.mark.parametrize("fault", list(_SIDECAR_FAULTS))
+def test_malformed_sidecar_is_rejected(pipeline, tmp_path, capsys, command, fault):
+    # localize and baseline --model read the sidecar through one reader
+    mutate, message = _SIDECAR_FAULTS[fault]
+    model = tmp_path / "model.bin"
+    shutil.copy(pipeline["model"], model)
+    sidecar = json.loads(Path(str(pipeline["model"]) + ".meta.json").read_text())
+    Path(str(model) + ".meta.json").write_text(json.dumps(mutate(sidecar)))
+    args = ["localize"] if command == "localize" else \
+        ["baseline", "--config", str(pipeline["cfg"]), "--method", "mean"]
+    out = tmp_path / "e.csv"
+    assert cli.main(args + ["--model", str(model), "--dataset", str(pipeline["ds"]),
+                            "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ValueError"
+    assert err["error"].startswith(f"{model}.meta.json")
+    assert message in err["error"]
+    assert not out.exists()
 
 
 def test_machine_readable_error_and_exit_code(tmp_path, capsys):

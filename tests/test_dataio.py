@@ -1,6 +1,7 @@
 """Dataset persistence tests: blob format, manifests, truth separation."""
 
 import builtins
+import copy
 import dataclasses
 import json
 import struct
@@ -425,9 +426,11 @@ def test_mutated_manifest_is_rejected_or_loads_correctly(featured_dataset, data)
             if action == "drop":
                 del parent[where[-1]]
             else:
-                parent[where[-1]] = data.draw(st.sampled_from(_JUNK))
+                parent[where[-1]] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
         else:
-            records = [r for r in doc.get("records", []) if isinstance(r, dict)]
+            # junk may have made "records" a non-list, which holds no references
+            records = doc.get("records") if isinstance(doc.get("records"), list) else []
+            records = [r for r in records if isinstance(r, dict)]
             refs = [r[k] for r in records for k in ("signal", "features")
                     if isinstance(r.get(k), dict)]
             if not refs:
@@ -436,7 +439,7 @@ def test_mutated_manifest_is_rejected_or_loads_correctly(featured_dataset, data)
             if action == "path":
                 ref["path"] = data.draw(st.sampled_from(_BLOB_PATHS))
             else:
-                ref["shape"] = data.draw(st.sampled_from(_SHAPES))
+                ref["shape"] = copy.deepcopy(data.draw(st.sampled_from(_SHAPES)))
     mutant = path.with_name("mutant.json")
     mutant.write_text(json.dumps(doc))
     try:
