@@ -55,8 +55,8 @@ def resolve_config(path, seed=None) -> dict:
     and spectral defaults are the ``SceneConfig`` and ``SpectralConfig``
     field defaults, and a key neither class has a field for is a
     ``ValueError``, as is a master ``seed`` that is not an integer and a
-    section, placement, ``srp`` or ``hyperparameters`` field of the wrong
-    type.  Output locations never enter the hash.
+    missing or wrongly typed section, scene, spectral, placement, ``srp``
+    or ``hyperparameters`` field.  Output locations never enter the hash.
     """
     from .acoustic_sim import SceneConfig
     from .rtf_features import SpectralConfig
@@ -73,11 +73,12 @@ def resolve_config(path, seed=None) -> dict:
     if cfg["method"] not in METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
     dio.check_fields(cfg, "config", {"seed": dio.INTEGER})
-    scene = dio.check_fields(cfg.get("scene"), "'scene' section", {},
+    defaults = _field_defaults(SceneConfig)
+    scene = dio.check_fields(cfg.get("scene"), "'scene' section", dio.SCENE, optional=defaults,
                              known=dio.field_names(SceneConfig))
-    spectral = dio.check_fields(cfg.get("spectral") or {}, "'spectral' section", {},
-                                known=dio.field_names(SpectralConfig))
-    scene = {**_field_defaults(SceneConfig), **scene}
+    spectral = dio.check_fields(cfg.get("spectral") or {}, "'spectral' section", dio.SPECTRAL,
+                                optional=dio.SPECTRAL, known=dio.field_names(SpectralConfig))
+    scene = {**defaults, **scene}
     cfg["scene"] = scene
     cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
                        **spectral}
@@ -128,7 +129,6 @@ _PLACEMENTS = {
 _SRP_FIELDS = {"grid_min": dio.POINT, "grid_max": dio.POINT, "resolution": dio.NUMBER}
 _EPS = (lambda v: isinstance(v, list) and all(map(dio.is_number, v)), "a list of finite numbers")
 _HYPERPARAMETERS = {"eps": _EPS, "sigma2": dio.NUMBER, "jitter": dio.NUMBER}
-_SIDECAR = {"config_hash": dio.TEXT, "eps": _EPS, "sigma2": dio.NUMBER}
 
 
 def _field_defaults(cls) -> dict:
@@ -258,28 +258,28 @@ def _load_pool(manifest):
     return np.stack(rows), positions
 
 
-def _resolve_hyperparameters(cfg: dict, pool, positions, trace_path=None):
+def _resolve_hyperparameters(cfg: dict, pool, positions):
+    """The hyperparameters, and the optimizer's result when the config learns them."""
     from . import hyperopt as ho
 
     spec = cfg["hyperparameters"]
     if spec == "learn":
         result = ho.optimize(pool, positions)
-        if trace_path is not None:
-            ho.write_trace_csv(result, trace_path)
         if result.warning:
             print(f"warning: {result.warning}", file=sys.stderr)
-        return result.hyperparameters, True
+        return result.hyperparameters, result
     if isinstance(spec, dict) and spec.get("strategy") == "median":
         eps = median_heuristic(pool)
         sigma2 = float(spec.get("sigma2", 0.1))
         return Hyperparameters(eps=eps, sigma2=sigma2,
-                               jitter=spec.get("jitter")), False
+                               jitter=spec.get("jitter")), None
     return Hyperparameters(eps=np.asarray(spec["eps"], dtype=float),
                            sigma2=float(spec["sigma2"]),
-                           jitter=spec.get("jitter")), False
+                           jitter=spec.get("jitter")), None
 
 
 def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
+    from . import hyperopt as ho
     from . import mmgp_model as mm
 
     manifest = dio.load_manifest(dataset_dir)
@@ -287,33 +287,25 @@ def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
                 "dataset", "config")
     pool, positions = _load_pool(manifest)
     model_path = Path(model_path)
-    hp, learned = _resolve_hyperparameters(
-        cfg, pool, positions, trace_path=model_path.with_suffix(".trace.csv"))
+    hp, result = _resolve_hyperparameters(cfg, pool, positions)
     model = mm.fit(pool, positions, hp)
-    mm.save_model(model, model_path)
+    # the model file carries the hash and is all later stages read; the trace
+    # and sidecar are views for people, written after it
+    mm.save_model(model, model_path, manifest["config_hash"])
+    if result is not None:
+        ho.write_trace_csv(result, model_path.with_suffix(".trace.csv"))
     sidecar = {
         "config_hash": manifest["config_hash"],
         "method": "mmgp",
         "eps": [float(e) for e in hp.eps],
         "sigma2": float(hp.sigma2),
         "jitter_used": model.jitter_used,
-        "learned": learned,
+        "learned": result is not None,
     }
-    with dio.atomic_write(_sidecar_path(model_path), "w") as fh:
+    with dio.atomic_write(str(model_path) + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     return str(model_path)
-
-
-def _sidecar_path(model_path) -> Path:
-    return Path(str(model_path) + ".meta.json")
-
-
-def _read_sidecar(model_path) -> dict:
-    """The model's sidecar, with a string config hash and well-typed eps and sigma2."""
-    path = _sidecar_path(model_path)
-    with open(path) as fh:
-        return dio.check_fields(json.load(fh), str(path), _SIDECAR)
 
 
 def _check_hash(a: str, b: str, what_a: str, what_b: str) -> None:
@@ -335,9 +327,8 @@ def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
     from . import mmgp_model as mm
 
     manifest = dio.load_manifest(dataset_dir)
-    sidecar = _read_sidecar(model_path)
-    _check_hash(sidecar["config_hash"], manifest["config_hash"], "model", "dataset")
     model = mm.load_model(model_path)
+    _check_hash(model.config_hash, manifest["config_hash"], "model", "dataset")
     rows = []
     for entry in _test_entries(manifest, shuffle_seed):
         features = dio.read_record_features(manifest, entry)
@@ -351,6 +342,7 @@ def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
 def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
                  model_path=None) -> str:
     from . import baselines as bl
+    from . import mmgp_model as mm
 
     if method not in ("mean", "kernel-product", "srp-phat"):
         raise ValueError(f"unknown baseline {method!r}")
@@ -380,13 +372,12 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
     else:
         pool, positions = _load_pool(manifest)
         if model_path is not None:
-            sidecar = _read_sidecar(model_path)
-            _check_hash(sidecar["config_hash"], manifest["config_hash"],
-                        "model", "dataset")
+            model = mm.load_model(model_path)
+            _check_hash(model.config_hash, manifest["config_hash"], "model", "dataset")
             # the hashes match, so the model was fit with this config's jitter
             spec = cfg["hyperparameters"]
-            hp = Hyperparameters(eps=sidecar["eps"], sigma2=sidecar["sigma2"],
-                                 jitter=spec.get("jitter") if isinstance(spec, dict) else None)
+            hp = dataclasses.replace(model.hyperparameters, jitter=spec.get("jitter")
+                                     if isinstance(spec, dict) else None)
         else:
             hp, _ = _resolve_hyperparameters(cfg, pool, positions)
         fitted = bl.fit_mean_of_nodes(pool, positions, hp) if method == "mean" \

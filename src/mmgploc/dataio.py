@@ -118,6 +118,18 @@ INTEGER = (lambda v: type(v) is int, "an integer")
 COUNT = (is_count, "a non-negative integer")
 POINT = (is_point, "a list of 3 finite numbers")
 TEXT = (lambda v: isinstance(v, str), "a string")
+MIC_PAIRS = (lambda v: isinstance(v, list) and len(v) > 0 and all(
+                 isinstance(pair, list) and len(pair) == 2 and all(map(is_point, pair))
+                 for pair in v),
+             "a non-empty list of per-node microphone pairs of [x, y, z] points")
+# the values of a scene and spectral config section; the dataclasses check their ranges
+SCENE = {"room_dims": POINT, "mic_positions": MIC_PAIRS, "t60": NUMBER,
+         "snr_db": (lambda v: v == "inf" or is_number(v), "a finite number or 'inf'"),
+         "sample_rate": NUMBER, "sound_speed": NUMBER,
+         "max_reflection_order": (lambda v: v == "auto" or is_count(v),
+                                  "a non-negative integer or 'auto'")}
+SPECTRAL = {"sample_rate": NUMBER, "window_length_s": NUMBER, "overlap_fraction": NUMBER,
+            "fft_size": COUNT, "band_low_hz": NUMBER, "band_high_hz": NUMBER}
 
 
 def check_fields(spec, where: str, fields: dict, optional=(), known=None) -> dict:
@@ -252,7 +264,7 @@ def load_manifest(path) -> dict:
         raise FileNotFoundError(f"manifest not found: {path}")
     with open(path) as fh:
         manifest = check_fields(json.load(fh), str(path), _MANIFEST)
-    check_fields(manifest.get("scene"), f"{path}: 'scene'", {"mic_positions": _MIC_PAIRS})
+    check_fields(manifest.get("scene"), f"{path}: 'scene'", {"mic_positions": MIC_PAIRS})
     for index, rec in enumerate(manifest["records"]):
         check_fields(rec, f"record #{index}", {"id": TEXT})
         check_fields(rec, f"record {rec['id']}", _RECORD, optional=("true_position",))
@@ -271,9 +283,6 @@ _MANIFEST = {
     "config_hash": TEXT,
     "records": (lambda v: isinstance(v, list), "a list of record objects"),
 }
-_MIC_PAIRS = (lambda v: isinstance(v, list) and len(v) > 0
-              and all(isinstance(pair, list) and len(pair) == 2 for pair in v),
-              "a non-empty list of per-node microphone pairs")
 # any position given, on a record of any role, is a finite 3-vector
 _RECORD = {"role": (lambda v: v in _ROLES, f"one of {', '.join(_ROLES)}"),
            "true_position": (lambda v: v is None or is_point(v), "null or a finite 3-vector")}

@@ -101,16 +101,6 @@ class _Problem:
         return total, g_eps, g_sig
 
 
-def log_likelihood_and_grad(hp: Hyperparameters, training_set, labelled_positions) -> tuple:
-    """(L, dL/deps as an (M,) array, dL/dsigma2) for the centered labels.
-
-    L is summed over coordinates; ``optimize`` runs this same evaluation.
-    """
-    prob = _Problem(training_set, labelled_positions, hp.num_nodes)
-    value, g_eps, g_sig = prob.evaluate(hp.eps, hp.sigma2)
-    return value, g_eps, float(g_sig)
-
-
 def default_initial_hyperparameters(training_set, labelled_positions) -> Hyperparameters:
     """Median-heuristic widths and a noise floor from the label spread."""
     eps = median_heuristic(training_set)

@@ -45,7 +45,7 @@ from .kernels import Hyperparameters, fused_from_sums, gram_stack, stack_feature
 from .kernels import mmgp_covariance  # noqa: F401
 
 _MAGIC = b"MMGP"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 # relative scale of the automatic diagonal regularizer
 _AUTO_JITTER = 1e-8
@@ -144,6 +144,7 @@ class MmgpModel(LabelledGp):
     n_labeled: int
     labelled_gram: np.ndarray     # (n_L, n_D)
     update_count: int = 0
+    config_hash: str | None = field(default=None, init=False)   # the file's, set by load_model
     sigma_l: np.ndarray = field(init=False)   # (n_L, n_L)
 
     def __post_init__(self):
@@ -288,18 +289,23 @@ def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
                      hyperparameters=hp)
 
 
-def save_model(model: MmgpModel, path) -> None:
-    """Serialize to a little-endian binary file (magic "MMGP", version 2).
+def save_model(model: MmgpModel, path, config_hash: str) -> None:
+    """Serialize to a little-endian binary file (magic "MMGP", version 3).
 
-    The file holds only primary data: the counts, the kernel widths,
+    The file holds only primary data: the counts, ``config_hash`` (64
+    lowercase hex digits, stored as their 32 bytes), the kernel widths,
     sigma2 and the jitter resolved at fit, the labels and the full pool
     features, so a loaded model can keep predicting and updating.
     """
+    digest = bytes.fromhex(config_hash)
+    if len(digest) != 32 or digest.hex() != config_hash:
+        raise ValueError(f"config hash must be 64 lowercase hex digits, got {config_hash!r}")
     n_l, c = model.positions.shape
     n_d, m, d = model.pool.shape
     with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<7I", _FORMAT_VERSION, n_l, c, m, model.update_count, n_d, d))
+        fh.write(digest)
         _write_f64(fh, model.hyperparameters.eps)
         _write_f64(fh, [model.hyperparameters.sigma2, model.jitter_used])
         _write_f64(fh, model.positions)
@@ -310,9 +316,10 @@ def save_model(model: MmgpModel, path) -> None:
 def load_model(path) -> MmgpModel:
     """Restore a model written by save_model by fitting on the file's pool.
 
-    The sizes the header declares are checked against the file's size
-    before any array is read, so a corrupt count cannot ask for more
-    memory than the file holds; a NaN or infinity in any array, and a
+    The result carries the file's ``config_hash``; version 1 and 2 files,
+    which hold none, are refused.  The sizes the header declares are
+    checked against the file's size before any array is read, so a corrupt
+    count cannot ask for more memory than the file holds; a NaN or infinity in any array, and a
     finite value that overflows the conditioning, is rejected.  ``fit``
     with the stored jitter re-derives the posterior, so the result equals
     a fit on the file's pool bit for bit.  A model that streamed updates
@@ -325,7 +332,7 @@ def load_model(path) -> MmgpModel:
         version, n_l, c, m, count, n_d, d = struct.unpack("<7I", _read_exact(fh, 28))
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
-        declared = 32 + 8 * (m + 2 + n_l * c + 2 * n_d * m * d)
+        declared = 64 + 8 * (m + 2 + n_l * c + 2 * n_d * m * d)
         size = os.fstat(fh.fileno()).st_size
         if declared > size:
             raise ValueError(f"truncated model file: header declares {declared} bytes, "
@@ -334,6 +341,7 @@ def load_model(path) -> MmgpModel:
             raise ValueError("trailing bytes in model file")
         if m == 0 or not 1 <= n_l <= n_d:
             raise ValueError(f"inconsistent model header: M={m}, n_L={n_l}, n_D={n_d}")
+        config_hash = _read_exact(fh, 32).hex()
         eps = _read_f64(fh, m)
         sigma2, jitter = _read_f64(fh, 2)
         positions = _read_f64(fh, n_l * c).reshape(n_l, c)
@@ -347,6 +355,7 @@ def load_model(path) -> MmgpModel:
     except FloatingPointError:
         raise ValueError("model file values overflow the conditioning") from None
     model.update_count = count
+    model.config_hash = config_hash
     return model
 
 

@@ -8,6 +8,7 @@ from scipy.signal import fftconvolve
 
 from mmgploc import acoustic_sim as ac
 from mmgploc import baselines as bl
+from mmgploc import hyperopt as ho
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
 from mmgploc import rtf_features as rf
@@ -15,6 +16,10 @@ from mmgploc.acoustic_sim import _CHUNK, _FLIPS, _FOUR_PI
 
 # mirror sign per axis of each of the 8 flips in ``_FLIPS``
 _SIGNS = 1 - 2 * _FLIPS
+
+
+# the config hash model files written by tests carry
+MODEL_HASH = "0123456789abcdef" * 4
 
 
 def make_artf(rng, num_nodes, dim):
@@ -197,6 +202,16 @@ def reference_artf_from_record(record, cfg):
     """A record's (M, D) band RTFs, node by node through ``reference_estimate_rtf``."""
     rows = [reference_estimate_rtf(record, m, cfg) for m in range(1, record.num_nodes + 1)]
     return np.stack(rows)
+
+
+def log_likelihood_and_grad(hp: kn.Hyperparameters, training_set, labelled_positions) -> tuple:
+    """(L, dL/deps as an (M,) array, dL/dsigma2) for the centered labels.
+
+    L is summed over coordinates; ``optimize`` runs this same evaluation.
+    """
+    prob = ho._Problem(training_set, labelled_positions, hp.num_nodes)
+    value, g_eps, g_sig = prob.evaluate(hp.eps, hp.sigma2)
+    return value, g_eps, float(g_sig)
 
 
 def reference_predict(model, h_t):

@@ -13,8 +13,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import (brute_mmgp, conditional_gaussian_oracle, make_artf,
-                      make_set)
+from conftest import (brute_mmgp, conditional_gaussian_oracle, log_likelihood_and_grad,
+                      make_artf, make_set)
 
 import mmgploc.acoustic_sim as ac
 import mmgploc.cli as cli
@@ -180,11 +180,11 @@ def test_p4_gradient_checks():
         def of_eps(e, hp=hp, pool=pool, positions=positions, m=m):
             eps2 = hp.eps.copy()
             eps2[m - 1] = e
-            return ho.log_likelihood_and_grad(
+            return log_likelihood_and_grad(
                 kn.Hyperparameters(eps=eps2, sigma2=hp.sigma2), pool, positions)[0]
 
         def of_sig(s, hp=hp, pool=pool, positions=positions):
-            return ho.log_likelihood_and_grad(
+            return log_likelihood_and_grad(
                 kn.Hyperparameters(eps=hp.eps, sigma2=s), pool, positions)[0]
 
         # both derivatives are compared in log-parameter space: d/d log x
@@ -193,7 +193,7 @@ def test_p4_gradient_checks():
         fd_sig, ok_sig = _fd_log_derivative(of_sig, hp.sigma2)
         if not (ok and ok_sig):
             continue
-        _, g_eps, g_sig = ho.log_likelihood_and_grad(hp, pool, positions)
+        _, g_eps, g_sig = log_likelihood_and_grad(hp, pool, positions)
         analytic = g_eps[m - 1] * hp.eps[m - 1]
         rel = abs(analytic - fd) / abs(fd)
         worst = max(worst, rel)
@@ -367,7 +367,7 @@ def test_p8_width_sweep_consistency(desk):
     likelihoods, rmses = [], []
     for e1 in sweep:
         hp = kn.Hyperparameters(eps=[e1, eps_ml[1], eps_ml[2]], sigma2=sig_ml)
-        likelihoods.append(ho.log_likelihood_and_grad(hp, pool, positions)[0])
+        likelihoods.append(log_likelihood_and_grad(hp, pool, positions)[0])
         rmses.append(rmse_for(hp))
     likelihoods = np.asarray(likelihoods)
     rmses = np.asarray(rmses)

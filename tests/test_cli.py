@@ -1,5 +1,6 @@
 """Harness tests: config resolution, pipeline round-trip, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -156,6 +157,27 @@ _CONFIG_FAULTS = {
                           "'hyperparameters': 'eps' must be a list of finite numbers"),
     "eps without sigma2": (_set("hyperparameters", value={"eps": [1.0]}),
                            "'hyperparameters' needs 'sigma2'"),
+    "scene without sample_rate": (_set("scene", "sample_rate", drop=True),
+                                  "'scene' section needs 'sample_rate'"),
+    "t60 a string": (_set("scene", "t60", value="0.4"),
+                     "'scene' section: 't60' must be a finite number, got '0.4'"),
+    "room_dims a string": (_set("scene", "room_dims", value="4x5x3"),
+                           "'scene' section: 'room_dims' must be a list of 3 finite numbers"),
+    "mic_positions one point per node": (_set("scene", "mic_positions", value=[[0.8, 0.9, 1.2]]),
+                                         "'mic_positions' must be a non-empty list of per-node "
+                                         "microphone pairs"),
+    "snr_db a numeric string": (_set("scene", "snr_db", value="20"),
+                                "'snr_db' must be a finite number or 'inf', got '20'"),
+    "sound_speed a bool": (_set("scene", "sound_speed", value=True),
+                           "'scene' section: 'sound_speed' must be a finite number, got True"),
+    "max_reflection_order a float": (_set("scene", "max_reflection_order", value=3.0),
+                                     "'max_reflection_order' must be a non-negative integer or "
+                                     "'auto', got 3.0"),
+    "fft_size a string": (_set("spectral", "fft_size", value="1024"),
+                          "'spectral' section: 'fft_size' must be a non-negative integer, "
+                          "got '1024'"),
+    "window_length_s null": (_set("spectral", "window_length_s", value=None),
+                             "'spectral' section: 'window_length_s' must be a finite number"),
 }
 
 
@@ -458,12 +480,10 @@ def test_hash_mismatch_detected(pipeline, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert "hash mismatch" in err["error"]
 
-    # model sidecar pointing at a different config is rejected at localize
+    # a model file whose header names a different config is rejected at localize
     model2 = tmp_path / "model2.bin"
-    shutil.copy(pipeline["model"], model2)
-    sidecar = json.loads(Path(str(pipeline["model"]) + ".meta.json").read_text())
-    sidecar["config_hash"] = "0" * 64
-    Path(str(model2) + ".meta.json").write_text(json.dumps(sidecar))
+    raw = pipeline["model"].read_bytes()
+    model2.write_bytes(raw[:32] + bytes(32) + raw[64:])
     code = cli.main(["localize", "--model", str(model2),
                      "--dataset", str(pipeline["ds"]),
                      "--output", str(tmp_path / "e.csv")])
@@ -482,32 +502,33 @@ def test_hash_mismatch_detected(pipeline, tmp_path, capsys):
 
 
 _SIDECAR_FAULTS = {
-    "empty object": (lambda doc: {}, "needs 'config_hash'"),
-    "a list": (lambda doc: [], "must be an object, got []"),
-    "sigma2 null": (lambda doc: {**doc, "sigma2": None},
-                    ": 'sigma2' must be a finite number, got None"),
+    "empty object": lambda doc: {},
+    "a list": lambda doc: [],
+    "sigma2 null": lambda doc: {**doc, "sigma2": None},
+    "hash of another config": lambda doc: {**doc, "config_hash": "0" * 64},
+    "absent": None,
 }
 
 
 @pytest.mark.parametrize("command", ["localize", "baseline"])
 @pytest.mark.parametrize("fault", list(_SIDECAR_FAULTS))
-def test_malformed_sidecar_is_rejected(pipeline, tmp_path, capsys, command, fault):
-    # localize and baseline --model read the sidecar through one reader
-    mutate, message = _SIDECAR_FAULTS[fault]
+def test_malformed_sidecar_is_not_read(pipeline, tmp_path, command, fault):
+    # the model file holds the hash and the hyperparameters; the sidecar is a view for people
     model = tmp_path / "model.bin"
     shutil.copy(pipeline["model"], model)
-    sidecar = json.loads(Path(str(pipeline["model"]) + ".meta.json").read_text())
-    Path(str(model) + ".meta.json").write_text(json.dumps(mutate(sidecar)))
+    mutate = _SIDECAR_FAULTS[fault]
+    if mutate is not None:
+        sidecar = json.loads(Path(str(pipeline["model"]) + ".meta.json").read_text())
+        Path(str(model) + ".meta.json").write_text(json.dumps(mutate(sidecar)))
     args = ["localize"] if command == "localize" else \
         ["baseline", "--config", str(pipeline["cfg"]), "--method", "mean"]
-    out = tmp_path / "e.csv"
-    assert cli.main(args + ["--model", str(model), "--dataset", str(pipeline["ds"]),
-                            "--output", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["type"] == "ValueError"
-    assert err["error"].startswith(f"{model}.meta.json")
-    assert message in err["error"]
-    assert not out.exists()
+    outputs = []
+    for path in (pipeline["model"], model):
+        out = tmp_path / f"e{len(outputs)}.csv"
+        assert cli.main(args + ["--model", str(path), "--dataset", str(pipeline["ds"]),
+                                "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_machine_readable_error_and_exit_code(tmp_path, capsys):
@@ -604,3 +625,119 @@ def test_console_entry_point(pipeline, tmp_path):
         capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0
     assert result.stdout.startswith("rmse=")
+
+
+# ---------------------------------------------------------------------------
+# interruption: a stage stopped part way over a complete run of another config
+
+_STAGES = ("simulate", "features", "fit", "localize", "baseline", "evaluate")
+# the files each stage after features writes
+_OUTPUTS = {"fit": ("model.bin", "model.trace.csv", "model.bin.meta.json"),
+            "localize": ("est.csv",), "baseline": ("base.csv",), "evaluate": ("metrics.csv",)}
+
+
+def _stage(stage, cfg, ds, work):
+    """``stage``'s argv on config ``cfg`` and dataset ``ds``; other artifacts live in ``work``."""
+    model, est = work / "model.bin", work / "est.csv"
+    argv = {"simulate": ["--config", cfg, "--output", ds],
+            "features": ["--dataset", ds],
+            "fit": ["--config", cfg, "--dataset", ds, "--output", model],
+            "localize": ["--model", model, "--dataset", ds, "--output", est],
+            "baseline": ["--config", cfg, "--method", "mean", "--dataset", ds,
+                         "--output", work / "base.csv", "--model", model],
+            "evaluate": ["--estimates", est, "--dataset", ds, "--output", work / "metrics.csv"]}
+    return [stage] + [str(a) for a in argv[stage]]
+
+
+class _StopAtReplace:
+    """``os.replace`` that raises KeyboardInterrupt, as a kill would land, where ``stop`` says.
+
+    ``stop(n, dst)`` sees the call's number ``n``, counted from 1, and its target.
+    """
+
+    def __init__(self, stop):
+        self.stop, self.calls, self.replace = stop, 0, os.replace
+
+    def __call__(self, src, dst):
+        self.calls += 1
+        if self.stop(self.calls, dst):
+            raise KeyboardInterrupt
+        self.replace(src, dst)
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """Complete runs of the learning tiny config at seed 5 (old) and seed 6 (new)."""
+    root = tmp_path_factory.mktemp("runs")
+    runs = {}
+    for name, seed in (("old", 5), ("new", 6)):
+        work = root / name
+        work.mkdir()
+        cfg = work / "cfg.json"
+        cfg.write_text(json.dumps(tiny_config(seed=seed, hyperparameters="learn")))
+        for stage in _STAGES:
+            assert cli.main(_stage(stage, cfg, work / "ds", work)) == 0
+        runs[name] = {"work": work, "cfg": cfg, "outputs": {
+            stage: [(work / f).read_bytes() for f in files] for stage, files in _OUTPUTS.items()}}
+    for stage in _OUTPUTS:
+        assert runs["old"]["outputs"][stage] != runs["new"]["outputs"][stage], stage
+    return runs
+
+
+@pytest.mark.parametrize("stage", ["features", "fit", "localize", "baseline", "evaluate"])
+def test_interrupted_stage_never_mixes_two_runs(two_runs, tmp_path, monkeypatch, capsys, stage):
+    # over a copy of the old run, the new run's stages before ``stage`` complete
+    # and ``stage`` stops at its k-th replace.  Then each later stage, on the
+    # old run's config and dataset and on the new run's, refuses with a
+    # ValueError or writes what that stage writes in a complete run
+    old, new = two_runs["old"], two_runs["new"]
+    later = _STAGES[_STAGES.index(stage) + 1:]
+    for k in itertools.count(1):
+        work = tmp_path / f"k{k}"
+        shutil.copytree(old["work"], work)
+        shutil.copytree(old["work"] / "ds", work / "old_ds")
+        for before in _STAGES[:_STAGES.index(stage)]:
+            assert cli.main(_stage(before, new["cfg"], work / "ds", work)) == 0
+        stop = _StopAtReplace(lambda n, dst: n == k)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", stop)
+            try:
+                assert cli.main(_stage(stage, new["cfg"], work / "ds", work)) == 0
+            except KeyboardInterrupt:
+                pass
+        assert not list(work.rglob("*.tmp"))
+        capsys.readouterr()
+        for after in later:
+            for run, ds in ((old, work / "old_ds"), (new, work / "ds")):
+                code = cli.main(_stage(after, run["cfg"], ds, work))
+                err = capsys.readouterr().err.strip().splitlines()
+                where = f"{stage} stopped at replace {k}, then {after} on {ds.name}"
+                if code:
+                    assert code == 1 and json.loads(err[-1])["type"] == "ValueError", where
+                else:
+                    written = [(work / f).read_bytes() for f in _OUTPUTS[after]]
+                    assert written in (old["outputs"][after], new["outputs"][after]), where
+        if stop.calls < k:  # the stage ran to the end without a k-th replace
+            break
+    assert k > 1
+
+
+@pytest.mark.parametrize("view", [".trace.csv", ".meta.json"])
+def test_refit_stopped_before_its_trace_or_sidecar_is_refused(two_runs, tmp_path, monkeypatch,
+                                                              capsys, view):
+    # the new config's refit into the old model's path stops after the model
+    # file and before the trace or sidecar replaces the old one
+    old, new = two_runs["old"], two_runs["new"]
+    work = tmp_path / "work"
+    shutil.copytree(old["work"], work)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", _StopAtReplace(lambda n, dst: str(dst).endswith(view)))
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(_stage("fit", new["cfg"], new["work"] / "ds", work))
+    assert (work / "model.bin").read_bytes() == new["outputs"]["fit"][0]
+    capsys.readouterr()
+    assert cli.main(_stage("localize", old["cfg"], work / "ds", work)) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ValueError"
+    assert err["error"].startswith("config hash mismatch: model has")
+    assert (work / "est.csv").read_bytes() == old["outputs"]["localize"][0]

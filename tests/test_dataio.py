@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_set
+from conftest import MODEL_HASH, make_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,7 +152,8 @@ class _FailsOnSecondWrite:
 def _save_model(path):
     rng = np.random.default_rng(5)
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.1)
-    mm.save_model(mm.fit(make_set(rng, 4, 2, 3), rng.uniform(0.0, 4.0, (2, 2)), hp), path)
+    mm.save_model(mm.fit(make_set(rng, 4, 2, 3), rng.uniform(0.0, 4.0, (2, 2)), hp), path,
+                  MODEL_HASH)
 
 
 def _write_trace(path):

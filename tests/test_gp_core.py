@@ -8,7 +8,9 @@ was re-recorded when ML learning moved to L-BFGS-B.  ``save_model`` was
 re-recorded for model file version 2, whose bytes equal the version 1 file
 of the previous commit with the version field set to 2 and the derived
 sections (labelled covariance, inverse, centered labels, label mean)
-removed.  The digests depend on the floating-point results of the
+removed; the version 3 file is pinned through its projection on version 2,
+the version field set back to 2 and the 32 config hash bytes removed.  The
+digests depend on the floating-point results of the
 NumPy/SciPy build, so re-record them from the previous commit, not from
 the code under test, when that build changes.
 """
@@ -17,7 +19,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import make_set
+from conftest import MODEL_HASH, log_likelihood_and_grad, make_set
 
 from mmgploc import baselines as bl
 from mmgploc import hyperopt as ho
@@ -55,8 +57,10 @@ def test_save_model_bytes_pinned(tmp_path):
     model = mm.fit(pool, positions, hp)
     model.update_recursive(tests[0])
     path = tmp_path / "model.bin"
-    mm.save_model(model, path)
-    assert sha256(path.read_bytes()) == PINS["save_model"]
+    mm.save_model(model, path, MODEL_HASH)
+    raw = path.read_bytes()
+    assert raw[4:8] == b"\x03\x00\x00\x00" and raw[32:64] == bytes.fromhex(MODEL_HASH)
+    assert sha256(raw[:4] + b"\x02\x00\x00\x00" + raw[8:32] + raw[64:]) == PINS["save_model"]
 
 
 def test_trace_csv_pinned(tmp_path, monkeypatch):
@@ -115,7 +119,7 @@ def test_learning_and_streaming_reject_non_finite_features():
     unlabelled = pool.copy()
     unlabelled[8, 1, 2] = np.nan
     for learn in (lambda: ho.optimize(unlabelled, positions),
-                  lambda: ho.log_likelihood_and_grad(hp, unlabelled, positions),
+                  lambda: log_likelihood_and_grad(hp, unlabelled, positions),
                   lambda: kn.median_heuristic(unlabelled)):
         with pytest.raises(ValueError, match="non-finite entries in feature array"):
             learn()

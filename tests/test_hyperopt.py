@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brute_mmgp, make_artf, make_set
+from conftest import brute_mmgp, log_likelihood_and_grad, make_artf, make_set
 from scipy import stats
 
 from mmgploc import hyperopt as ho
@@ -19,7 +19,7 @@ from mmgploc import mmgp_model as mm
 
 
 def log_likelihood(hp, pool, positions):
-    return ho.log_likelihood_and_grad(hp, pool, positions)[0]
+    return log_likelihood_and_grad(hp, pool, positions)[0]
 
 
 def random_problem(rng, n_l=None, n_u=None, num_nodes=None, dim=4, c=2):
@@ -80,7 +80,7 @@ def test_grad_eps_matches_finite_differences():
     for _ in range(10):
         pool, positions, hp = random_problem(rng)
         m = int(rng.integers(1, hp.num_nodes + 1))
-        analytic = ho.log_likelihood_and_grad(hp, pool, positions)[1][m - 1]
+        analytic = log_likelihood_and_grad(hp, pool, positions)[1][m - 1]
 
         def of_eps(e):
             eps = hp.eps.copy()
@@ -106,7 +106,7 @@ def test_grad_eps_zero_for_degenerate_node():
     pool = np.stack(pool)
     hp = kn.Hyperparameters(eps=[2.0, 3.0], sigma2=0.3)
     positions = rng.uniform(0.0, 4.0, (3, 2))
-    _, g_eps, _ = ho.log_likelihood_and_grad(hp, pool, positions)
+    _, g_eps, _ = log_likelihood_and_grad(hp, pool, positions)
     assert g_eps[0] == 0.0
     assert g_eps[1] != 0.0
 
@@ -115,7 +115,7 @@ def test_grad_sigma2_matches_finite_differences():
     rng = np.random.default_rng(19)
     for _ in range(8):
         pool, positions, hp = random_problem(rng)
-        analytic = ho.log_likelihood_and_grad(hp, pool, positions)[2]
+        analytic = log_likelihood_and_grad(hp, pool, positions)[2]
 
         def of_sig(s):
             return log_likelihood(
@@ -129,7 +129,7 @@ def test_grad_sigma2_sign_with_zero_labels():
     rng = np.random.default_rng(23)
     pool = make_set(rng, 6, 2, 4)
     hp = kn.Hyperparameters(eps=[2.0, 4.0], sigma2=0.5)
-    g = ho.log_likelihood_and_grad(hp, pool, np.zeros((4, 2)))[2]
+    g = log_likelihood_and_grad(hp, pool, np.zeros((4, 2)))[2]
     assert g < 0  # nothing to explain: noise should shrink
 
 
@@ -146,7 +146,7 @@ def test_grad_sigma2_far_features_scalar_case():
     y = positions - positions.mean(axis=0)
     total = 1.0 + hp.sigma2
     want = 0.5 * (np.sum(y**2) / total**2 - 2 * 4 / total)
-    assert ho.log_likelihood_and_grad(hp, pool, positions)[2] == pytest.approx(want, rel=1e-12)
+    assert log_likelihood_and_grad(hp, pool, positions)[2] == pytest.approx(want, rel=1e-12)
 
 
 def test_wrong_width_count_rejected():
@@ -154,7 +154,7 @@ def test_wrong_width_count_rejected():
     pool, positions, _ = random_problem(rng, n_l=5, n_u=3, num_nodes=3)
     for eps in ([2.0], [2.0, 3.0], [2.0, 3.0, 4.0, 5.0]):
         hp = kn.Hyperparameters(eps=eps, sigma2=0.1)
-        for call in (lambda: ho.log_likelihood_and_grad(hp, pool, positions),
+        for call in (lambda: log_likelihood_and_grad(hp, pool, positions),
                      lambda: ho.optimize(pool, positions, hp0=hp)):
             with pytest.raises(ValueError, match=f"M=3 nodes, hyperparameters have {len(eps)} widths"):
                 call()
@@ -247,8 +247,8 @@ def test_optimize_trace_and_result_are_the_likelihood():
         result = ho.optimize(pool, positions, hp0=hp)
         m = hp.num_nodes
         start = kn.Hyperparameters(eps=result.trace[0][2:2 + m], sigma2=result.trace[0][-1])
-        assert result.trace[0][1] == ho.log_likelihood_and_grad(start, pool, positions)[0]
-        learned = ho.log_likelihood_and_grad(result.hyperparameters, pool, positions)[0]
+        assert result.trace[0][1] == log_likelihood_and_grad(start, pool, positions)[0]
+        learned = log_likelihood_and_grad(result.hyperparameters, pool, positions)[0]
         assert result.log_likelihood == learned
 
 

@@ -9,6 +9,7 @@ graph is guarded too, since every process pays for what it loads.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,26 @@ def test_benchmark_toy_pass_runs_clean():
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, run.stderr
     assert result["failed"] == 0
+
+
+# the one check a traced pass may fail on correct code: a host stall that lands
+# in a stage's unspanned time widens the gap between its wall and its spans
+_HOST_STALL = re.compile(r"(desk|online): FAILED trace \S+: layer self times sum to the "
+                         r"stage wall \(gap -?\d+\.\d+ ms\)")
+
+
+def test_benchmark_traced_toy_pass_fails_no_output_check():
+    # traced: the tracer wraps program functions, and its checks cover the
+    # outputs of the wrapped runs; only the timing check above may fail
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "all", "--size", "toy",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    failed = [line for line in run.stderr.splitlines() if "FAILED" in line]
+    assert all(_HOST_STALL.fullmatch(line) for line in failed), run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["attempted"] > 0 and result["failed"] == len(failed), run.stderr
 
 
 def test_program_imports_leave_scipy_signal_out():

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (ArrayPoolModel, conditional_gaussian_oracle, make_artf, make_set,
-                      reference_predict, reference_update_recursive)
+from conftest import (MODEL_HASH, ArrayPoolModel, conditional_gaussian_oracle,
+                      log_likelihood_and_grad, make_artf, make_set, reference_predict,
+                      reference_update_recursive)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,7 +248,7 @@ def test_stream_bits_match_concatenating_reference(tmp_path):
         if resumed is not None:
             _agree(resumed, model, resumed.predict_recursive(t), got, same_bits=False)
         if step == 150:
-            mm.save_model(model, tmp_path / "mid.bin")
+            mm.save_model(model, tmp_path / "mid.bin", MODEL_HASH)
             resumed = mm.load_model(tmp_path / "mid.bin")
             # a deep copy owns its pool: growing it leaves the original as it was
             clone = copy.deepcopy(model)
@@ -277,7 +278,7 @@ def test_cached_labelled_gram_matches_a_fresh_gram(tmp_path):
     assert model.labelled_gram.shape == (4, 307)
     np.testing.assert_allclose(model.labelled_gram, fresh(model), rtol=1e-12, atol=0)
 
-    mm.save_model(model, tmp_path / "model.bin")
+    mm.save_model(model, tmp_path / "model.bin", MODEL_HASH)
     loaded = mm.load_model(tmp_path / "model.bin")
     assert loaded.labelled_gram.tobytes() == fresh(loaded).tobytes()
     np.testing.assert_allclose(loaded.labelled_gram, model.labelled_gram, rtol=1e-12, atol=0)
@@ -417,7 +418,7 @@ def test_labels_without_coordinates_are_rejected():
         with pytest.raises(ValueError, match="at least one coordinate"):
             mm.fit(pool, labels, hp)
         with pytest.raises(ValueError, match="at least one coordinate"):
-            ho.log_likelihood_and_grad(hp, pool, labels)
+            log_likelihood_and_grad(hp, pool, labels)
         with pytest.raises(ValueError, match="at least one coordinate"):
             bl.fit_kernel_product(pool, labels, hp)
 
@@ -458,10 +459,11 @@ def test_serialization_roundtrip(tmp_path):
     model, *_ = fitted(rng, n_l=4, n_u=5, num_nodes=3, dim=6, c=3)
     model.update_recursive(make_artf(rng, 3, 6))
     path = tmp_path / "model.bin"
-    mm.save_model(model, path)
+    mm.save_model(model, path, MODEL_HASH)
     loaded = mm.load_model(path)
     assert loaded.n_labeled == model.n_labeled
     assert loaded.update_count == 1
+    assert loaded.config_hash == MODEL_HASH and model.config_hash is None
     np.testing.assert_array_equal(loaded.pool, model.pool)
     np.testing.assert_array_equal(loaded.gamma, model.gamma)
     np.testing.assert_array_equal(loaded.positions, model.positions)
@@ -480,7 +482,7 @@ def test_serialization_rejects_corrupt_files(tmp_path):
     rng = np.random.default_rng(73)
     model, *_ = fitted(rng, n_l=3, n_u=2)
     path = tmp_path / "model.bin"
-    mm.save_model(model, path)
+    mm.save_model(model, path, MODEL_HASH)
     raw = path.read_bytes()
     bad_magic = tmp_path / "bad_magic.bin"
     bad_magic.write_bytes(b"NOPE" + raw[4:])
@@ -498,10 +500,32 @@ def test_serialization_rejects_corrupt_files(tmp_path):
     bad_version.write_bytes(raw[:4] + b"\x63\x00\x00\x00" + raw[8:])
     with pytest.raises(ValueError, match="version"):
         mm.load_model(bad_version)
-    # version 1 stored the derived sigma_l, gamma and centered labels
-    bad_version.write_bytes(raw[:4] + b"\x01\x00\x00\x00" + raw[8:])
-    with pytest.raises(ValueError, match="unsupported model format version 1$"):
-        mm.load_model(bad_version)
+    # version 1 stored the derived sigma_l, gamma and centered labels, and
+    # versions 1 and 2 no config hash
+    for old in (1, 2):
+        bad_version.write_bytes(raw[:4] + struct.pack("<I", old) + raw[8:])
+        with pytest.raises(ValueError, match=f"unsupported model format version {old}$"):
+            mm.load_model(bad_version)
+
+
+def test_model_file_carries_its_config_hash(tmp_path):
+    rng = np.random.default_rng(75)
+    model, *_ = fitted(rng, n_l=3, n_u=2)
+    path = tmp_path / "model.bin"
+    for config_hash in (MODEL_HASH, "f" * 64):
+        mm.save_model(model, path, config_hash)
+        raw = path.read_bytes()
+        # the 32 hash bytes follow the magic and the seven counts
+        assert struct.unpack("<I", raw[4:8]) == (3,)
+        assert raw[32:64] == bytes.fromhex(config_hash)
+        assert mm.load_model(path).config_hash == config_hash
+    path.unlink()
+    for bad in ("", "0" * 63, "0" * 65, "0" * 66, "A" * 64, "g" * 64, " ".join(["ab"] * 32)):
+        with pytest.raises(ValueError):
+            mm.save_model(model, path, bad)
+    with pytest.raises(TypeError):
+        mm.save_model(model, path, None)
+    assert not path.exists()
 
 
 def test_load_rejects_non_finite_values(tmp_path):
@@ -509,12 +533,12 @@ def test_load_rejects_non_finite_values(tmp_path):
     n_l, n_u, m, d, c = 3, 2, 2, 4, 2
     model, *_ = fitted(rng, n_l=n_l, n_u=n_u, num_nodes=m, dim=d, c=c)
     path = tmp_path / "model.bin"
-    mm.save_model(model, path)
+    mm.save_model(model, path, MODEL_HASH)
     raw = path.read_bytes()
     sizes = {"eps": m, "sigma2": 1, "jitter": 1, "positions": n_l * c,
              "pool": 2 * (n_l + n_u) * m * d}
-    assert 32 + 8 * sum(sizes.values()) == len(raw)
-    start = 32
+    assert 64 + 8 * sum(sizes.values()) == len(raw)
+    start = 64
     for count in sizes.values():
         for at in (start, start + 8 * (count - 1)):
             for bad in (np.nan, np.inf, -np.inf):
@@ -530,7 +554,7 @@ def test_load_rejects_features_that_overflow_the_gram(tmp_path):
     rng = np.random.default_rng(101)
     model, *_ = fitted(rng, n_l=3, n_u=2, num_nodes=2, dim=4)
     path = tmp_path / "model.bin"
-    mm.save_model(model, path)
+    mm.save_model(model, path, MODEL_HASH)
     raw = bytearray(path.read_bytes())
     # the first labelled feature: finite, but its squared norm is not
     at = len(raw) - model.pool.nbytes
@@ -544,9 +568,9 @@ def test_load_rejects_values_that_overflow_the_conditioning(tmp_path):
     rng = np.random.default_rng(103)
     model, *_ = fitted(rng, n_l=3, n_u=2, num_nodes=2, dim=4)
     path = tmp_path / "model.bin"
-    mm.save_model(model, path)
+    mm.save_model(model, path, MODEL_HASH)
     raw = path.read_bytes()
-    at = 32 + 8 * (2 + 2)  # the positions, after eps, sigma2 and jitter
+    at = 64 + 8 * (2 + 2)  # the positions, after eps, sigma2 and jitter
     # finite labels whose mean overflows, and sigma2 + jitter that overflows
     huge = struct.pack("<d", 1e308)
     labels = raw[:at] + huge + raw[at + 8:at + 16] + huge + raw[at + 24:]
@@ -562,7 +586,7 @@ def test_loaded_streamed_model_equals_a_fit_on_its_pool(tmp_path):
     model, *_ = fitted(rng, n_l=4, n_u=3, num_nodes=3, dim=5, c=3)
     for _ in range(25):
         model.update_recursive(make_artf(rng, 3, 5))
-    mm.save_model(model, tmp_path / "model.bin")
+    mm.save_model(model, tmp_path / "model.bin", MODEL_HASH)
     loaded = mm.load_model(tmp_path / "model.bin")
     assert loaded.update_count == model.update_count == 25
     hp = model.hyperparameters
@@ -592,7 +616,7 @@ def test_load_rejects_every_truncated_prefix(tmp_path):
     rng = np.random.default_rng(79)
     model, *_ = fitted(rng, n_l=3, n_u=2)
     path = tmp_path / "model.bin"
-    mm.save_model(model, path)
+    mm.save_model(model, path, MODEL_HASH)
     raw = path.read_bytes()
     cut = tmp_path / "cut.bin"
     for size in range(len(raw)):
@@ -616,7 +640,7 @@ def _saved_model_bytes():
     model.update_recursive(make_artf(rng, 2, 3))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.bin"
-        mm.save_model(model, path)
+        mm.save_model(model, path, MODEL_HASH)
         return path.read_bytes()
 
 
