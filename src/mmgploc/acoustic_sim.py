@@ -281,7 +281,7 @@ def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_met
     """Sum every image-source tap of one source/mic pair into an n-sample response.
 
     ``half`` holds the lattice half-extents per axis and ``max_order`` the
-    reflection-order cap (negative disables it).  The images within the
+    reflection-order cap, at least 0.  The images within the
     cap come from ``_image_lattice``, cached on ``(half, max_order)``.
     Only the per-axis squared offsets ``((1 - 2a) * src + 2 i L - mic) ** 2``
     of each lattice index ``i`` and flip ``a`` depend on the room, source
@@ -308,8 +308,7 @@ def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_met
     bpow[0] = 1.0  # covers the anechoic direct path when beta == 0
     np.cumprod(np.full(emax, beta), out=bpow[1:])
 
-    # no image of the box has an order above emax, so no cap is the cap emax
-    images = _image_lattice(tuple(half), max_order if max_order >= 0 else emax)
+    images = _image_lattice(tuple(half), max_order)
     tables = []
     for k, h in enumerate(half):
         rm = 2.0 * np.arange(-h, h + 1) * dims[k]
@@ -465,12 +464,13 @@ def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> M
 
 
 def generate_dataset(scene: SceneConfig, labeled: SourceSetSpec, unlabeled: SourceSetSpec,
-                     test: SourceSetSpec, out_dir, spectral=None, config_hash: str = "") -> str:
+                     test: SourceSetSpec, out_dir, spectral, config_hash: str) -> str:
     """Render every record of the three sets and write the dataset directory.
 
-    Returns the manifest path.  Record ids are stable and the rendering of
-    each record depends only on (set seed, record index), so regeneration
-    with the same specs is bit-identical.
+    Returns the manifest path; ``spectral`` and ``config_hash`` go into it
+    as ``dataio.write_dataset`` takes them.  Record ids are stable and the
+    rendering of each record depends only on (set seed, record index), so
+    regeneration with the same specs is bit-identical.
     """
     from . import dataio
 

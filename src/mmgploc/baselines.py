@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic_sim import MeasurementRecord
 from .kernels import Hyperparameters, gram_stack
 from .mmgp_model import LabelledGp, Prediction, as_sample, labelled_pool
 from .mmgp_model import fit as fit_mmgp
@@ -189,7 +188,7 @@ def _averaged_gcc(signals: np.ndarray, cfg: SrpConfig):
     return np.fft.irfft(acc, n, axis=1) / len(starts), pairs
 
 
-def srp_phat(record, cfg: SrpConfig) -> np.ndarray:
+def srp_phat(signals, cfg: SrpConfig) -> np.ndarray:
     """Grid point maximizing the summed pairwise GCC-PHAT response.
 
     The GCC is evaluated at the exact fractional inter-channel delay of
@@ -197,16 +196,10 @@ def srp_phat(record, cfg: SrpConfig) -> np.ndarray:
     ties go to the lowest flat grid index.  The GCC inverts each pair's
     frame-summed PHAT spectra once; a pair keeps only in-band bins above
     1e-12 of its own frame peak, so a silent channel's pairs add nothing.
-    A ``MeasurementRecord`` must be sampled at the config's rate; a bare
-    (channels, samples) array is taken to be, and must be finite.
+    ``signals`` is a finite (channels, samples) array, taken to be sampled
+    at the config's rate.
     """
-    if isinstance(record, MeasurementRecord):
-        if record.sample_rate != cfg.sample_rate:
-            raise ValueError(
-                f"record rate {record.sample_rate} != config rate {cfg.sample_rate}")
-        signals = record.signals
-    else:
-        signals = np.asarray(record, dtype=float)
+    signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2:
         raise ValueError("signals must be (num_channels, num_samples)")
     if signals.shape[0] != cfg.num_channels:

@@ -75,9 +75,9 @@ def resolve_config(path, seed=None) -> dict:
     dio.check_fields(cfg, "config", {"seed": dio.INTEGER})
     defaults = _field_defaults(SceneConfig)
     scene = dio.check_fields(cfg.get("scene"), "'scene' section", dio.SCENE, optional=defaults,
-                             known=dio.field_names(SceneConfig))
+                             known=dio.SCENE)
     spectral = dio.check_fields(cfg.get("spectral") or {}, "'spectral' section", dio.SPECTRAL,
-                                optional=dio.SPECTRAL, known=dio.field_names(SpectralConfig))
+                                optional=dio.SPECTRAL, known=dio.SPECTRAL)
     scene = {**defaults, **scene}
     cfg["scene"] = scene
     cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
@@ -234,8 +234,6 @@ def cmd_features(dataset_dir) -> int:
     from .acoustic_sim import MeasurementRecord
 
     manifest = dio.load_manifest(dataset_dir)
-    if manifest.get("spectral") is None:
-        raise ValueError("manifest has no spectral settings; re-run simulate")
     spectral = dio.spectral_from_dict(manifest["spectral"])
     num_nodes = len(manifest["scene"]["mic_positions"])
     feats = {}

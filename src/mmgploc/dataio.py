@@ -122,7 +122,9 @@ MIC_PAIRS = (lambda v: isinstance(v, list) and len(v) > 0 and all(
                  isinstance(pair, list) and len(pair) == 2 and all(map(is_point, pair))
                  for pair in v),
              "a non-empty list of per-node microphone pairs of [x, y, z] points")
-# the values of a scene and spectral config section; the dataclasses check their ranges
+# the one schema of a scene and a spectral object, in a config or a manifest: its
+# keys are the SceneConfig and SpectralConfig fields, in order, and the
+# dataclasses check the ranges
 SCENE = {"room_dims": POINT, "mic_positions": MIC_PAIRS, "t60": NUMBER,
          "snr_db": (lambda v: v == "inf" or is_number(v), "a finite number or 'inf'"),
          "sample_rate": NUMBER, "sound_speed": NUMBER,
@@ -154,11 +156,6 @@ def check_fields(spec, where: str, fields: dict, optional=(), known=None) -> dic
     return spec
 
 
-def field_names(cls) -> list:
-    """A dataclass's field names, the keys its config section may hold."""
-    return [f.name for f in dataclasses.fields(cls)]
-
-
 # ---------------------------------------------------------------------------
 # configuration hashing and echoes
 
@@ -185,36 +182,32 @@ def scene_from_dict(d: dict):
     """A ``SceneConfig`` from its dict; absent optional fields take the class defaults."""
     from .acoustic_sim import SceneConfig
 
-    check_fields(d, "scene", {}, known=field_names(SceneConfig))
+    check_fields(d, "scene", SCENE, optional=("sound_speed", "max_reflection_order"),
+                 known=SCENE)
     snr = d["snr_db"]
-    optional = {k: d[k] for k in ("sound_speed", "max_reflection_order") if k in d}
-    return SceneConfig(
-        room_dims=d["room_dims"],
-        mic_positions=d["mic_positions"],
-        t60=d["t60"],
-        snr_db=math.inf if snr == "inf" else float(snr),
-        sample_rate=d["sample_rate"],
-        **optional,
-    )
+    return SceneConfig(**{**d, "snr_db": math.inf if snr == "inf" else float(snr)})
 
 
 def spectral_from_dict(d: dict):
+    """A ``SpectralConfig`` from its dict; absent fields take the class defaults."""
     from .rtf_features import SpectralConfig
 
-    check_fields(d, "spectral", {}, known=field_names(SpectralConfig))
-    return SpectralConfig(**d)
+    return SpectralConfig(**check_fields(d, "spectral", SPECTRAL, optional=SPECTRAL,
+                                         known=SPECTRAL))
 
 
 # ---------------------------------------------------------------------------
 # manifests
 
 
-def write_dataset(out_dir, scene, records, spectral=None, config_hash: str = "") -> str:
+def write_dataset(out_dir, scene, records, spectral, config_hash: str) -> str:
     """Write signal blobs and both manifests; returns the manifest path.
 
     ``records`` is a list of (role, MeasurementRecord) with unique record
-    ids.  The training manifest exposes positions of labeled records only;
-    ``evaluation.json`` additionally carries test-record ground truth.
+    ids.  Both manifests carry the ``SpectralConfig`` that feature extraction
+    will use and the hash of the config that made the records.  The training
+    manifest exposes positions of labeled records only; ``evaluation.json``
+    additionally carries test-record ground truth.
     """
     out = Path(out_dir)
     (out / "signals").mkdir(parents=True, exist_ok=True)
@@ -247,7 +240,7 @@ def write_dataset(out_dir, scene, records, spectral=None, config_hash: str = "")
         "format_version": MANIFEST_VERSION,
         "config_hash": config_hash,
         "scene": scene_to_dict(scene),
-        "spectral": dataclasses.asdict(spectral) if spectral is not None else None,
+        "spectral": dataclasses.asdict(spectral),
     }
     manifest_path = out / MANIFEST_NAME
     _dump_json(manifest_path, {**base, "records": entries})
@@ -256,7 +249,11 @@ def write_dataset(out_dir, scene, records, spectral=None, config_hash: str = "")
 
 
 def load_manifest(path) -> dict:
-    """Load and validate either manifest flavor."""
+    """Load and validate either manifest flavor.
+
+    Its ``scene`` and ``spectral`` objects hold every field of ``SCENE`` and
+    ``SPECTRAL``, each of the type given there.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
@@ -264,7 +261,8 @@ def load_manifest(path) -> dict:
         raise FileNotFoundError(f"manifest not found: {path}")
     with open(path) as fh:
         manifest = check_fields(json.load(fh), str(path), _MANIFEST)
-    check_fields(manifest.get("scene"), f"{path}: 'scene'", {"mic_positions": MIC_PAIRS})
+    check_fields(manifest.get("scene"), f"{path}: 'scene'", SCENE, known=SCENE)
+    check_fields(manifest.get("spectral"), f"{path}: 'spectral'", SPECTRAL, known=SPECTRAL)
     for index, rec in enumerate(manifest["records"]):
         check_fields(rec, f"record #{index}", {"id": TEXT})
         check_fields(rec, f"record {rec['id']}", _RECORD, optional=("true_position",))

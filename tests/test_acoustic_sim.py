@@ -89,7 +89,9 @@ def test_matches_brute_force_enumeration():
         half = ac._lattice_half_extent(n, room, spm)
         max_order = int(rng.integers(-1, 6))
         expected = brute_force_rir(n, room, src, mic, beta, half, max_order, fs, c)
-        got = ac._accumulate_images(n, room, src, mic, beta, half, max_order, spm)
+        # -1 is no cap here; the kernel's cap for that is the box's highest order
+        cap = max_order if max_order >= 0 else 2 * sum(half) + 3
+        got = ac._accumulate_images(n, room, src, mic, beta, half, cap, spm)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
@@ -129,7 +131,8 @@ def test_kernel_bits_match_reference_oracle():
         half = ac._lattice_half_extent(n, room, spm)
         if n == 2800:
             assert np.prod([2 * h + 1 for h in half]) > ac._CHUNK
-        got = ac._accumulate_images(n, room, src, mic, beta, half, -1, spm)
+        # no image of the box has an order above 2 * sum(half) + 3
+        got = ac._accumulate_images(n, room, src, mic, beta, half, 2 * sum(half) + 3, spm)
         expected = reference_image_rir(np.zeros(n), room, src, mic, beta, half, -1, spm)
         assert got.tobytes() == expected.tobytes()
 

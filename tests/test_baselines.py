@@ -200,7 +200,7 @@ def test_srp_phat_simulated_anechoic_scene():
     cfg = bl.SrpConfig(mic_positions=scene.flat_mics(),
                        grid_min=[1.0, 1.0, 1.0], grid_max=[3.0, 4.0, 2.0],
                        resolution=0.5)
-    got = bl.srp_phat(record, cfg)
+    got = bl.srp_phat(record.signals, cfg)
     np.testing.assert_allclose(got, [2.0, 2.5, 1.5], atol=1e-12)
 
 
@@ -249,19 +249,13 @@ def test_srp_phat_silent_record_errors():
         bl.srp_phat(np.zeros((2, 8000)), cfg)
 
 
-def test_srp_phat_rejects_a_record_at_another_rate():
+def test_srp_phat_at_another_rate():
     rng = np.random.default_rng(61)
     mics = room_mics()
-    cfg = bl.SrpConfig(mic_positions=mics,
-                       grid_min=[1.0, 1.0, 1.0], grid_max=[3.0, 4.0, 2.0],
-                       resolution=0.5)
     signals = free_field_signals(rng, np.array([2.0, 2.5, 1.5]), mics, fs=8000.0)
-    record = sim.MeasurementRecord(signals=signals, sample_rate=8000.0, num_nodes=3)
-    with pytest.raises(ValueError, match="record rate 8000.0 != config rate 16000.0"):
-        bl.srp_phat(record, cfg)
-    at_8k = bl.SrpConfig(mic_positions=mics, grid_min=cfg.grid_min, grid_max=cfg.grid_max,
+    at_8k = bl.SrpConfig(mic_positions=mics, grid_min=[1.0, 1.0, 1.0], grid_max=[3.0, 4.0, 2.0],
                          resolution=0.5, sample_rate=8000.0)
-    np.testing.assert_allclose(bl.srp_phat(record, at_8k), [2.0, 2.5, 1.5], atol=1e-12)
+    np.testing.assert_allclose(bl.srp_phat(signals, at_8k), [2.0, 2.5, 1.5], atol=1e-12)
 
 
 def test_srp_phat_short_signal_is_padded():

@@ -229,7 +229,7 @@ def test_unknown_scene_and_spectral_keys_rejected():
 def test_dataset_truth_separation(tmp_path):
     scene = small_scene()
     path = dio.write_dataset(tmp_path / "ds", scene, make_records(scene),
-                             config_hash="abc123")
+                             rf.SpectralConfig(), "abc123")
     manifest = dio.load_manifest(path)
     assert manifest["config_hash"] == "abc123"
     by_role = {r["role"]: r for r in manifest["records"]}
@@ -247,7 +247,7 @@ def test_dataset_truth_separation(tmp_path):
 def test_signal_roundtrip_and_feature_attach(tmp_path):
     scene = small_scene()
     records = make_records(scene)
-    dio.write_dataset(tmp_path / "ds", scene, records, spectral=rf.SpectralConfig())
+    dio.write_dataset(tmp_path / "ds", scene, records, rf.SpectralConfig(), "h")
     manifest = dio.load_manifest(tmp_path / "ds")
     entry = manifest["records"][0]
     np.testing.assert_array_equal(
@@ -278,7 +278,7 @@ def test_signal_roundtrip_and_feature_attach(tmp_path):
 def test_record_blob_paths_stay_inside_the_dataset(tmp_path, reader, field, kind):
     scene = small_scene()
     records = make_records(scene)
-    dio.write_dataset(tmp_path / "ds", scene, records, spectral=rf.SpectralConfig())
+    dio.write_dataset(tmp_path / "ds", scene, records, rf.SpectralConfig(), "h")
     outside = tmp_path / "outside.f64"
     dio.write_blob(outside, np.ones((2, 50)))  # a readable blob, so only the check can refuse
     manifest = dio.load_manifest(tmp_path / "ds")
@@ -292,7 +292,7 @@ def test_record_blob_paths_stay_inside_the_dataset(tmp_path, reader, field, kind
 @pytest.mark.parametrize("shape", [[3, 10], [2, "x"], None, [-1, 10], [2.0, 10], [True, 20]])
 def test_record_blob_shape_must_fit_the_blob(tmp_path, shape):
     scene = small_scene()
-    dio.write_dataset(tmp_path / "ds", scene, make_records(scene), spectral=rf.SpectralConfig())
+    dio.write_dataset(tmp_path / "ds", scene, make_records(scene), rf.SpectralConfig(), "h")
     dio.write_blob(tmp_path / "ds" / "twenty.f64", np.arange(20.0))
     manifest = dio.load_manifest(tmp_path / "ds")
     entry = manifest["records"][0]
@@ -308,9 +308,10 @@ def test_manifest_validation(tmp_path):
     records = make_records(scene)
     records[1][1].record_id = records[0][1].record_id
     with pytest.raises(ValueError, match="duplicate"):
-        dio.write_dataset(tmp_path / "dup", scene, records)
+        dio.write_dataset(tmp_path / "dup", scene, records, rf.SpectralConfig(), "h")
 
-    path = Path(dio.write_dataset(tmp_path / "ok", scene, make_records(scene)))
+    path = Path(dio.write_dataset(tmp_path / "ok", scene, make_records(scene),
+                                  rf.SpectralConfig(), "h"))
     doc = json.loads(path.read_text())
     doc["records"][0]["role"] = "mystery"
     path.write_text(json.dumps(doc))
@@ -366,7 +367,8 @@ _MANIFEST_FAULTS = {
 @pytest.mark.parametrize("fault", list(_MANIFEST_FAULTS))
 def test_manifest_rejects_malformed_records(tmp_path, fault):
     mutate, message = _MANIFEST_FAULTS[fault]
-    path = Path(dio.write_dataset(tmp_path / "ds", small_scene(), make_records(small_scene())))
+    path = Path(dio.write_dataset(tmp_path / "ds", small_scene(), make_records(small_scene()),
+                                  rf.SpectralConfig(), "h"))
     doc = json.loads(path.read_text())
     dio.load_manifest(path)  # the unmutated manifest loads
     mutate(doc)
@@ -384,7 +386,7 @@ def featured_dataset(tmp_path_factory):
     """
     root = tmp_path_factory.mktemp("mutants")
     scene, records = small_scene(), make_records(small_scene())
-    path = Path(dio.write_dataset(root / "ds", scene, records, spectral=rf.SpectralConfig()))
+    path = Path(dio.write_dataset(root / "ds", scene, records, rf.SpectralConfig(), "h"))
     rng = np.random.default_rng(4)
     feats = {rec.record_id: rng.standard_normal((1, 7)) + 1j * rng.standard_normal((1, 7))
              for _, rec in records}
@@ -475,7 +477,7 @@ def test_generate_dataset_is_deterministic(tmp_path):
     paths = []
     for name in ("a", "b"):
         paths.append(sim.generate_dataset(scene, labeled, unlabeled, test,
-                                          tmp_path / name, config_hash="h"))
+                                          tmp_path / name, rf.SpectralConfig(), "h"))
     a, b = (Path(p).parent for p in paths)
     files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
