@@ -288,10 +288,14 @@ def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
     hp, result = _resolve_hyperparameters(cfg, pool, positions)
     model = mm.fit(pool, positions, hp)
     # the model file carries the hash and is all later stages read; the trace
-    # and sidecar are views for people, written after it
+    # and sidecar are views for people, written after it, and a fit that does
+    # not learn removes an earlier fit's trace
     mm.save_model(model, model_path, manifest["config_hash"])
+    trace_path = model_path.with_suffix(".trace.csv")
     if result is not None:
-        ho.write_trace_csv(result, model_path.with_suffix(".trace.csv"))
+        ho.write_trace_csv(result, trace_path)
+    else:
+        trace_path.unlink(missing_ok=True)
     sidecar = {
         "config_hash": manifest["config_hash"],
         "method": "mmgp",

@@ -72,27 +72,34 @@ def write_blob(path, array: np.ndarray) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(BLOB_MAGIC)
         fh.write(struct.pack("<3I", BLOB_VERSION, code, flat.size))
-        fh.write(flat.tobytes())
+        fh.write(flat)
 
 
 def read_blob(path) -> np.ndarray:
-    """Read a blob back as a flat array; the manifest carries the shape."""
+    """Read a blob back as a flat array; the manifest carries the shape.
+
+    The count is checked against the file size before any payload is read,
+    and the payload is read straight into the result.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != BLOB_MAGIC:
-        raise ValueError(f"{path}: not an array blob (bad magic)")
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated header ({len(raw)} of 16 bytes)")
-    version, code, count = struct.unpack("<3I", raw[4:16])
-    if version != BLOB_VERSION:
-        raise ValueError(f"{path}: unsupported blob version {version}")
-    if code not in _DTYPE_CODES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    dtype = _DTYPE_CODES[code]
-    expected = 16 + count * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: size {len(raw)} != header count ({expected} bytes)")
-    return np.frombuffer(raw[16:], dtype=dtype).copy()
+        head = fh.read(16)
+        if head[:4] != BLOB_MAGIC:
+            raise ValueError(f"{path}: not an array blob (bad magic)")
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated header ({len(head)} of 16 bytes)")
+        version, code, count = struct.unpack("<3I", head[4:])
+        if version != BLOB_VERSION:
+            raise ValueError(f"{path}: unsupported blob version {version}")
+        if code not in _DTYPE_CODES:
+            raise ValueError(f"{path}: unknown dtype code {code}")
+        dtype = _DTYPE_CODES[code]
+        size, expected = os.fstat(fh.fileno()).st_size, 16 + count * dtype.itemsize
+        if size != expected:
+            raise ValueError(f"{path}: size {size} != header count ({expected} bytes)")
+        out = np.empty(count, dtype=dtype)
+        if fh.readinto(out) != out.nbytes:
+            raise ValueError(f"{path}: payload shorter than its {count} values")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_rtf_features import desk_features_config
 
 import mmgploc.cli as cli
 import mmgploc.dataio as dio
@@ -197,18 +198,25 @@ def test_malformed_config_sections_are_rejected(tmp_path, capsys, fault):
 
 
 def test_minimal_config_fingerprint_pinned(tmp_path):
-    # every scene and spectral default enters the hash; the digest was
-    # recorded when resolve_config still spelled the defaults out itself
+    # every scene and spectral default enters the hash; the minimal digest was
+    # recorded when resolve_config still spelled the defaults out itself, the
+    # other two before the scene and spectral fields became one table each
     minimal = {
         "scene": {"room_dims": [4.0, 5.0, 3.0],
                   "mic_positions": [[[0.8, 0.9, 1.2], [0.8, 1.1, 1.2]]],
                   "t60": 0.0, "snr_db": "inf", "sample_rate": 16000.0},
         "labeled": {}, "unlabeled": {}, "test": {},
     }
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(minimal))
-    assert (cli.config_fingerprint(cli.resolve_config(path))
-            == "6dac8c71b42244e0f7bb489c3797808ab110e19a4047eeb716aa90271afcfe58")
+    pins = {
+        "minimal": (minimal, "6dac8c71b42244e0f7bb489c3797808ab110e19a4047eeb716aa90271afcfe58"),
+        "tiny": (tiny_config(), "4e58c14b02be61bbd58c7843482509ce2ae6ac0198d2d17434865357960ef855"),
+        "desk features": (desk_features_config(),
+                          "946f89139f31b02bb10340a538c2b2d70b8f02e2eed9f2954002c8e47c541ed6"),
+    }
+    for name, (cfg, digest) in pins.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.config_fingerprint(cli.resolve_config(path)) == digest, name
 
 
 @pytest.mark.parametrize("section, key", [("scene", "sound_sped"), ("spectral", "fft_sise")])
@@ -531,6 +539,51 @@ def test_malformed_sidecar_is_not_read(pipeline, tmp_path, command, fault):
     assert outputs[0] == outputs[1]
 
 
+# edits to both manifests of a dataset, and the error each must raise
+_MANIFEST_EDITS = {
+    "fft_size a string": (lambda doc: doc["spectral"].__setitem__("fft_size", "1024"),
+                          "'spectral': 'fft_size' must be a non-negative integer, got '1024'"),
+    "sound_speed a string": (lambda doc: doc["scene"].__setitem__("sound_speed", "343"),
+                             "'scene': 'sound_speed' must be a finite number, got '343'"),
+    "spectral null": (lambda doc: doc.__setitem__("spectral", None),
+                      "'spectral' must be an object, got None"),
+}
+
+
+@pytest.mark.parametrize("stage", ["features", "fit", "localize", "baseline", "srp-phat",
+                                   "evaluate"])
+@pytest.mark.parametrize("edit", list(_MANIFEST_EDITS))
+def test_mistyped_manifest_scene_or_spectral_is_refused(pipeline, tmp_path, capsys, edit, stage):
+    # the manifest is checked against the same scene and spectral tables as a
+    # config, before any stage uses a value of it
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["root"], work)
+    mutate, message = _MANIFEST_EDITS[edit]
+    for name in (dio.MANIFEST_NAME, dio.EVALUATION_NAME):
+        doc = json.loads((work / "ds" / name).read_text())
+        mutate(doc)
+        (work / "ds" / name).write_text(json.dumps(doc))
+    argv = _stage(stage, pipeline["cfg"], work / "ds", work) if stage != "srp-phat" else \
+        ["baseline", "--config", str(pipeline["cfg"]), "--method", "srp-phat",
+         "--dataset", str(work / "ds"), "--output", str(work / "srp.csv")]
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    manifest = work / "ds" / (dio.EVALUATION_NAME if stage == "evaluate" else dio.MANIFEST_NAME)
+    assert err == {"error": f"{manifest}: {message}", "type": "ValueError"}
+
+
+def test_a_fit_that_does_not_learn_removes_an_earlier_trace(pipeline, two_runs, tmp_path):
+    # the trace is the optimizer history of the model beside it: a median
+    # refit over a learned fit must not leave the learned fit's trace behind
+    work = tmp_path / "work"
+    shutil.copytree(two_runs["old"]["work"], work)
+    assert (work / "model.trace.csv").exists()
+    assert cli.main(_stage("fit", pipeline["cfg"], pipeline["ds"], work)) == 0
+    assert not (work / "model.trace.csv").exists()
+    assert json.loads((work / "model.bin.meta.json").read_text())["learned"] is False
+    assert (work / "model.bin").read_bytes() == pipeline["model"].read_bytes()
+
+
 def test_machine_readable_error_and_exit_code(tmp_path, capsys):
     code = cli.main(["features", "--dataset", str(tmp_path / "nowhere")])
     assert code == 1
@@ -615,6 +668,25 @@ def test_thread_cap_is_set_before_numpy_loads(pipeline, tmp_path, run):
         capture_output=True, text=True, env=dict(env, MMGP_THREADS="1"))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "['1']"
+
+
+@pytest.mark.parametrize("run", ["python -m mmgploc evaluate", "dataio.load_manifest"])
+def test_manifest_checks_load_no_scipy(pipeline, tmp_path, run):
+    # the scene and spectral tables live in dataio, so checking a manifest
+    # never imports the SciPy-backed simulator or feature modules
+    if run == "dataio.load_manifest":
+        argv = ["-c", f"from mmgploc import dataio; dataio.load_manifest({str(pipeline['ds'])!r})"]
+    else:
+        argv = ["-m", "mmgploc", "evaluate", "--estimates", str(pipeline["est"]),
+                "--dataset", str(pipeline["ds"]), "--output", str(tmp_path / "m.csv")]
+    result = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                            capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    # -X importtime lists each module as it is first imported
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "mmgploc.dataio" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
 
 def test_console_entry_point(pipeline, tmp_path):

@@ -4,8 +4,10 @@ import builtins
 import copy
 import dataclasses
 import json
+import os
 import struct
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,18 @@ def test_blob_rejects_every_truncated_prefix(tmp_path):
     cut.write_bytes(raw[:6])
     with pytest.raises(ValueError, match="truncated header"):
         dio.read_blob(cut)
+
+
+def test_blob_that_shrinks_while_read_is_rejected(tmp_path, monkeypatch):
+    # the size check saw the whole file, then the payload came up short:
+    # no value of the result may be left unread
+    path = tmp_path / "x.f64"
+    dio.write_blob(path, np.arange(4.0))
+    path.write_bytes(path.read_bytes()[:-8])
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=16 + 4 * 8))
+        with pytest.raises(ValueError, match="payload shorter than its 4 values"):
+            dio.read_blob(path)
 
 
 _BLOB_BYTES = b"".join([dio.BLOB_MAGIC, struct.pack("<3I", dio.BLOB_VERSION, 2, 3),
