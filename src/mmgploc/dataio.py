@@ -76,11 +76,7 @@ def write_blob(path, array: np.ndarray) -> None:
 
 
 def read_blob(path) -> np.ndarray:
-    """Read a blob back as a flat array; the manifest carries the shape.
-
-    The count is checked against the file size before any payload is read,
-    and the payload is read straight into the result.
-    """
+    """Read a blob back as a flat array; the manifest carries the shape."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if head[:4] != BLOB_MAGIC:
@@ -93,6 +89,7 @@ def read_blob(path) -> np.ndarray:
         if code not in _DTYPE_CODES:
             raise ValueError(f"{path}: unknown dtype code {code}")
         dtype = _DTYPE_CODES[code]
+        # the count must fit the file before it sizes the result array
         size, expected = os.fstat(fh.fileno()).st_size, 16 + count * dtype.itemsize
         if size != expected:
             raise ValueError(f"{path}: size {size} != header count ({expected} bytes)")
