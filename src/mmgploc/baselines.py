@@ -137,6 +137,10 @@ class SrpConfig:
             raise ValueError("grid_max must not be below grid_min")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
+        for name in ("sample_rate", "sound_speed"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 0 <= self.band_low_hz < self.band_high_hz:
             raise ValueError("need 0 <= band_low_hz < band_high_hz")
         if self.band_high_hz > self.sample_rate / 2:

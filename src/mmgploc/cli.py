@@ -357,6 +357,10 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
         srp = cfg.get("srp")
         if not srp:
             raise ValueError("srp-phat needs an 'srp' config section")
+        # the recorded rate is the scene's; the features were read at the spectral one
+        rate, spectral_rate = manifest["scene"]["sample_rate"], manifest["spectral"]["sample_rate"]
+        if rate != spectral_rate:
+            raise ValueError(f"record rate {rate} != config rate {spectral_rate}")
         mics = np.asarray(manifest["scene"]["mic_positions"],
                           dtype=float).reshape(-1, 3)
         srp_cfg = bl.SrpConfig(
@@ -365,7 +369,7 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
             resolution=srp["resolution"],
             band_low_hz=cfg["spectral"]["band_low_hz"],
             band_high_hz=cfg["spectral"]["band_high_hz"],
-            sample_rate=manifest["scene"]["sample_rate"],
+            sample_rate=rate,
             sound_speed=manifest["scene"]["sound_speed"])
         for entry in entries:
             signals = dio.read_record_signals(manifest, entry)
@@ -403,10 +407,18 @@ def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
     truth = {r["id"]: r["true_position"] for r in manifest["records"]
              if r["true_position"] is not None}
     errors = []
+    seen = set()
     for rec_id, pos, _var in rows:
         if rec_id not in truth:
-            raise ValueError(f"no ground truth for record {rec_id!r}")
-        errors.append(float(np.linalg.norm(pos - np.asarray(truth[rec_id]))))
+            raise ValueError(f"{estimates_path}: no ground truth for record {rec_id!r}")
+        if rec_id in seen:
+            raise ValueError(f"{estimates_path}: record {rec_id!r} has a second estimate")
+        seen.add(rec_id)
+        want = np.asarray(truth[rec_id])
+        if pos.shape != want.shape:
+            raise ValueError(f"{estimates_path}: record {rec_id!r} has {pos.size} estimated "
+                             f"coordinates, its ground truth {want.size}")
+        errors.append(float(np.linalg.norm(pos - want)))
     errors = np.asarray(errors)
     rmse = float(np.sqrt(np.mean(errors**2)))
     _write_metrics(out_path, est_hash, [r[0] for r in rows], errors, rmse, block_size)
@@ -434,15 +446,23 @@ def _write_metrics(path, config_hash: str, ids, errors, rmse: float, block_size:
 # estimates CSV
 
 
+_COORDS = ("x", "y", "z")
+
+
+def _estimates_header(c: int) -> list:
+    """``id``, the first ``c`` coordinate names, then their ``var_`` names."""
+    names = list(_COORDS[:c])
+    return ["id"] + names + [f"var_{n}" for n in names]
+
+
 def _write_estimates(path, config_hash: str, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     c = len(rows[0][1]) if rows else 3
-    names = ["x", "y", "z"][:c]
     with dio.atomic_write(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
-        writer.writerow(["id"] + names + [f"var_{n}" for n in names])
+        writer.writerow(_estimates_header(c))
         for rec_id, pos, var in rows:
             writer.writerow([rec_id] + [repr(float(v)) for v in pos]
                             + [repr(float(v)) for v in var])
@@ -459,6 +479,9 @@ def _read_estimates(path):
         if header is None:
             raise ValueError(f"{path}: no header row after the config hash line")
         c = (len(header) - 1) // 2
+        if c < 1 or header != _estimates_header(c):
+            raise ValueError(f"{path}: header {header!r} is not id, then coordinate names "
+                             f"from {', '.join(_COORDS)}, then their var_ names")
         rows = []
         for line in reader:
             try:

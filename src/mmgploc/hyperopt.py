@@ -66,39 +66,24 @@ class _Problem:
         """Log-likelihood and its gradients w.r.t. eps (M,) and sigma2.
 
         The coordinates share the noise variance ``sig2``, so one Cholesky
-        factor serves them all.  Gradients come from the rectangular Gram
-        derivative: d Sigma_L / d eps_m = (dK S^T + S dK^T) / M^2, with the
-        sum over the whole pool, not just the labelled block.
+        factor and one solve A = Gamma Y serve them all.  Summed over the C
+        coordinates, each gradient is the trace of R&W eq. 5.9,
+        1/2 tr(W dSigma_L), with W = A A^T - C Gamma.  The rectangular Gram
+        derivative d Sigma_L / d eps_m = (H_m + H_m^T) / M^2, H_m = dK_m S^T,
+        sums over the whole pool, not just the labelled block; W is
+        symmetric, so that trace is <W, H_m> / M^2.
         """
         grams = np.exp(-self.d2 / eps[:, None, None])
         s = grams.sum(axis=0)      # (n_L, n_D) node-summed Gram
-        n = self.n_l
         cf, gamma = spd_factor(fused_from_sums(s, None, self.num_nodes), sig2)
+        alphas = cho_solve(cf, self.y)                    # (n_L, C)
         logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-        total = 0.0
-        alphas = np.empty_like(self.y)
-        for c in range(self.num_coords):
-            alphas[:, c] = cho_solve(cf, self.y[:, c])
-            total += (-0.5 * float(self.y[:, c] @ alphas[:, c])
-                      - 0.5 * logdet - 0.5 * n * _LN_2PI)
-
-        g_eps = np.empty(self.num_nodes)
-        m2 = self.num_nodes**2
-        for m in range(self.num_nodes):
-            dk = (self.d2[m] / eps[m] ** 2) * grams[m]
-            half = dk @ s.T
-            d_cov = (half + half.T) / m2
-            trace_term = float(np.sum(gamma * d_cov))
-            acc = 0.0
-            for c in range(self.num_coords):
-                acc += 0.5 * (alphas[:, c] @ d_cov @ alphas[:, c] - trace_term)
-            g_eps[m] = acc
-        trace_gamma = float(np.trace(gamma))
-        g_sig = np.array([
-            0.5 * (float(alphas[:, c] @ alphas[:, c]) - trace_gamma)
-            for c in range(self.num_coords)
-        ]).sum()
-        return total, g_eps, g_sig
+        c = self.num_coords
+        total = -0.5 * float(np.sum(self.y * alphas)) - 0.5 * c * (logdet + self.n_l * _LN_2PI)
+        w = alphas @ alphas.T - c * gamma
+        h = ((self.d2 / eps[:, None, None] ** 2) * grams) @ s.T    # (M, n_L, n_L)
+        g_eps = np.einsum("ij,mij->m", w, h) / self.num_nodes**2
+        return total, g_eps, 0.5 * float(np.trace(w))
 
 
 def default_initial_hyperparameters(training_set, labelled_positions) -> Hyperparameters:

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.signal import fftconvolve
 
 from mmgploc import acoustic_sim as ac
@@ -13,6 +14,10 @@ from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
 from mmgploc import rtf_features as rf
 from mmgploc.acoustic_sim import _CHUNK, _FLIPS, _FOUR_PI
+from mmgploc.kernels import fused_from_sums
+from mmgploc.mmgp_model import spd_factor
+
+_LN_2PI = math.log(2.0 * math.pi)
 
 # mirror sign per axis of each of the 8 flips in ``_FLIPS``
 _SIGNS = 1 - 2 * _FLIPS
@@ -212,6 +217,50 @@ def log_likelihood_and_grad(hp: kn.Hyperparameters, training_set, labelled_posit
     prob = ho._Problem(training_set, labelled_positions, hp.num_nodes)
     value, g_eps, g_sig = prob.evaluate(hp.eps, hp.sigma2)
     return value, g_eps, float(g_sig)
+
+
+def reference_log_likelihood_and_grad(self, eps: np.ndarray, sig2: float):
+    """Log-likelihood and its gradients w.r.t. eps (M,) and sigma2.
+
+    The loop form of ``hyperopt._Problem.evaluate`` before it became one
+    trace over all coordinates and nodes, kept verbatim as the oracle of
+    that trace form: call it as ``reference_log_likelihood_and_grad(problem,
+    eps, sig2)`` on a ``hyperopt._Problem``, or patch it in as the method.
+
+    The coordinates share the noise variance ``sig2``, so one Cholesky
+    factor serves them all.  Gradients come from the rectangular Gram
+    derivative: d Sigma_L / d eps_m = (dK S^T + S dK^T) / M^2, with the
+    sum over the whole pool, not just the labelled block.
+    """
+    grams = np.exp(-self.d2 / eps[:, None, None])
+    s = grams.sum(axis=0)      # (n_L, n_D) node-summed Gram
+    n = self.n_l
+    cf, gamma = spd_factor(fused_from_sums(s, None, self.num_nodes), sig2)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+    total = 0.0
+    alphas = np.empty_like(self.y)
+    for c in range(self.num_coords):
+        alphas[:, c] = cho_solve(cf, self.y[:, c])
+        total += (-0.5 * float(self.y[:, c] @ alphas[:, c])
+                  - 0.5 * logdet - 0.5 * n * _LN_2PI)
+
+    g_eps = np.empty(self.num_nodes)
+    m2 = self.num_nodes**2
+    for m in range(self.num_nodes):
+        dk = (self.d2[m] / eps[m] ** 2) * grams[m]
+        half = dk @ s.T
+        d_cov = (half + half.T) / m2
+        trace_term = float(np.sum(gamma * d_cov))
+        acc = 0.0
+        for c in range(self.num_coords):
+            acc += 0.5 * (alphas[:, c] @ d_cov @ alphas[:, c] - trace_term)
+        g_eps[m] = acc
+    trace_gamma = float(np.trace(gamma))
+    g_sig = np.array([
+        0.5 * (float(alphas[:, c] @ alphas[:, c]) - trace_gamma)
+        for c in range(self.num_coords)
+    ]).sum()
+    return total, g_eps, g_sig
 
 
 def reference_predict(model, h_t):

@@ -397,6 +397,40 @@ def test_evaluate_rejects_malformed_estimate_rows(pipeline, tmp_path, capsys, fa
     assert not (tmp_path / "m.csv").exists()
 
 
+_NOT_ONE_POSITION_PER_RECORD = {
+    # columns id, x, var_x: the header of one-coordinate estimates
+    "one coordinate": (lambda lines: [_columns(line, (0, 1, 4)) for line in lines],
+                       "record 'test_0000' has 1 estimated coordinates, its ground truth 3"),
+    "repeated row": (lambda lines: lines[:2] + lines[1:],
+                     "record 'test_0000' has a second estimate"),
+    "unknown id": (lambda lines: lines[:1] + ["test_9999" + lines[1][lines[1].index(","):]],
+                   "no ground truth for record 'test_9999'"),
+    "header id,x": (lambda lines: [_columns(line, (0, 1)) for line in lines],
+                    "header ['id', 'x'] is not id, then coordinate names from x, y, z, "
+                    "then their var_ names"),
+}
+
+
+def _columns(line, keep):
+    return ",".join(field for i, field in enumerate(line.split(",")) if i in keep)
+
+
+@pytest.mark.parametrize("fault", list(_NOT_ONE_POSITION_PER_RECORD))
+def test_evaluate_rejects_estimates_that_are_not_one_position_per_record(pipeline, tmp_path,
+                                                                        capsys, fault):
+    # each estimate is scored against its record's 3-D truth: a shorter one
+    # would broadcast against it, and a repeated one would count twice
+    hash_line, *lines = pipeline["est"].read_text().splitlines()
+    cut, message = _NOT_ONE_POSITION_PER_RECORD[fault]
+    est = tmp_path / "est.csv"
+    est.write_text("\n".join([hash_line] + cut(lines)) + "\n")
+    assert cli.main(["evaluate", "--estimates", str(est), "--dataset", str(pipeline["ds"]),
+                     "--output", str(tmp_path / "m.csv")]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": f"{est}: {message}", "type": "ValueError"}
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_evaluate_rejects_a_block_size_below_one(pipeline, tmp_path, capsys):
     for size in (0, -1):
         assert cli.main(["evaluate", "--estimates", str(pipeline["est"]),
@@ -556,20 +590,53 @@ _MANIFEST_EDITS = {
 def test_mistyped_manifest_scene_or_spectral_is_refused(pipeline, tmp_path, capsys, edit, stage):
     # the manifest is checked against the same scene and spectral tables as a
     # config, before any stage uses a value of it
-    work = tmp_path / "work"
-    shutil.copytree(pipeline["root"], work)
     mutate, message = _MANIFEST_EDITS[edit]
-    for name in (dio.MANIFEST_NAME, dio.EVALUATION_NAME):
-        doc = json.loads((work / "ds" / name).read_text())
-        mutate(doc)
-        (work / "ds" / name).write_text(json.dumps(doc))
+    work = _with_both_manifests_edited(pipeline, tmp_path, mutate)
     argv = _stage(stage, pipeline["cfg"], work / "ds", work) if stage != "srp-phat" else \
-        ["baseline", "--config", str(pipeline["cfg"]), "--method", "srp-phat",
-         "--dataset", str(work / "ds"), "--output", str(work / "srp.csv")]
+        _srp_argv(pipeline, work)
     assert cli.main(argv) == 1
     err = json.loads(capsys.readouterr().err.strip())
     manifest = work / "ds" / (dio.EVALUATION_NAME if stage == "evaluate" else dio.MANIFEST_NAME)
     assert err == {"error": f"{manifest}: {message}", "type": "ValueError"}
+
+
+def _with_both_manifests_edited(pipeline, tmp_path, mutate):
+    """A copy of the pipeline's directory whose two manifests ``mutate`` has edited."""
+    work = tmp_path / "work"
+    shutil.copytree(pipeline["root"], work)
+    for name in (dio.MANIFEST_NAME, dio.EVALUATION_NAME):
+        doc = json.loads((work / "ds" / name).read_text())
+        mutate(doc)
+        (work / "ds" / name).write_text(json.dumps(doc))
+    return work
+
+
+def _srp_argv(pipeline, work):
+    return ["baseline", "--config", str(pipeline["cfg"]), "--method", "srp-phat",
+            "--dataset", str(work / "ds"), "--output", str(work / "srp.csv")]
+
+
+def test_srp_phat_refuses_a_scene_rate_other_than_the_spectral_rate(pipeline, tmp_path, capsys):
+    # the signals were recorded, and the features read, at the spectral rate;
+    # SRP-PHAT steering at the scene's would place the source elsewhere
+    work = _with_both_manifests_edited(
+        pipeline, tmp_path, lambda doc: doc["scene"].__setitem__("sample_rate", 8000.0))
+    for argv in (_stage("features", pipeline["cfg"], work / "ds", work),
+                 _srp_argv(pipeline, work)):
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "record rate 8000.0 != config rate 16000.0", "type": "ValueError"}
+    assert not (work / "srp.csv").exists()
+
+
+def test_srp_phat_refuses_a_sound_speed_of_zero(pipeline, tmp_path, capsys):
+    work = _with_both_manifests_edited(
+        pipeline, tmp_path, lambda doc: doc["scene"].__setitem__("sound_speed", 0.0))
+    assert cli.main(_srp_argv(pipeline, work)) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "sound_speed must be finite and positive, got 0.0",
+                   "type": "ValueError"}
+    assert not (work / "srp.csv").exists()
 
 
 def test_a_fit_that_does_not_learn_removes_an_earlier_trace(pipeline, two_runs, tmp_path):

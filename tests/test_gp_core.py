@@ -4,13 +4,14 @@ The fused-kernel model, both GP baselines and ML learning run through one
 labelled-set core; refactoring it must not move a single output bit.  The
 digests below were recorded from the implementation in which each model
 still kept its own copy of the core, with two exceptions.  ``trace_csv``
-was re-recorded when ML learning moved to L-BFGS-B.  ``save_model`` was
-re-recorded for model file version 2, whose bytes equal the version 1 file
-of the previous commit with the version field set to 2 and the derived
-sections (labelled covariance, inverse, centered labels, label mean)
-removed; the version 3 file is pinned through its projection on version 2,
-the version field set back to 2 and the 32 config hash bytes removed.  The
-digests depend on the floating-point results of the
+was re-recorded when ML learning moved to L-BFGS-B, and is asserted on the
+loop-form likelihood oracle since the likelihood became one trace.
+``save_model`` was re-recorded for model file version 2, whose bytes equal
+the version 1 file of the previous commit with the version field set to 2
+and the derived sections (labelled covariance, inverse, centered labels,
+label mean) removed; the version 3 file is pinned through its projection
+on version 2, the version field set back to 2 and the 32 config hash bytes
+removed.  The digests depend on the floating-point results of the
 NumPy/SciPy build, so re-record them from the previous commit, not from
 the code under test, when that build changes.
 """
@@ -19,7 +20,8 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import MODEL_HASH, log_likelihood_and_grad, make_set
+from conftest import (MODEL_HASH, log_likelihood_and_grad, make_set,
+                      reference_log_likelihood_and_grad)
 
 from mmgploc import baselines as bl
 from mmgploc import hyperopt as ho
@@ -64,12 +66,29 @@ def test_save_model_bytes_pinned(tmp_path):
 
 
 def test_trace_csv_pinned(tmp_path, monkeypatch):
+    # pinned on the loop-form oracle, which proves it is the arithmetic the
+    # pin was recorded from; the trace form is compared with it below
     monkeypatch.setattr(ho, "_MAX_ITERS", 30)
+    monkeypatch.setattr(ho._Problem, "evaluate", reference_log_likelihood_and_grad)
     pool, positions, _, _ = problem()
     result = ho.optimize(pool, positions)
     path = tmp_path / "trace.csv"
     ho.write_trace_csv(result, path)
     assert sha256(path.read_bytes()) == PINS["trace_csv"]
+
+
+def test_trace_matches_the_oracle_trace(monkeypatch):
+    # the trace form rounds differently from the loop form; over the 24
+    # rows the largest relative difference measured 4.8e-11, in eps_1
+    monkeypatch.setattr(ho, "_MAX_ITERS", 30)
+    pool, positions, _, _ = problem()
+    real = ho.optimize(pool, positions)
+    monkeypatch.setattr(ho._Problem, "evaluate", reference_log_likelihood_and_grad)
+    oracle = ho.optimize(pool, positions)
+    assert len(real.trace) == len(oracle.trace)
+    for got, want in zip(real.trace, oracle.trace):
+        assert got[0] == want[0]
+        assert got[1:] == pytest.approx(want[1:], rel=5e-10, abs=0)
 
 
 @pytest.mark.parametrize("method", sorted(FITS))

