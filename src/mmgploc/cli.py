@@ -221,8 +221,7 @@ def cmd_simulate(cfg: dict, out_dir) -> str:
         specs[role] = sim.SourceSetSpec(positions=_positions_for(sec, role),
                                         signal_kind=sec["signal"]["kind"],
                                         duration_s=sec["signal"]["duration_s"],
-                                        seed=sec["seed"],
-                                        audio_path=sec["signal"].get("path"))
+                                        seed=sec["seed"])
     return sim.generate_dataset(scene, specs["labeled"], specs["unlabeled"],
                                 specs["test"], out_dir, spectral=spectral,
                                 config_hash=config_fingerprint(cfg))
@@ -235,16 +234,26 @@ def cmd_features(dataset_dir) -> int:
 
     manifest = dio.load_manifest(dataset_dir)
     spectral = dio.spectral_from_dict(manifest["spectral"])
+    rate = _scene_rate(manifest)
     num_nodes = len(manifest["scene"]["mic_positions"])
     feats = {}
     for entry in manifest["records"]:
         signals = dio.read_record_signals(manifest, entry)
-        record = MeasurementRecord(signals=signals,
-                                   sample_rate=manifest["scene"]["sample_rate"],
+        record = MeasurementRecord(signals=signals, sample_rate=rate,
                                    num_nodes=num_nodes, record_id=entry["id"])
         feats[entry["id"]] = artf_from_record(record, spectral).stack()
     dio.attach_features(dataset_dir, feats)
     return len(feats)
+
+
+def _scene_rate(manifest) -> float:
+    """The rate the signals were recorded at, the scene's; it must be the
+    spectral rate the features are read at."""
+    rate, spectral_rate = manifest["scene"]["sample_rate"], manifest["spectral"]["sample_rate"]
+    if rate != spectral_rate:
+        path = Path(manifest["_dir"]) / dio.MANIFEST_NAME
+        raise ValueError(f"{path}: scene rate {rate} != spectral rate {spectral_rate}")
+    return rate
 
 
 def _load_pool(manifest):
@@ -357,10 +366,7 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
         srp = cfg.get("srp")
         if not srp:
             raise ValueError("srp-phat needs an 'srp' config section")
-        # the recorded rate is the scene's; the features were read at the spectral one
-        rate, spectral_rate = manifest["scene"]["sample_rate"], manifest["spectral"]["sample_rate"]
-        if rate != spectral_rate:
-            raise ValueError(f"record rate {rate} != config rate {spectral_rate}")
+        rate = _scene_rate(manifest)
         mics = np.asarray(manifest["scene"]["mic_positions"],
                           dtype=float).reshape(-1, 3)
         srp_cfg = bl.SrpConfig(

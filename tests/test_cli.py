@@ -625,7 +625,8 @@ def test_srp_phat_refuses_a_scene_rate_other_than_the_spectral_rate(pipeline, tm
                  _srp_argv(pipeline, work)):
         assert cli.main(argv) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "record rate 8000.0 != config rate 16000.0", "type": "ValueError"}
+        assert err == {"error": f"{work / 'ds' / dio.MANIFEST_NAME}: scene rate 8000.0 != "
+                                "spectral rate 16000.0", "type": "ValueError"}
     assert not (work / "srp.csv").exists()
 
 
