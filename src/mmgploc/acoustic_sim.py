@@ -18,7 +18,9 @@ overlap-add over excitation segments of ``_SEGMENT`` (2**16) samples, each
 segment transformed once per FFT length and shared by the channels.  An
 excitation of at most 2**16 samples is one segment and keeps the bits of a
 per-channel ``fftconvolve``; a longer one matches it to rounding (within
-1e-14 of the peak amplitude, as tested).
+1e-14 of the peak amplitude, as tested).  The module renders one record at
+a time and knows nothing of datasets: ``cli.cmd_simulate`` hands each
+rendered record, with its id, role and position, to ``dataio.write_dataset``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class SceneConfig:
         if self.mic_positions.shape[0] < 1:
             raise ValueError("need at least one node")
         for pos in self.mic_positions.reshape(-1, 3):
-            _check_inside(pos, self.room_dims, "microphone")
+            check_inside(pos, self.room_dims, "microphone")
         if not (math.isfinite(self.t60) and self.t60 >= 0):
             raise ValueError("t60 must be finite and >= 0")
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
@@ -131,25 +133,18 @@ class SourceSetSpec:
         if self.signal_kind not in ("wgn", "speech"):
             raise ValueError(f"unknown signal kind {self.signal_kind!r}")
 
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
 
 @dataclass
 class MeasurementRecord:
     """One simulated acoustic event captured by every microphone.
 
     ``signals`` has shape (2M, n): channels are node-major, two mics per
-    node.  ``true_position`` is set for labelled records and carried for
-    test records only inside evaluation-side structures.
+    node.
     """
 
     signals: np.ndarray
     sample_rate: float
     num_nodes: int
-    true_position: np.ndarray | None = None
-    record_id: str = ""
 
     def __post_init__(self):
         self.signals = np.asarray(self.signals, dtype=float)
@@ -159,7 +154,8 @@ class MeasurementRecord:
             raise ValueError("non-finite samples in measurement")
 
 
-def _check_inside(pos, dims, what: str):
+def check_inside(pos, dims, what: str):
+    """``pos`` is a 3-vector strictly inside the room; errors name it ``what``."""
     pos = np.asarray(pos, dtype=float)
     if pos.shape != (3,):
         raise ValueError(f"{what} position must be a 3-vector")
@@ -211,8 +207,8 @@ def simulate_rir(scene: SceneConfig, source_pos, mic_pos) -> np.ndarray:
     """Room impulse response between one source and one microphone."""
     source_pos = np.asarray(source_pos, dtype=float)
     mic_pos = np.asarray(mic_pos, dtype=float)
-    _check_inside(source_pos, scene.room_dims, "source")
-    _check_inside(mic_pos, scene.room_dims, "microphone")
+    check_inside(source_pos, scene.room_dims, "source")
+    check_inside(mic_pos, scene.room_dims, "microphone")
     # no image is nearer the microphone than the source itself, so this
     # check also keeps every image distance in the kernel positive
     if np.linalg.norm(source_pos - mic_pos) < 1e-9:
@@ -464,33 +460,6 @@ def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> M
             noise_var = float(np.mean(support**2)) / snr_lin
             clean[i] += math.sqrt(noise_var) * rng.standard_normal(n_out)
 
-    return MeasurementRecord(
-        signals=clean,
-        sample_rate=scene.sample_rate,
-        num_nodes=scene.num_nodes,
-        true_position=np.asarray(source_pos, dtype=float),
-    )
+    return MeasurementRecord(signals=clean, sample_rate=scene.sample_rate,
+                             num_nodes=scene.num_nodes)
 
-
-def generate_dataset(scene: SceneConfig, labeled: SourceSetSpec, unlabeled: SourceSetSpec,
-                     test: SourceSetSpec, out_dir, spectral, config_hash: str) -> str:
-    """Render every record of the three sets and write the dataset directory.
-
-    Returns the manifest path; ``spectral`` and ``config_hash`` go into it
-    as ``dataio.write_dataset`` takes them.  Record ids are stable and the
-    rendering of each record depends only on (set seed, record index), so
-    regeneration with the same specs is bit-identical.
-    """
-    from . import dataio
-
-    sets = [("labeled", labeled), ("unlabeled", unlabeled), ("test", test)]
-    records = []
-    for role, spec in sets:
-        for i in range(spec.count):
-            _check_inside(spec.positions[i], scene.room_dims, f"{role} source")
-            signal = make_signal(spec, i, scene.sample_rate)
-            rec = render_measurement(scene, spec.positions[i], signal, (spec.seed, i, 1))
-            rec.record_id = f"{role}_{i:04d}"
-            records.append((role, rec))
-    return dataio.write_dataset(out_dir, scene, records, spectral=spectral,
-                                config_hash=config_hash)

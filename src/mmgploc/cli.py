@@ -54,9 +54,10 @@ def resolve_config(path, seed=None) -> dict:
     are filled in, so the config hash reflects what actually ran.  Scene
     and spectral defaults are the ``SceneConfig`` and ``SpectralConfig``
     field defaults, and a key neither class has a field for is a
-    ``ValueError``, as is a master ``seed`` that is not an integer and a
-    missing or wrongly typed section, scene, spectral, placement, ``srp``
-    or ``hyperparameters`` field.  Output locations never enter the hash.
+    ``ValueError``, as is a key a role section or its ``signal`` does not
+    know, a master ``seed`` that is not an integer and a missing or wrongly
+    typed section, scene, spectral, role, placement, ``signal``, ``srp`` or
+    ``hyperparameters`` field.  Output locations never enter the hash.
     """
     from .acoustic_sim import SceneConfig
     from .rtf_features import SpectralConfig
@@ -85,8 +86,8 @@ def resolve_config(path, seed=None) -> dict:
 
     for role in ("labeled", "unlabeled", "test"):
         where = f"'{role}' section"
-        sec = dict(dio.check_fields(cfg.get(role), where, {"positions": _POINTS},
-                                    optional=("positions",)))
+        sec = dict(dio.check_fields(cfg.get(role), where, _ROLE, optional=_ROLE,
+                                    known=_ROLE_KEYS))
         # the placement _positions_for will use is the first of the four present;
         # a section with none resolves, and _positions_for refuses it
         kind = next((k for k in ("positions", *_PLACEMENTS) if k in sec), None)
@@ -94,7 +95,8 @@ def resolve_config(path, seed=None) -> dict:
             dio.check_fields(sec[kind], f"{where}'s {kind!r}", _PLACEMENTS[kind],
                              optional=("jitter",))
         sec.setdefault("seed", 1000 * cfg["seed"] + _ROLE_OFFSETS[role])
-        sig = dict(dio.check_fields(sec.get("signal") or {}, f"{where}'s 'signal'", {}))
+        sig = dict(dio.check_fields(sec.get("signal", {}), f"{where}'s 'signal'", _SIGNAL,
+                                    optional=_SIGNAL, known=_SIGNAL))
         sig.setdefault("kind", "wgn")
         sig.setdefault("duration_s", 2.0)
         sec["signal"] = sig
@@ -126,6 +128,11 @@ _PLACEMENTS = {
     "loop": {"center": dio.POINT, "radius": dio.NUMBER, "count": dio.COUNT,
              "jitter": dio.NUMBER},
 }
+# a role section: these fields, the placements and the excitation's ``signal``
+_ROLE = {"positions": _POINTS, "order": (lambda v: v == "nearest", "'nearest'"),
+         "seed": dio.INTEGER}
+_ROLE_KEYS = ("positions", *_PLACEMENTS, "order", "seed", "signal")
+_SIGNAL = {"kind": dio.TEXT, "duration_s": dio.NUMBER}
 _SRP_FIELDS = {"grid_min": dio.POINT, "grid_max": dio.POINT, "resolution": dio.NUMBER}
 _EPS = (lambda v: isinstance(v, list) and all(map(dio.is_number, v)), "a list of finite numbers")
 _HYPERPARAMETERS = {"eps": _EPS, "sigma2": dio.NUMBER, "jitter": dio.NUMBER}
@@ -211,20 +218,33 @@ def _positions_for(sec: dict, role: str):
 
 
 def cmd_simulate(cfg: dict, out_dir) -> str:
+    """Render each record as ``write_dataset`` asks for it; returns the manifest path.
+
+    Every source position is checked before anything is written.
+    """
     from . import acoustic_sim as sim
 
     scene = dio.scene_from_dict(cfg["scene"])
     spectral = dio.spectral_from_dict(cfg["spectral"])
-    specs = {}
+    specs = []
     for role in ("labeled", "unlabeled", "test"):
         sec = cfg[role]
-        specs[role] = sim.SourceSetSpec(positions=_positions_for(sec, role),
-                                        signal_kind=sec["signal"]["kind"],
-                                        duration_s=sec["signal"]["duration_s"],
-                                        seed=sec["seed"])
-    return sim.generate_dataset(scene, specs["labeled"], specs["unlabeled"],
-                                specs["test"], out_dir, spectral=spectral,
-                                config_hash=config_fingerprint(cfg))
+        spec = sim.SourceSetSpec(positions=_positions_for(sec, role),
+                                 signal_kind=sec["signal"]["kind"],
+                                 duration_s=sec["signal"]["duration_s"], seed=sec["seed"])
+        for pos in spec.positions:
+            sim.check_inside(pos, scene.room_dims, f"{role} source")
+        specs.append((role, spec))
+
+    def records():
+        for role, spec in specs:
+            for i, pos in enumerate(spec.positions):
+                signal = sim.make_signal(spec, i, scene.sample_rate)
+                yield (role, f"{role}_{i:04d}", pos,
+                       sim.render_measurement(scene, pos, signal, (spec.seed, i, 1)).signals)
+
+    return dio.write_dataset(out_dir, scene, records(), spectral=spectral,
+                             config_hash=config_fingerprint(cfg))
 
 
 def cmd_features(dataset_dir) -> int:
@@ -239,8 +259,7 @@ def cmd_features(dataset_dir) -> int:
     feats = {}
     for entry in manifest["records"]:
         signals = dio.read_record_signals(manifest, entry)
-        record = MeasurementRecord(signals=signals, sample_rate=rate,
-                                   num_nodes=num_nodes, record_id=entry["id"])
+        record = MeasurementRecord(signals=signals, sample_rate=rate, num_nodes=num_nodes)
         feats[entry["id"]] = artf_from_record(record, spectral).stack()
     dio.attach_features(dataset_dir, feats)
     return len(feats)

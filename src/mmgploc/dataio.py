@@ -1,10 +1,12 @@
 """Dataset directory format: manifest plus raw binary blobs.
 
 A dataset directory holds ``manifest.json``, per-record signal blobs under
-``signals/`` and, once extracted, feature blobs under ``features/``.  Blobs
-are little-endian arrays behind a fixed 16-byte header so any language can
-map them.  Ground truth for test records lives only in ``evaluation.json``,
-never in the training-side manifest.
+``signals/<config hash>/`` and, once extracted, feature blobs under
+``features/``.  Blobs are little-endian arrays behind a fixed 16-byte header
+so any language can map them.  Ground truth for test records lives only in
+``evaluation.json``, never in the training-side manifest.  ``write_dataset``
+takes the records as a stream and writes each as it arrives, so writing a
+dataset holds one record's signals at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import secrets
+import shutil
 import struct
 from pathlib import Path
 
@@ -207,38 +210,45 @@ def spectral_from_dict(d: dict):
 def write_dataset(out_dir, scene, records, spectral, config_hash: str) -> str:
     """Write signal blobs and both manifests; returns the manifest path.
 
-    ``records`` is a list of (role, MeasurementRecord) with unique record
-    ids.  Both manifests carry the ``SpectralConfig`` that feature extraction
-    will use and the hash of the config that made the records.  The training
-    manifest exposes positions of labeled records only; ``evaluation.json``
-    additionally carries test-record ground truth.
+    ``records`` yields (role, id, position, signals) per record, with unique
+    ids, and is read one record at a time: each blob is written before the
+    next record is asked for.  Both manifests carry the ``SpectralConfig``
+    that feature extraction will use and the hash of the config that made
+    the records.  The training manifest exposes positions of labeled records
+    only; ``evaluation.json`` additionally carries test-record ground truth.
+
+    The blobs go under ``signals/<config_hash>/``, so a run of another config
+    never rewrites a blob that the committed manifest names, and a re-run of
+    the same config writes the same bytes.  ``evaluation.json`` is written
+    first and ``manifest.json`` last, as the commit; the other runs' signal
+    blobs are removed only after it, so an interruption leaves either the
+    last committed dataset or this one, plus files no manifest names.
     """
+    if not config_hash.isalnum():
+        raise ValueError(f"config hash {config_hash!r} cannot name a directory")
     out = Path(out_dir)
-    (out / "signals").mkdir(parents=True, exist_ok=True)
+    (out / "signals" / config_hash).mkdir(parents=True, exist_ok=True)
     entries, eval_entries = [], []
     seen = set()
-    for role, rec in records:
+    for role, rec_id, position, signals in records:
         if role not in _ROLES:
             raise ValueError(f"unknown role {role!r}")
-        if not rec.record_id:
-            raise ValueError("records must carry ids")
-        if rec.record_id in seen:
-            raise ValueError(f"duplicate record id {rec.record_id!r}")
-        seen.add(rec.record_id)
-        rel = f"signals/{rec.record_id}.f64"
-        write_blob(out / rel, rec.signals)
+        if rec_id in seen:
+            raise ValueError(f"duplicate record id {rec_id!r}")
+        seen.add(rec_id)
+        rel = f"signals/{config_hash}/{rec_id}.f64"
+        write_blob(out / rel, signals)
+        position = [float(v) for v in position]
         entry = {
-            "id": rec.record_id,
+            "id": rec_id,
             "role": role,
-            "true_position": rec.true_position.tolist() if role == "labeled" else None,
-            "signal": {"path": rel, "shape": list(rec.signals.shape)},
+            "true_position": position if role == "labeled" else None,
+            "signal": {"path": rel, "shape": list(signals.shape)},
             "features": None,
         }
-        eval_entry = dict(entry)
-        if role == "test":
-            eval_entry["true_position"] = rec.true_position.tolist()
         entries.append(entry)
-        eval_entries.append(eval_entry)
+        eval_entries.append({**entry, "true_position": None if role == "unlabeled"
+                             else position})
 
     base = {
         "format_version": MANIFEST_VERSION,
@@ -247,8 +257,16 @@ def write_dataset(out_dir, scene, records, spectral, config_hash: str) -> str:
         "spectral": dataclasses.asdict(spectral),
     }
     manifest_path = out / MANIFEST_NAME
-    _dump_json(manifest_path, {**base, "records": entries})
     _dump_json(out / EVALUATION_NAME, {**base, "records": eval_entries})
+    _dump_json(manifest_path, {**base, "records": entries})
+    # committed: no manifest names another run's blobs now
+    for stale in (out / "signals").iterdir():
+        if stale.name == config_hash:
+            continue
+        if stale.is_dir():
+            shutil.rmtree(stale)
+        else:
+            stale.unlink()
     return str(manifest_path)
 
 

@@ -317,7 +317,7 @@ def desk(tmp_path_factory):
         cli.cmd_baseline(cfg, method, ds, est, model_path=model_path)
         out[tag] = cli.cmd_evaluate(est, ds, root / f"metrics_{tag}.csv")
     out["elapsed"] = time.perf_counter() - t0
-    out["sidecar"] = json.loads((root / "model.bin.meta.json").read_text())
+    out["hp"] = mm.load_model(model_path).hyperparameters
     return out
 
 
@@ -367,8 +367,8 @@ def _desk_pool_and_scorer(desk):
 
 
 def test_p8_width_sweep_consistency(desk):
-    eps_ml = np.asarray(desk["sidecar"]["eps"])
-    sig_ml = desk["sidecar"]["sigma2"]
+    eps_ml = desk["hp"].eps
+    sig_ml = desk["hp"].sigma2
     pool, positions, rmse_for = _desk_pool_and_scorer(desk)
 
     sweep = np.logspace(1.0, 5.0, 50)
@@ -394,15 +394,15 @@ def test_p8_width_sweep_consistency(desk):
 
 def test_p6_ml_learning_converges(desk):
     # the fit stage's ML learning converges on the desk pool, and re-running
-    # it reproduces the hyperparameters the sidecar recorded
+    # it reproduces the hyperparameters the model file holds
     manifest = dio.load_manifest(desk["ds"])
     pool, positions = cli._load_pool(manifest)
     result = ho.optimize(pool, positions)
     iterations = len(result.trace) - 1
     assert result.converged and result.warning is None
     assert iterations < ho._MAX_ITERS
-    np.testing.assert_array_equal(result.hyperparameters.eps, desk["sidecar"]["eps"])
-    assert result.hyperparameters.sigma2 == desk["sidecar"]["sigma2"]
+    np.testing.assert_array_equal(result.hyperparameters.eps, desk["hp"].eps)
+    assert result.hyperparameters.sigma2 == desk["hp"].sigma2
     _report("P6 ml-learning-converges",
             f"{iterations} iterations, L={result.log_likelihood:.3f}, "
             f"sigma2={result.hyperparameters.sigma2:.2e}")

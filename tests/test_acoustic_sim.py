@@ -557,7 +557,7 @@ def test_source_set_spec_validation():
     with pytest.raises(ValueError):
         ac.SourceSetSpec(positions=[[1, 1, 1]], signal_kind="file")
     spec = ac.SourceSetSpec(positions=[[1, 1, 1], [2, 2, 1]])
-    assert spec.count == 2
+    assert spec.positions.shape == (2, 3)
 
 
 def test_measurement_record_rejects_bad_shapes():

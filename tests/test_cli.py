@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,26 @@ _CONFIG_FAULTS = {
                                                           "radius": 0.3, "count": 3,
                                                           "jitter": "0.05"}}),
                              "'test' section's 'loop': 'jitter' must be a finite number"),
+    "role section with an unknown key": (_set("labeled", "grd", value={}),
+                                         "'labeled' section: unknown key 'grd'; known keys: "
+                                         "positions, grid, random, loop, order, seed, signal"),
+    "role seed a list": (_set("labeled", "seed", value=[1]),
+                         "'labeled' section: 'seed' must be an integer, got [1]"),
+    "role seed a float": (_set("unlabeled", "seed", value=7.0),
+                          "'unlabeled' section: 'seed' must be an integer, got 7.0"),
+    "order not nearest": (_set("test", "order", value=3),
+                          "'test' section: 'order' must be 'nearest', got 3"),
+    "signal null": (_set("test", "signal", value=None),
+                    "'test' section's 'signal' must be an object, got None"),
+    "signal duration a string": (_set("test", "signal", "duration_s", value="x"),
+                                 "'test' section's 'signal': 'duration_s' must be a finite "
+                                 "number, got 'x'"),
+    "signal kind a number": (_set("labeled", "signal", "kind", value=1),
+                             "'labeled' section's 'signal': 'kind' must be a string, got 1"),
+    "signal with a path": (_set("test", "signal", "path", value="talk.wav"),
+                           "'test' section's 'signal': unknown key 'path'"),
+    "source outside the room": (_set("test", "positions", value=[[1.5, 2.0, 3.5]]),
+                                "test source position [1.5, 2.0, 3.5] outside room"),
     "srp a list": (_set("srp", value=[1]), "'srp' section must be an object, got [1]"),
     "srp without resolution": (_set("srp", "resolution", drop=True),
                                "'srp' section needs 'resolution'"),
@@ -757,6 +778,33 @@ def test_manifest_checks_load_no_scipy(pipeline, tmp_path, run):
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
 
+def _simulate_peak(tmp_path, count) -> int:
+    """Peak traced memory of ``cmd_simulate`` on ``count`` one-second records per role."""
+    cfg = tiny_config()
+    for role in ("labeled", "unlabeled", "test"):
+        cfg[role] = {"random": {"low": [1.5, 2.0, 1.5], "high": [2.0, 2.5, 1.5], "count": count},
+                     "signal": {"kind": "wgn", "duration_s": 1.0}}
+    path = tmp_path / f"cfg{count}.json"
+    path.write_text(json.dumps(cfg))
+    cfg = cli.resolve_config(path)
+    tracemalloc.start()
+    try:
+        cli.cmd_simulate(cfg, tmp_path / f"ds{count}")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peak_memory_does_not_grow_with_record_count(tmp_path):
+    # each record is written before the next is rendered, so 18 records peak
+    # where 6 do, give or take their manifest entries (1.31 MB both, 12 kB
+    # apart); holding every record until the writer started peaked at 2.3 and
+    # 5.4 MB, 12 records' signals of 256 KiB each apart
+    _simulate_peak(tmp_path, 1)  # imports and first-call caches, outside the comparison
+    few, many = _simulate_peak(tmp_path, 2), _simulate_peak(tmp_path, 6)
+    assert many - few < 256 * 2**10
+
+
 def test_console_entry_point(pipeline, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "mmgploc", "evaluate",
@@ -824,12 +872,13 @@ def two_runs(tmp_path_factory):
     return runs
 
 
-@pytest.mark.parametrize("stage", ["features", "fit", "localize", "baseline", "evaluate"])
+@pytest.mark.parametrize("stage", _STAGES)
 def test_interrupted_stage_never_mixes_two_runs(two_runs, tmp_path, monkeypatch, capsys, stage):
     # over a copy of the old run, the new run's stages before ``stage`` complete
     # and ``stage`` stops at its k-th replace.  Then each later stage, on the
-    # old run's config and dataset and on the new run's, refuses with a
-    # ValueError or writes what that stage writes in a complete run
+    # old run's config with an untouched copy of its dataset and with the
+    # dataset both runs wrote, and on the new run's config with that dataset,
+    # refuses with a ValueError or writes what that stage writes in a complete run
     old, new = two_runs["old"], two_runs["new"]
     later = _STAGES[_STAGES.index(stage) + 1:]
     for k in itertools.count(1):
@@ -848,13 +897,14 @@ def test_interrupted_stage_never_mixes_two_runs(two_runs, tmp_path, monkeypatch,
         assert not list(work.rglob("*.tmp"))
         capsys.readouterr()
         for after in later:
-            for run, ds in ((old, work / "old_ds"), (new, work / "ds")):
+            for run, ds in ((old, work / "old_ds"), (old, work / "ds"), (new, work / "ds")):
                 code = cli.main(_stage(after, run["cfg"], ds, work))
                 err = capsys.readouterr().err.strip().splitlines()
-                where = f"{stage} stopped at replace {k}, then {after} on {ds.name}"
+                where = f"{stage} stopped at replace {k}, then {after} on {ds.name} " \
+                        f"with the {'old' if run is old else 'new'} config"
                 if code:
                     assert code == 1 and json.loads(err[-1])["type"] == "ValueError", where
-                else:
+                elif after in _OUTPUTS:  # features' blobs are judged by the stages that read them
                     written = [(work / f).read_bytes() for f in _OUTPUTS[after]]
                     assert written in (old["outputs"][after], new["outputs"][after]), where
         if stop.calls < k:  # the stage ran to the end without a k-th replace

@@ -32,18 +32,12 @@ def small_scene():
         t60=0.0, snr_db=float("inf"), sample_rate=16000.0)
 
 
-def make_records(scene, n=3):
+def make_records(n=3):
+    """(role, id, position, signals) of ``n`` one-node records, as write_dataset takes them."""
     rng = np.random.default_rng(0)
     roles = ["labeled", "unlabeled", "test"]
-    out = []
-    for i in range(n):
-        rec = sim.MeasurementRecord(
-            signals=rng.standard_normal((2, 50)),
-            sample_rate=scene.sample_rate, num_nodes=1,
-            true_position=np.array([1.0 + i, 2.0, 1.5]),
-            record_id=f"{roles[i % 3]}_{i:04d}")
-        out.append((roles[i % 3], rec))
-    return out
+    return [(roles[i % 3], f"{roles[i % 3]}_{i:04d}", np.array([1.0 + i, 2.0, 1.5]),
+             rng.standard_normal((2, 50))) for i in range(n)]
 
 
 def test_blob_roundtrip_float(tmp_path):
@@ -242,7 +236,7 @@ def test_unknown_scene_and_spectral_keys_rejected():
 
 def test_dataset_truth_separation(tmp_path):
     scene = small_scene()
-    path = dio.write_dataset(tmp_path / "ds", scene, make_records(scene),
+    path = dio.write_dataset(tmp_path / "ds", scene, make_records(),
                              rf.SpectralConfig(), "abc123")
     manifest = dio.load_manifest(path)
     assert manifest["config_hash"] == "abc123"
@@ -260,12 +254,12 @@ def test_dataset_truth_separation(tmp_path):
 
 def test_signal_roundtrip_and_feature_attach(tmp_path):
     scene = small_scene()
-    records = make_records(scene)
+    records = make_records()
     dio.write_dataset(tmp_path / "ds", scene, records, rf.SpectralConfig(), "h")
     manifest = dio.load_manifest(tmp_path / "ds")
     entry = manifest["records"][0]
     np.testing.assert_array_equal(
-        dio.read_record_signals(manifest, entry), records[0][1].signals)
+        dio.read_record_signals(manifest, entry), records[0][3])
 
     with pytest.raises(ValueError, match="features"):
         dio.read_record_features(manifest, entry)
@@ -291,7 +285,7 @@ def test_signal_roundtrip_and_feature_attach(tmp_path):
 @pytest.mark.parametrize("kind", ["absolute", "parent"])
 def test_record_blob_paths_stay_inside_the_dataset(tmp_path, reader, field, kind):
     scene = small_scene()
-    records = make_records(scene)
+    records = make_records()
     dio.write_dataset(tmp_path / "ds", scene, records, rf.SpectralConfig(), "h")
     outside = tmp_path / "outside.f64"
     dio.write_blob(outside, np.ones((2, 50)))  # a readable blob, so only the check can refuse
@@ -306,7 +300,7 @@ def test_record_blob_paths_stay_inside_the_dataset(tmp_path, reader, field, kind
 @pytest.mark.parametrize("shape", [[3, 10], [2, "x"], None, [-1, 10], [2.0, 10], [True, 20]])
 def test_record_blob_shape_must_fit_the_blob(tmp_path, shape):
     scene = small_scene()
-    dio.write_dataset(tmp_path / "ds", scene, make_records(scene), rf.SpectralConfig(), "h")
+    dio.write_dataset(tmp_path / "ds", scene, make_records(), rf.SpectralConfig(), "h")
     dio.write_blob(tmp_path / "ds" / "twenty.f64", np.arange(20.0))
     manifest = dio.load_manifest(tmp_path / "ds")
     entry = manifest["records"][0]
@@ -319,12 +313,15 @@ def test_record_blob_shape_must_fit_the_blob(tmp_path, shape):
 
 def test_manifest_validation(tmp_path):
     scene = small_scene()
-    records = make_records(scene)
-    records[1][1].record_id = records[0][1].record_id
+    records = make_records()
+    records[1] = (records[1][0], records[0][1], *records[1][2:])
     with pytest.raises(ValueError, match="duplicate"):
         dio.write_dataset(tmp_path / "dup", scene, records, rf.SpectralConfig(), "h")
+    with pytest.raises(ValueError, match="cannot name a directory"):
+        dio.write_dataset(tmp_path / "up", scene, make_records(), rf.SpectralConfig(), "../h")
+    assert not (tmp_path / "up").exists()
 
-    path = Path(dio.write_dataset(tmp_path / "ok", scene, make_records(scene),
+    path = Path(dio.write_dataset(tmp_path / "ok", scene, make_records(),
                                   rf.SpectralConfig(), "h"))
     doc = json.loads(path.read_text())
     doc["records"][0]["role"] = "mystery"
@@ -381,7 +378,7 @@ _MANIFEST_FAULTS = {
 @pytest.mark.parametrize("fault", list(_MANIFEST_FAULTS))
 def test_manifest_rejects_malformed_records(tmp_path, fault):
     mutate, message = _MANIFEST_FAULTS[fault]
-    path = Path(dio.write_dataset(tmp_path / "ds", small_scene(), make_records(small_scene()),
+    path = Path(dio.write_dataset(tmp_path / "ds", small_scene(), make_records(),
                                   rf.SpectralConfig(), "h"))
     doc = json.loads(path.read_text())
     dio.load_manifest(path)  # the unmutated manifest loads
@@ -399,16 +396,16 @@ def featured_dataset(tmp_path_factory):
     the wrong shape for this scene, for mutations to point at.
     """
     root = tmp_path_factory.mktemp("mutants")
-    scene, records = small_scene(), make_records(small_scene())
+    scene, records = small_scene(), make_records()
     path = Path(dio.write_dataset(root / "ds", scene, records, rf.SpectralConfig(), "h"))
     rng = np.random.default_rng(4)
-    feats = {rec.record_id: rng.standard_normal((1, 7)) + 1j * rng.standard_normal((1, 7))
-             for _, rec in records}
+    feats = {rec_id: rng.standard_normal((1, 7)) + 1j * rng.standard_normal((1, 7))
+             for _, rec_id, _, _ in records}
     dio.attach_features(root / "ds", feats)
     dio.write_blob(root / "outside.f64", np.ones((2, 50)))
     dio.write_blob(root / "ds" / "features" / "two_rows.c128", np.ones((2, 7), complex))
     dio.write_blob(root / "ds" / "signals" / "four_rows.f64", np.ones((4, 50)))
-    truth = {rec.record_id: (rec.signals, feats[rec.record_id]) for _, rec in records}
+    truth = {rec_id: (signals, feats[rec_id]) for _, rec_id, _, signals in records}
     return path, path.read_text(), truth
 
 
@@ -481,23 +478,40 @@ def test_mutated_manifest_is_rejected_or_loads_correctly(featured_dataset, data)
             np.testing.assert_array_equal(features, truth[entry["id"]][1])
 
 
-def test_generate_dataset_is_deterministic(tmp_path):
-    scene = small_scene()
-    labeled = sim.SourceSetSpec(positions=[[1.0, 2.0, 1.5], [2.0, 3.0, 1.5]],
-                                duration_s=0.05, seed=10)
-    unlabeled = sim.SourceSetSpec(positions=[[1.5, 2.5, 1.5]],
-                                  duration_s=0.05, seed=11)
-    test = sim.SourceSetSpec(positions=[[2.5, 2.0, 1.5]], duration_s=0.05, seed=12)
-    paths = []
-    for name in ("a", "b"):
-        paths.append(sim.generate_dataset(scene, labeled, unlabeled, test,
-                                          tmp_path / name, rf.SpectralConfig(), "h"))
-    a, b = (Path(p).parent for p in paths)
-    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    for rel in files:
-        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+def _simulate(tmp_path, seed, out):
+    """``cmd_simulate`` of a 4-record one-node config at master ``seed``; returns its hash."""
+    role = {"signal": {"duration_s": 0.05}}
+    cfg = {"seed": seed, "scene": dio.scene_to_dict(small_scene()),
+           "labeled": {**role, "positions": [[1.0, 2.0, 1.5], [2.0, 3.0, 1.5]]},
+           "unlabeled": {**role, "positions": [[1.5, 2.5, 1.5]]},
+           "test": {**role, "positions": [[2.5, 2.0, 1.5]]}}
+    path = tmp_path / f"cfg{seed}.json"
+    path.write_text(json.dumps(cfg))
+    cfg = cli.resolve_config(path)
+    cli.cmd_simulate(cfg, out)
+    return cli.config_fingerprint(cfg)
 
+
+def _file_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_simulate_is_deterministic(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    digest = _simulate(tmp_path, 1, a)
+    _simulate(tmp_path, 1, b)
+    first = _file_bytes(a)
+    assert first == _file_bytes(b)
     manifest = dio.load_manifest(a)
     assert [r["id"] for r in manifest["records"]] == [
         "labeled_0000", "labeled_0001", "unlabeled_0000", "test_0000"]
+    assert {r["signal"]["path"] for r in manifest["records"]} == {
+        f"signals/{digest}/{r['id']}.f64" for r in manifest["records"]}
+
+    # a re-run of the config rewrites the same bytes; a run of another config
+    # leaves only its own signal blobs once its manifest is written
+    _simulate(tmp_path, 1, a)
+    assert _file_bytes(a) == first
+    other = _simulate(tmp_path, 2, a)
+    assert [p.name for p in (a / "signals").iterdir()] == [other]
+    assert dio.load_manifest(a)["config_hash"] == other
