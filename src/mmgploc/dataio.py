@@ -366,6 +366,9 @@ def attach_features(dataset_dir, features: dict) -> None:
 
     ``features`` maps record id to a complex (M, D) array.  Ids missing
     from the mapping keep their current state; unknown ids are an error.
+    An ``evaluation.json`` of another config hash, left by a ``simulate``
+    stopped before its ``manifest.json`` commit, is not this dataset's and
+    keeps its bytes.
     """
     out = Path(dataset_dir)
     manifest = load_manifest(out)
@@ -386,6 +389,8 @@ def attach_features(dataset_dir, features: dict) -> None:
             continue
         with open(path) as fh:
             doc = json.load(fh)
+        if doc.get("config_hash") != manifest["config_hash"]:
+            continue
         for rec in doc["records"]:
             if rec["id"] in refs:
                 rec["features"] = refs[rec["id"]]

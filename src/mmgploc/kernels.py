@@ -5,8 +5,11 @@ comparing their per-node RTF vectors.  The fused covariance couples all
 node pairs through products of kernel sums over a training pool; it is
 always computed through the S*S^T factorization, which is algebraically
 equal to the pairwise double sum but cheaper and positive semidefinite by
-construction.  A model's pool is a plain (n, M, D) complex array; a Gram
-against it forms each node's conjugated rows and squared norms afresh.
+construction.  A model's pool is a plain (n, M, D) complex array.  A Gram
+against a B set takes each node's conjugated B rows and squared B row
+norms (``prepare_rows``); a caller that keeps a set across many Grams, as
+``MmgpModel`` keeps its pool, prepares them once and hands them in, and
+any other call prepares them itself.
 """
 
 from __future__ import annotations
@@ -68,8 +71,22 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 def sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared complex Euclidean distances between row sets."""
-    cross = (x @ y.conj().T).real
-    return np.clip(_sq_norms(x)[:, None] + _sq_norms(y)[None, :] - 2.0 * cross, 0.0, None)
+    return _sq_dists_to(x, y.conj(), _sq_norms(y))
+
+
+def _sq_dists_to(x: np.ndarray, y_conj: np.ndarray, y_norms: np.ndarray) -> np.ndarray:
+    """``sq_dists(x, y)`` from y's conjugated rows and squared row norms."""
+    cross = (x @ y_conj.T).real
+    return np.clip(_sq_norms(x)[:, None] + y_norms[None, :] - 2.0 * cross, 0.0, None)
+
+
+def prepare_rows(b: np.ndarray) -> list:
+    """Per node of an (n, M, D) set, its conjugated (n, D) rows and their (n,) squared norms.
+
+    What ``gram_stack`` needs of its B set; a caller that reuses B may
+    prepare them once and pass them in.
+    """
+    return [(b[:, m, :].conj(), _sq_norms(b[:, m, :])) for m in range(b.shape[1])]
 
 
 def _sq_dists_symmetric(x: np.ndarray) -> np.ndarray:
@@ -81,13 +98,16 @@ def _sq_dists_symmetric(x: np.ndarray) -> np.ndarray:
     return np.clip(nn[:, None] + nn[None, :] - 2.0 * g, 0.0, None)
 
 
-def gram_stack(a: np.ndarray, b: np.ndarray | None, hp: Hyperparameters) -> GramStack:
+def gram_stack(a: np.ndarray, b: np.ndarray | None, hp: Hyperparameters,
+               b_rows: list | None = None) -> GramStack:
     """All M per-node Gram matrices between two sample sets and their sum.
 
     The operands are checked (n, M, D) complex arrays, as ``stack_features``,
     ``labelled_pool`` and ``as_sample`` return them; only their shapes are
     checked here.  Pass ``b=None`` for the symmetric A=A case; that path has
-    an exactly-unit diagonal and exact symmetry.
+    an exactly-unit diagonal and exact symmetry.  ``b_rows`` are
+    ``prepare_rows(b)`` when the caller holds them; without them the call
+    prepares its own, with the same bits.
     """
     symmetric = b is None
     if symmetric:
@@ -96,13 +116,15 @@ def gram_stack(a: np.ndarray, b: np.ndarray | None, hp: Hyperparameters) -> Gram
         raise ValueError(f"inconsistent (M, D): {a.shape[1:]} vs {b.shape[1:]}")
     if a.shape[1] != hp.num_nodes:
         raise ValueError(f"features have M={a.shape[1]} nodes, hyperparameters {hp.num_nodes}")
+    if not symmetric and b_rows is None:
+        b_rows = prepare_rows(b)
     per_node = np.empty((a.shape[1], a.shape[0], b.shape[0]))
     for m in range(a.shape[1]):
         x = a[:, m, :]
         if symmetric:
             d2 = _sq_dists_symmetric(x)
         else:
-            d2 = sq_dists(x, b[:, m, :])
+            d2 = _sq_dists_to(x, *b_rows[m])
         per_node[m] = np.exp(-d2 / hp.eps[m])
     return GramStack(per_node=per_node, summed=per_node.sum(axis=0))
 

@@ -12,6 +12,10 @@ conditioning step, so a streamed model always equals a fit on its own
 S_LD.  The pool and S_LD are plain read-only arrays.  A prediction builds
 only the test row's Gram against the pool; an absorbed sample copies the
 pool and S_LD once to grow them, the same order of work as that Gram.
+The pool's conjugated rows and squared row norms, which every Gram
+against it takes, are derived state like the posterior: prepared when the
+model is built and again when an absorb grows the pool, and not written
+to the model file.
 
 Streaming prediction absorbs only novel samples: a sample whose largest
 kernel value against the pool comes close to 1 on average over the nodes
@@ -40,7 +44,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataio import atomic_write
-from .kernels import Hyperparameters, fused_from_sums, gram_stack, stack_features
+from .kernels import Hyperparameters, fused_from_sums, gram_stack, prepare_rows, stack_features
 # mmgp_covariance stays importable here: perfbench/tracing.py wraps this lookup place
 from .kernels import mmgp_covariance  # noqa: F401
 
@@ -134,6 +138,12 @@ class MmgpModel(LabelledGp):
     construction and after every update ``_recondition`` derives
     ``sigma_l`` = S_LD S_LD^T / M^2 from S_LD and conditions on it.
 
+    ``pool_rows`` is ``kernels.prepare_rows(pool)``, which every Gram
+    against the pool takes.  It is derived state, not model state: ``fit``
+    hands over the rows it built S_LD with, a model built without them
+    prepares its own, an absorb prepares them for the grown pool, and a
+    model file does not hold them.
+
     ``update_count`` is the number of samples absorbed into the pool after
     the fit, whether by ``update_recursive`` or by ``predict_recursive``
     on a novel sample; samples ``predict_recursive`` skips do not count.
@@ -144,12 +154,15 @@ class MmgpModel(LabelledGp):
     n_labeled: int
     labelled_gram: np.ndarray     # (n_L, n_D)
     update_count: int = 0
+    pool_rows: list | None = field(default=None, repr=False)   # prepare_rows(pool)
     config_hash: str | None = field(default=None, init=False)   # the file's, set by load_model
     sigma_l: np.ndarray = field(init=False)   # (n_L, n_L)
 
     def __post_init__(self):
         _read_only(self.pool)
         _read_only(self.labelled_gram)
+        if self.pool_rows is None:
+            self.pool_rows = prepare_rows(self.pool)
         self._recondition()
 
     def _recondition(self) -> None:
@@ -174,7 +187,11 @@ class MmgpModel(LabelledGp):
         """Posterior mean and variance for one test sample; read-only."""
         t = as_sample(h_t, self.pool.shape[1:])
         # the test row's node-summed Gram is built once for both k and the prior
-        return self._predict_row(gram_stack(t[None], self.pool, self.hyperparameters).summed)
+        return self._predict_row(self._gram_row(t).summed)
+
+    def _gram_row(self, t: np.ndarray):
+        """The Gram stack of one (M, D) sample against the pool, from the prepared rows."""
+        return gram_stack(t[None], self.pool, self.hyperparameters, self.pool_rows)
 
     def _predict_row(self, s_t: np.ndarray) -> Prediction:
         """The posterior of a test sample from its (1, n_D) node-summed Gram against the pool."""
@@ -195,6 +212,7 @@ class MmgpModel(LabelledGp):
         k = gram_stack(self.labeled_features, t, self.hyperparameters).summed
         self.labelled_gram = _read_only(np.concatenate([self.labelled_gram, k], axis=1))
         self.pool = _read_only(np.concatenate([self.pool, t]))
+        self.pool_rows = prepare_rows(self.pool)
         self.update_count += 1
         self._recondition()
         return self
@@ -210,7 +228,7 @@ class MmgpModel(LabelledGp):
         would, and leaves the model unchanged.
         """
         t = as_sample(h_t, self.pool.shape[1:])
-        rows = gram_stack(t[None], self.pool, self.hyperparameters)
+        rows = self._gram_row(t)
         if rows.per_node[:, 0].max(axis=1).mean() < _NOVELTY:
             self.update_recursive(t)
             return self.predict(t)
@@ -282,11 +300,12 @@ def fit(training_set, labelled_positions, hp: Hyperparameters) -> MmgpModel:
     pool = pool.copy()
     n_l = positions.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        s_ld = gram_stack(pool[:n_l], pool, hp).summed
+        rows = prepare_rows(pool)
+        s_ld = gram_stack(pool[:n_l], pool, hp, rows).summed
     if not np.isfinite(s_ld).all():
         raise ValueError("features overflow the kernel Gram")
     return MmgpModel(pool=pool, n_labeled=n_l, labelled_gram=s_ld, positions=positions,
-                     hyperparameters=hp)
+                     hyperparameters=hp, pool_rows=rows)
 
 
 def save_model(model: MmgpModel, path, config_hash: str) -> None:

@@ -9,7 +9,11 @@ n events is the (n, M, D) stack of those arrays.
 
 Each node of a record takes one framed real FFT over its two channels;
 the node's Welch auto- and cross-spectra are frame means of that one
-transform, so no channel is transformed twice.
+transform, so no channel is transformed twice.  The auto-spectrum covers
+every bin, since the spectral floor averages them all, while the
+cross-spectrum is formed on the band bins only.  Its product's operand
+order is written out to match the order NumPy runs the Welch path's full
+product in (see ``_band_rtfs``), so the features keep that path's bits.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from scipy import fft as sp_fft
 
 # relative weight of the spectral-floor guard added to the denominator
 _DENOM_DELTA = 1e-10
+
+# NumPy runs a binary operator in place on a temporary operand of at least
+# this many bytes (its NPY_MIN_ELIDE_BYTES)
+_ELIDE_BYTES = 256 * 1024
 
 
 @dataclass
@@ -152,20 +160,17 @@ def _psd_window(fs: float, nper: int) -> np.ndarray:
 
 
 def _node_spectra(pair: np.ndarray, window: np.ndarray, hop: int, num_frames: int,
-                  fft_size: int) -> tuple:
-    """Short-time spectra of a node's two channels, each a C-contiguous (F, P) array.
+                  fft_size: int) -> np.ndarray:
+    """Short-time spectra of a node's two channels, a (2, P, F) array of P frames.
 
     Frame p covers samples [p*hop, p*hop + len(window)); each frame loses
     its mean and is windowed, and one real FFT covers every frame of both
-    channels.  The (F, P) layout makes the per-frame products and frame
-    means that follow round as they do on a per-channel STFT.
+    channels.
     """
     frames = sliding_window_view(pair, window.size, axis=-1)[:, : num_frames * hop : hop]
     windowed = frames - frames.mean(axis=-1, keepdims=True)
     windowed *= window
-    spec = sp_fft.rfft(windowed, n=fft_size, axis=-1)
-    del windowed  # only the spectra and their transposes stay alive
-    return np.ascontiguousarray(spec[0].T), np.ascontiguousarray(spec[1].T)
+    return sp_fft.rfft(windowed, n=fft_size, axis=-1)
 
 
 def _band_rtfs(record, cfg: SpectralConfig) -> np.ndarray:
@@ -178,9 +183,24 @@ def _band_rtfs(record, cfg: SpectralConfig) -> np.ndarray:
 
     Node by node, one framed real FFT (``_node_spectra``) covers the two
     channels on the frames ``welch_cross_spectrum`` uses, and the spectra
-    are formed as it forms them: squared magnitudes and S_sec * conj(S_ref)
-    per frame, the one-sided doubling (the Nyquist bin of an even FFT stays
-    single), and the frame mean.  One node at a time keeps the frame
+    are formed with its bits:
+    - the auto-spectrum is squared magnitudes on every bin, since the
+      floor is a mean over all of them; the cross-spectrum is formed on
+      the band bins only;
+    - each frame mean runs over a C-contiguous row of P frames, as on a
+      per-channel STFT, so only the real auto-spectrum and the band
+      columns are transposed;
+    - the one-sided doubling (the DC bin and the Nyquist bin of an even
+      FFT stay single) follows the frame means: scaling by 2 is exact.
+
+    The Welch path (``scipy.signal.csd``) forms ``S_sec * conj(S_ref)``
+    on all F bins, and NumPy runs that expression in place on the
+    conjugate temporary, operands swapped, once the temporary reaches
+    ``_ELIDE_BYTES``; complex products with fused multiply-add round the
+    two orders differently.  A band-sized product never reaches that
+    size, so its order is written out by the full product's size:
+    ``conj(S_ref) * S_sec`` from 256 KiB on (16 frames at the defaults),
+    else ``S_sec * conj(S_ref)``.  One node at a time keeps the frame
     temporaries small; a whole-record batch is slower and peaks higher.
     """
     if record.sample_rate != cfg.sample_rate:
@@ -195,22 +215,30 @@ def _band_rtfs(record, cfg: SpectralConfig) -> np.ndarray:
     hop = cfg.hop_samples
     num_frames = (n - nper) // hop + 1
     window = _psd_window(cfg.sample_rate, nper)
-    doubled = slice(1, -1 if cfg.fft_size % 2 == 0 else None)
+    num_bins = cfg.fft_size // 2 + 1
+    doubled = np.zeros(num_bins, dtype=bool)
+    doubled[1:num_bins - 1 if cfg.fft_size % 2 == 0 else None] = True
     bins = band_bins(cfg)
+    band = slice(bins[0], bins[-1] + 1) if bins.size else slice(0)
+    # the full (F, P) complex product's bytes pick the operand order
+    ref_first = num_bins * num_frames * 16 >= _ELIDE_BYTES
     out = np.empty((record.num_nodes, bins.size), dtype=complex)
     for m in range(record.num_nodes):
-        # C-contiguous rows: on another layout (a transposed recording) the
-        # frame means can add in another order than the Welch oracle's
-        pair = np.ascontiguousarray(record.signals[2 * m:2 * m + 2])
-        ref, sec = _node_spectra(pair, window, hop, num_frames, cfg.fft_size)
-        s_auto = ref.real**2 + ref.imag**2
-        s_cross = sec * ref.conj()
-        s_auto[doubled] *= 2
-        s_cross[doubled] *= 2
-        s_auto = s_auto.mean(axis=-1)
+        # frames over unit-stride rows, such as a block cut from a longer
+        # recording, average as the Welch oracle's do; on another layout (a
+        # transposed recording) the frame means could add in another order
+        pair = record.signals[2 * m:2 * m + 2]
+        if pair.strides[-1] != pair.itemsize:
+            pair = np.ascontiguousarray(pair)
+        spec = _node_spectra(pair, window, hop, num_frames, cfg.fft_size)
+        s_auto = spec[0].real**2 + spec[0].imag**2
+        s_auto = np.ascontiguousarray(s_auto.T).mean(axis=-1)
+        ref, sec = np.ascontiguousarray(spec[:, :, band].transpose(0, 2, 1))
+        s_cross = np.multiply(ref.conj(), sec) if ref_first else np.multiply(sec, ref.conj())
         s_cross = s_cross.mean(axis=-1)
-        ratio = s_cross / (s_auto + _DENOM_DELTA * s_auto.mean())
-        out[m] = ratio[bins]
+        s_auto[doubled] *= 2
+        s_cross[doubled[band]] *= 2
+        out[m] = s_cross / (s_auto[band] + _DENOM_DELTA * s_auto.mean())
     return out
 
 

@@ -912,6 +912,24 @@ def test_interrupted_stage_never_mixes_two_runs(two_runs, tmp_path, monkeypatch,
     assert k > 1
 
 
+def test_features_leave_an_evaluation_of_another_run_alone(two_runs, tmp_path, monkeypatch):
+    # the new config's simulate replaces evaluation.json and stops at its
+    # manifest.json commit; features on the old manifest must not write the
+    # old run's feature references into the new run's evaluation.json
+    old, new = two_runs["old"], two_runs["new"]
+    work = tmp_path / "work"
+    shutil.copytree(old["work"], work)
+    with monkeypatch.context() as patch:
+        stop = _StopAtReplace(lambda n, dst: Path(dst).name == dio.MANIFEST_NAME)
+        patch.setattr(os, "replace", stop)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(_stage("simulate", new["cfg"], work / "ds", work))
+    evaluation = (work / "ds" / dio.EVALUATION_NAME).read_bytes()
+    assert json.loads(evaluation)["config_hash"] != dio.load_manifest(work / "ds")["config_hash"]
+    assert cli.main(_stage("features", old["cfg"], work / "ds", work)) == 0
+    assert (work / "ds" / dio.EVALUATION_NAME).read_bytes() == evaluation
+
+
 @pytest.mark.parametrize("view", [".trace.csv", ".meta.json"])
 def test_refit_stopped_before_its_trace_or_sidecar_is_refused(two_runs, tmp_path, monkeypatch,
                                                               capsys, view):

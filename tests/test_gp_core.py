@@ -17,6 +17,10 @@ the code under test, when that build changes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,22 @@ PINS = {
     "kernel-product": "622685905c200f9f0a21d33c2e63fbe2a3a5ffeb48cf40a8f85f3c043e1e88c9",
     "mean": "2fd90b8cfb8df3968786816d2e36c212b0a995fae00a43bbeaad31c09b19615c",
 }
+
+# Three pins depend on the host's numerics: ``trace_csv``, ``mmgp`` and
+# ``mean`` change without NumPy's AVX-512 dispatch (``np.exp`` and ``np.log``
+# round otherwise) and under OpenBLAS's Haswell kernels (matmul rounds
+# otherwise).  The same-host oracle byte-compares below compare two code
+# paths on one host, so they hold under both.
+_ORACLE_COMPARES = [
+    "test_rtf_features.py::test_one_stft_features_match_welch_reference_bits",
+    "test_rtf_features.py::test_one_stft_features_match_reference_on_long_fft",
+    "test_rtf_features.py::test_features_do_not_depend_on_signal_layout",
+    "test_rtf_features.py::test_features_match_welch_reference_at_the_elision_size",
+    "test_mmgp_model.py::test_predict_bits_match_two_covariance_formula",
+    "test_mmgp_model.py::test_stream_bits_match_concatenating_reference",
+]
+_OTHER_HOSTS = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                "OPENBLAS_CORETYPE": "Haswell"}
 
 FITS = {"mmgp": mm.fit, "kernel-product": bl.fit_kernel_product, "mean": bl.fit_mean_of_nodes}
 
@@ -149,3 +169,19 @@ def test_learning_and_streaming_reject_non_finite_features():
         with pytest.raises(ValueError, match="non-finite entries in feature array"):
             step(sample)
     assert model.update_count == 0 and model.pool.shape[0] == pool.shape[0]
+
+
+def test_oracle_compares_hold_under_other_numerics():
+    # an AVX2-only NumPy and OpenBLAS's Haswell kernels, each emulated in
+    # one child process; the variable is set in the child's environment only
+    tests = Path(__file__).parent
+    src = str(Path(mm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for name, value in _OTHER_HOSTS.items():
+        env = dict(os.environ, PYTHONPATH=path, **{name: value})
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *(str(tests / t) for t in _ORACLE_COMPARES)],
+            cwd=tests.parent, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, f"{name}={value}:\n{run.stdout[-3000:]}{run.stderr[-3000:]}"
+        assert "9 passed" in run.stdout, run.stdout[-500:]

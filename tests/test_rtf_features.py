@@ -300,6 +300,25 @@ def test_features_do_not_depend_on_signal_layout():
         assert rf.artf_from_record(rec, cfg).stack().tobytes() == want
 
 
+@pytest.mark.parametrize("num_frames", [15, 16, 17, "1 s block"])
+def test_features_match_welch_reference_at_the_elision_size(num_frames):
+    # at the defaults the Welch path's full (1025, F) cross product reaches
+    # NumPy's 256 KiB temporary-elision size from 16 frames on, and from
+    # there it runs with its operands swapped; the band-only product must
+    # follow it on both sides of that size and on the 28 frames of a 1 s
+    # block that the online stream cuts from a longer (6, n) recording
+    cfg = rf.SpectralConfig()
+    rng = np.random.default_rng(67)
+    if num_frames == "1 s block":
+        signals = rng.standard_normal((6, 64000))[:, 4000:20000]
+    else:
+        signals = rng.standard_normal((6, cfg.window_samples + cfg.hop_samples * (num_frames - 1)))
+    signals[1::2] += 0.6 * np.roll(signals[0::2], 7, axis=1)
+    rec = ac.MeasurementRecord(signals=signals, sample_rate=16000.0, num_nodes=3)
+    want = reference_artf_from_record(rec, cfg)
+    assert rf.artf_from_record(rec, cfg).stack().tobytes() == want.tobytes()
+
+
 def test_feature_extraction_peak_memory():
     # a 30 s, 3-node record at 16 kHz: only one node's frame temporaries
     # are alive at a time
