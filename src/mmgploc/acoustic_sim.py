@@ -112,29 +112,6 @@ class SceneConfig:
 
 
 @dataclass
-class SourceSetSpec:
-    """Positions plus excitation recipe for one record set.
-
-    ``signal_kind`` is one of ``"wgn"`` (white Gaussian noise) or
-    ``"speech"`` (the band-occupancy surrogate).
-    """
-
-    positions: np.ndarray
-    signal_kind: str = "wgn"
-    duration_s: float = 5.0
-    seed: int = 0
-
-    def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if self.positions.size and self.positions.shape[1] != 3:
-            raise ValueError("positions must be 3-vectors")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError("duration must be finite and positive")
-        if self.signal_kind not in ("wgn", "speech"):
-            raise ValueError(f"unknown signal kind {self.signal_kind!r}")
-
-
-@dataclass
 class MeasurementRecord:
     """One simulated acoustic event captured by every microphone.
 
@@ -372,12 +349,19 @@ def speech_surrogate_signal(duration_s: float, sample_rate: float, rng) -> np.nd
     return x / max(np.sqrt(np.mean(x**2)), 1e-12)
 
 
-def make_signal(spec: SourceSetSpec, index: int, sample_rate: float) -> np.ndarray:
-    """Excitation for record ``index`` of a set, deterministic in (seed, index)."""
-    rng = np.random.default_rng((spec.seed, index, 0))
-    if spec.signal_kind == "wgn":
-        return white_noise_signal(spec.duration_s, sample_rate, rng)
-    return speech_surrogate_signal(spec.duration_s, sample_rate, rng)
+# excitation kind -> its generator, called as (duration_s, sample_rate, rng)
+EXCITATIONS = {"wgn": white_noise_signal, "speech": speech_surrogate_signal}
+
+
+def make_signal(kind: str, duration_s: float, seed: int, index: int,
+                sample_rate: float) -> np.ndarray:
+    """Excitation ``index`` of a record set, deterministic in (seed, index).
+
+    ``kind`` is a key of ``EXCITATIONS``; ``cli.resolve_config`` checks it and
+    the duration.
+    """
+    rng = np.random.default_rng((seed, index, 0))
+    return EXCITATIONS[kind](duration_s, sample_rate, rng)
 
 
 def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> MeasurementRecord:

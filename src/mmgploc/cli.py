@@ -53,17 +53,24 @@ def resolve_config(path, seed=None) -> dict:
     A ``seed`` from the command line replaces the config's before defaults
     are filled in, so the config hash reflects what actually ran.  Scene
     and spectral defaults are the ``SceneConfig`` and ``SpectralConfig``
-    field defaults, and a key neither class has a field for is a
-    ``ValueError``, as is a key a role section or its ``signal`` does not
-    know, a master ``seed`` that is not an integer and a missing or wrongly
-    typed section, scene, spectral, role, placement, ``signal``, ``srp`` or
-    ``hyperparameters`` field.  Output locations never enter the hash.
+    field defaults.  Every fact of the config is checked here, before any
+    command runs, and each fault is a ``ValueError`` that names the section
+    and the key: a key the top level, a section, a placement or a ``signal``
+    does not know; a master ``seed`` that is not an integer or a
+    ``streaming`` that is not a boolean; a missing or wrongly typed section,
+    scene, spectral, role, placement, ``signal``, ``srp`` or
+    ``hyperparameters`` field; spectral settings ``SpectralConfig`` refuses,
+    or a spectral ``sample_rate`` other than the scene's, at which the
+    signals are recorded; a signal ``kind`` other than ``"wgn"`` and
+    ``"speech"``, and a ``duration_s`` shorter than one spectral window:
+    without the room's echo tail, such a record is too short for feature
+    extraction.
     """
-    from .acoustic_sim import SceneConfig
+    from .acoustic_sim import EXCITATIONS, SceneConfig
     from .rtf_features import SpectralConfig
 
     with open(path) as fh:
-        cfg = dict(dio.check_fields(json.load(fh), "config", {}))
+        cfg = dict(dio.check_fields(json.load(fh), "config", {}, known=_TOP_LEVEL))
     if seed is not None:
         cfg["seed"] = seed
 
@@ -73,16 +80,27 @@ def resolve_config(path, seed=None) -> dict:
     cfg.setdefault("hyperparameters", "learn")
     if cfg["method"] not in METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
-    dio.check_fields(cfg, "config", {"seed": dio.INTEGER})
+    dio.check_fields(cfg, "config", {"seed": dio.INTEGER, "streaming": _BOOLEAN})
     defaults = _field_defaults(SceneConfig)
     scene = dio.check_fields(cfg.get("scene"), "'scene' section", dio.SCENE, optional=defaults,
                              known=dio.SCENE)
     spectral = dio.check_fields(cfg.get("spectral") or {}, "'spectral' section", dio.SPECTRAL,
                                 optional=dio.SPECTRAL, known=dio.SPECTRAL)
     scene = {**defaults, **scene}
+    rate = scene["sample_rate"]
+    # the signals are recorded at the scene's rate, and features are read at the spectral one
+    dio.check_fields(spectral, "'spectral' section",
+                     {"sample_rate": (lambda v: v == rate, f"the scene's {rate}")},
+                     optional=("sample_rate",))
     cfg["scene"] = scene
-    cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": scene["sample_rate"],
-                       **spectral}
+    cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": rate, **spectral}
+    window = SpectralConfig(**cfg["spectral"]).window_samples
+    # kind and duration are checked for type first, then for what make_signal can render
+    # and feature extraction can read; a duration is rounded to samples as the excitations do
+    recipe = {"kind": (lambda v: v in EXCITATIONS, f"one of {', '.join(map(repr, EXCITATIONS))}"),
+              "duration_s": (lambda v: v > 0 and math.isfinite(v * rate)
+                             and round(v * rate) >= window,
+                             f"at least one spectral window, {window} samples at {rate} Hz")}
 
     for role in ("labeled", "unlabeled", "test"):
         where = f"'{role}' section"
@@ -93,17 +111,17 @@ def resolve_config(path, seed=None) -> dict:
         kind = next((k for k in ("positions", *_PLACEMENTS) if k in sec), None)
         if kind in _PLACEMENTS:
             dio.check_fields(sec[kind], f"{where}'s {kind!r}", _PLACEMENTS[kind],
-                             optional=("jitter",))
+                             optional=("jitter",), known=_PLACEMENTS[kind])
         sec.setdefault("seed", 1000 * cfg["seed"] + _ROLE_OFFSETS[role])
         sig = dict(dio.check_fields(sec.get("signal", {}), f"{where}'s 'signal'", _SIGNAL,
                                     optional=_SIGNAL, known=_SIGNAL))
         sig.setdefault("kind", "wgn")
         sig.setdefault("duration_s", 2.0)
-        sec["signal"] = sig
+        sec["signal"] = dio.check_fields(sig, f"{where}'s 'signal'", recipe)
         cfg[role] = sec
 
     if "srp" in cfg:
-        dio.check_fields(cfg["srp"], "'srp' section", _SRP_FIELDS)
+        dio.check_fields(cfg["srp"], "'srp' section", _SRP_FIELDS, known=_SRP_FIELDS)
     hp = cfg["hyperparameters"]
     if not (hp == "learn" or (isinstance(hp, dict) and
                               (hp.get("strategy") == "median" or "eps" in hp))):
@@ -113,11 +131,15 @@ def resolve_config(path, seed=None) -> dict:
         # the median strategy derives eps and defaults sigma2; the explicit form needs both
         median = hp.get("strategy") == "median"
         dio.check_fields(hp, "'hyperparameters'", _HYPERPARAMETERS,
-                         optional=tuple(_HYPERPARAMETERS) if median else ("jitter",))
+                         optional=tuple(_HYPERPARAMETERS) if median else ("jitter",),
+                         known=("strategy", *_HYPERPARAMETERS) if median else _HYPERPARAMETERS)
     return cfg
 
 
+_TOP_LEVEL = ("seed", "method", "streaming", "hyperparameters", "scene", "spectral",
+              "labeled", "unlabeled", "test", "srp")
 # field -> (check, what it expects), as dataio.check_fields takes them
+_BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
 _POINTS = (lambda v: isinstance(v, list) and all(map(dio.is_point, v)),
            "a list of [x, y, z] points of finite numbers")
 _PLACEMENTS = {
@@ -144,9 +166,8 @@ def _field_defaults(cls) -> dict:
             if f.default is not dataclasses.MISSING}
 
 
-def config_fingerprint(cfg: dict) -> str:
-    hashed = {k: v for k, v in cfg.items() if k != "output_dir"}
-    return dio.config_hash(hashed)
+# the hash of a resolved config, which every artifact of its run carries
+config_fingerprint = dio.config_hash
 
 
 def grid_positions(origin, spacing, counts):
@@ -168,7 +189,7 @@ def nearest_neighbor_order(points):
     """Greedy tour from the first point; consecutive entries are neighbors."""
     points = np.asarray(points, dtype=float)
     remaining = list(range(1, len(points)))
-    order = [0]
+    order = [0] if len(points) else []
     while remaining:
         here = points[order[-1]]
         dists = [float(np.linalg.norm(points[i] - here)) for i in remaining]
@@ -192,9 +213,9 @@ def loop_positions(center, radius, count, jitter, seed):
 
 
 def _positions_for(sec: dict, role: str):
-    """Source positions of a role section that ``resolve_config`` checked."""
+    """The (n, 3) source positions of a role section that ``resolve_config`` checked."""
     if "positions" in sec:
-        pts = np.asarray(sec["positions"], dtype=float)
+        pts = np.asarray(sec["positions"], dtype=float).reshape(-1, 3)
     elif "grid" in sec:
         g = sec["grid"]
         pts = grid_positions(g["origin"], g["spacing"], g["counts"])
@@ -226,22 +247,20 @@ def cmd_simulate(cfg: dict, out_dir) -> str:
 
     scene = dio.scene_from_dict(cfg["scene"])
     spectral = dio.spectral_from_dict(cfg["spectral"])
-    specs = []
-    for role in ("labeled", "unlabeled", "test"):
-        sec = cfg[role]
-        spec = sim.SourceSetSpec(positions=_positions_for(sec, role),
-                                 signal_kind=sec["signal"]["kind"],
-                                 duration_s=sec["signal"]["duration_s"], seed=sec["seed"])
-        for pos in spec.positions:
+    positions = {role: _positions_for(cfg[role], role)
+                 for role in ("labeled", "unlabeled", "test")}
+    for role, pts in positions.items():
+        for pos in pts:
             sim.check_inside(pos, scene.room_dims, f"{role} source")
-        specs.append((role, spec))
 
     def records():
-        for role, spec in specs:
-            for i, pos in enumerate(spec.positions):
-                signal = sim.make_signal(spec, i, scene.sample_rate)
+        for role, pts in positions.items():
+            sec = cfg[role]
+            for i, pos in enumerate(pts):
+                signal = sim.make_signal(sec["signal"]["kind"], sec["signal"]["duration_s"],
+                                         sec["seed"], i, scene.sample_rate)
                 yield (role, f"{role}_{i:04d}", pos,
-                       sim.render_measurement(scene, pos, signal, (spec.seed, i, 1)).signals)
+                       sim.render_measurement(scene, pos, signal, (sec["seed"], i, 1)).signals)
 
     return dio.write_dataset(out_dir, scene, records(), spectral=spectral,
                              config_hash=config_fingerprint(cfg))
@@ -254,25 +273,15 @@ def cmd_features(dataset_dir) -> int:
 
     manifest = dio.load_manifest(dataset_dir)
     spectral = dio.spectral_from_dict(manifest["spectral"])
-    rate = _scene_rate(manifest)
     num_nodes = len(manifest["scene"]["mic_positions"])
     feats = {}
     for entry in manifest["records"]:
         signals = dio.read_record_signals(manifest, entry)
-        record = MeasurementRecord(signals=signals, sample_rate=rate, num_nodes=num_nodes)
+        record = MeasurementRecord(signals=signals, sample_rate=spectral.sample_rate,
+                                   num_nodes=num_nodes)
         feats[entry["id"]] = artf_from_record(record, spectral).stack()
     dio.attach_features(dataset_dir, feats)
     return len(feats)
-
-
-def _scene_rate(manifest) -> float:
-    """The rate the signals were recorded at, the scene's; it must be the
-    spectral rate the features are read at."""
-    rate, spectral_rate = manifest["scene"]["sample_rate"], manifest["spectral"]["sample_rate"]
-    if rate != spectral_rate:
-        path = Path(manifest["_dir"]) / dio.MANIFEST_NAME
-        raise ValueError(f"{path}: scene rate {rate} != spectral rate {spectral_rate}")
-    return rate
 
 
 def _load_pool(manifest):
@@ -374,7 +383,7 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
     from . import baselines as bl
     from . import mmgp_model as mm
 
-    if method not in ("mean", "kernel-product", "srp-phat"):
+    if method not in METHODS[1:]:
         raise ValueError(f"unknown baseline {method!r}")
     manifest = dio.load_manifest(dataset_dir)
     _check_hash(manifest["config_hash"], config_fingerprint(cfg),
@@ -385,7 +394,6 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
         srp = cfg.get("srp")
         if not srp:
             raise ValueError("srp-phat needs an 'srp' config section")
-        rate = _scene_rate(manifest)
         mics = np.asarray(manifest["scene"]["mic_positions"],
                           dtype=float).reshape(-1, 3)
         srp_cfg = bl.SrpConfig(
@@ -394,7 +402,7 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
             resolution=srp["resolution"],
             band_low_hz=cfg["spectral"]["band_low_hz"],
             band_high_hz=cfg["spectral"]["band_high_hz"],
-            sample_rate=rate,
+            sample_rate=manifest["scene"]["sample_rate"],
             sound_speed=manifest["scene"]["sound_speed"])
         for entry in entries:
             signals = dio.read_record_signals(manifest, entry)

@@ -274,7 +274,8 @@ def load_manifest(path) -> dict:
     """Load and validate either manifest flavor.
 
     Its ``scene`` and ``spectral`` objects hold every field of ``SCENE`` and
-    ``SPECTRAL``, each of the type given there.
+    ``SPECTRAL``, each of the type given there, and the two sample rates
+    agree: the signals were recorded at the one the features are read at.
     """
     path = Path(path)
     if path.is_dir():
@@ -285,6 +286,9 @@ def load_manifest(path) -> dict:
         manifest = check_fields(json.load(fh), str(path), _MANIFEST)
     check_fields(manifest.get("scene"), f"{path}: 'scene'", SCENE, known=SCENE)
     check_fields(manifest.get("spectral"), f"{path}: 'spectral'", SPECTRAL, known=SPECTRAL)
+    rate, spectral_rate = manifest["scene"]["sample_rate"], manifest["spectral"]["sample_rate"]
+    if rate != spectral_rate:
+        raise ValueError(f"{path}: scene rate {rate} != spectral rate {spectral_rate}")
     for index, rec in enumerate(manifest["records"]):
         check_fields(rec, f"record #{index}", {"id": TEXT})
         check_fields(rec, f"record {rec['id']}", _RECORD, optional=("true_position",))
@@ -362,13 +366,12 @@ def _read_record_blob(manifest: dict, entry: dict, ref) -> np.ndarray:
 
 
 def attach_features(dataset_dir, features: dict) -> None:
-    """Write feature blobs and reference them from both manifests.
+    """Write feature blobs and reference them from ``manifest.json``.
 
     ``features`` maps record id to a complex (M, D) array.  Ids missing
     from the mapping keep their current state; unknown ids are an error.
-    An ``evaluation.json`` of another config hash, left by a ``simulate``
-    stopped before its ``manifest.json`` commit, is not this dataset's and
-    keeps its bytes.
+    ``evaluation.json`` is written once, by ``write_dataset``; no stage
+    reads features through it, so it names none.
     """
     out = Path(dataset_dir)
     manifest = load_manifest(out)
@@ -377,24 +380,14 @@ def attach_features(dataset_dir, features: dict) -> None:
     if unknown:
         raise ValueError(f"unknown record ids: {sorted(unknown)}")
     (out / "features").mkdir(exist_ok=True)
-    refs = {}
-    for rec_id, arr in features.items():
-        arr = np.asarray(arr, dtype=complex)
-        rel = f"features/{rec_id}.c128"
-        write_blob(out / rel, arr)
-        refs[rec_id] = {"path": rel, "shape": list(arr.shape)}
-    for name in (MANIFEST_NAME, EVALUATION_NAME):
-        path = out / name
-        if not path.exists():
-            continue
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("config_hash") != manifest["config_hash"]:
-            continue
-        for rec in doc["records"]:
-            if rec["id"] in refs:
-                rec["features"] = refs[rec["id"]]
-        _dump_json(path, doc)
+    for rec in manifest["records"]:
+        if rec["id"] in features:
+            arr = np.asarray(features[rec["id"]], dtype=complex)
+            rel = f"features/{rec['id']}.c128"
+            write_blob(out / rel, arr)
+            rec["features"] = {"path": rel, "shape": list(arr.shape)}
+    del manifest["_dir"]
+    _dump_json(out / MANIFEST_NAME, manifest)
 
 
 def _dump_json(path, doc) -> None:

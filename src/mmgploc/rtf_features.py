@@ -38,7 +38,8 @@ class SpectralConfig:
     """Welch analysis parameters and the feature band.
 
     ``window_length_s`` is converted to samples at ``sample_rate``; the FFT
-    size must be at least that long.  Band edges are inclusive.
+    size must be at least that long.  Band edges are inclusive, and the band
+    must hold at least one FFT bin.
     """
 
     sample_rate: float = 16000.0
@@ -62,6 +63,9 @@ class SpectralConfig:
             raise ValueError("fft_size must be >= window length in samples")
         if not 0 <= self.band_low_hz < self.band_high_hz <= self.sample_rate / 2:
             raise ValueError("need 0 <= band_low < band_high <= fs/2")
+        if band_bins(self).size == 0:
+            raise ValueError(f"band {self.band_low_hz}-{self.band_high_hz} Hz holds no bin of "
+                             f"the {self.fft_size}-point FFT")
 
     @property
     def window_samples(self) -> int:
@@ -219,7 +223,7 @@ def _band_rtfs(record, cfg: SpectralConfig) -> np.ndarray:
     doubled = np.zeros(num_bins, dtype=bool)
     doubled[1:num_bins - 1 if cfg.fft_size % 2 == 0 else None] = True
     bins = band_bins(cfg)
-    band = slice(bins[0], bins[-1] + 1) if bins.size else slice(0)
+    band = slice(bins[0], bins[-1] + 1)
     # the full (F, P) complex product's bytes pick the operand order
     ref_first = num_bins * num_frames * 16 >= _ELIDE_BYTES
     out = np.empty((record.num_nodes, bins.size), dtype=complex)

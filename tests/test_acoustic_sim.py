@@ -532,32 +532,16 @@ def test_speech_surrogate_band_and_envelope():
 
 
 def test_make_signal_deterministic_per_index():
-    spec = ac.SourceSetSpec(positions=[[1, 1, 1], [2, 2, 2]], signal_kind="wgn",
-                            duration_s=0.3, seed=3)
-    a = ac.make_signal(spec, 0, 16000.0)
-    b = ac.make_signal(spec, 0, 16000.0)
-    c = ac.make_signal(spec, 1, 16000.0)
+    a = ac.make_signal("wgn", 0.3, 3, 0, 16000.0)
+    b = ac.make_signal("wgn", 0.3, 3, 0, 16000.0)
+    c = ac.make_signal("wgn", 0.3, 3, 1, 16000.0)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-@pytest.mark.parametrize("duration_s", [np.nan, np.inf, -np.inf])
-def test_source_set_spec_rejects_non_finite_duration(duration_s):
-    with pytest.raises(ValueError, match="finite"):
-        ac.SourceSetSpec(positions=[[1, 1, 1]], duration_s=duration_s)
-
-
-def test_source_set_spec_validation():
-    with pytest.raises(ValueError):
-        ac.SourceSetSpec(positions=[[1, 1]], signal_kind="wgn")
-    with pytest.raises(ValueError):
-        ac.SourceSetSpec(positions=[[1, 1, 1]], duration_s=0.0)
-    with pytest.raises(ValueError):
-        ac.SourceSetSpec(positions=[[1, 1, 1]], signal_kind="hum")
-    with pytest.raises(ValueError):
-        ac.SourceSetSpec(positions=[[1, 1, 1]], signal_kind="file")
-    spec = ac.SourceSetSpec(positions=[[1, 1, 1], [2, 2, 1]])
-    assert spec.positions.shape == (2, 3)
+    # record i of a set draws from the generator keyed (set seed, i, 0)
+    assert np.array_equal(a, np.random.default_rng((3, 0, 0)).standard_normal(4800))
+    speech = ac.make_signal("speech", 0.3, 3, 1, 16000.0)
+    assert np.array_equal(speech, ac.speech_surrogate_signal(
+        0.3, 16000.0, np.random.default_rng((3, 1, 0))))
 
 
 def test_measurement_record_rejects_bad_shapes():

@@ -192,10 +192,8 @@ def test_srp_phat_simulated_anechoic_scene():
         room_dims=(4.0, 5.0, 3.0),
         mic_positions=room_mics().reshape(3, 2, 3),
         t60=0.0, snr_db=float("inf"), sample_rate=16000.0)
-    spec = sim.SourceSetSpec(positions=[[2.0, 2.5, 1.5]], signal_kind="wgn",
-                        duration_s=1.0, seed=41)
-    record = sim.render_measurement(scene, spec.positions[0],
-                                    sim.make_signal(spec, 0, scene.sample_rate),
+    record = sim.render_measurement(scene, [2.0, 2.5, 1.5],
+                                    sim.make_signal("wgn", 1.0, 41, 0, scene.sample_rate),
                                     seed=(41, 0, 1))
     cfg = bl.SrpConfig(mic_positions=scene.flat_mics(),
                        grid_min=[1.0, 1.0, 1.0], grid_max=[3.0, 4.0, 2.0],
@@ -285,10 +283,8 @@ def gcc_scenes():
                                        ([2.5, 3.0, 1.5], 0.1))]
     scene = sim.SceneConfig(room_dims=(4.0, 5.0, 3.0), mic_positions=mics.reshape(3, 2, 3),
                             t60=0.4, snr_db=20.0, sample_rate=16000.0)
-    spec = sim.SourceSetSpec(positions=[[1.5, 3.0, 1.4]], signal_kind="wgn",
-                             duration_s=2.0, seed=71)
-    record = sim.render_measurement(scene, spec.positions[0],
-                                    sim.make_signal(spec, 0, scene.sample_rate),
+    record = sim.render_measurement(scene, [1.5, 3.0, 1.4],
+                                    sim.make_signal("wgn", 2.0, 71, 0, scene.sample_rate),
                                     seed=(71, 0, 1))
     return scenes + [record.signals]
 

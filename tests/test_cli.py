@@ -1,5 +1,6 @@
 """Harness tests: config resolution, pipeline round-trip, determinism."""
 
+import copy
 import itertools
 import json
 import math
@@ -9,10 +10,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_dataio import _json_paths
 from test_rtf_features import desk_features_config
 
 import mmgploc.cli as cli
@@ -251,14 +256,139 @@ def test_unknown_scene_and_spectral_keys_rejected(tmp_path, section, key):
         cli.resolve_config(path)
 
 
-def test_config_fingerprint_ignores_output_dir(tmp_path):
+def _resolve(tmp_path, cfg):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(tiny_config()))
-    a = cli.config_fingerprint(cli.resolve_config(path))
-    path.write_text(json.dumps(tiny_config(output_dir="elsewhere")))
-    assert cli.config_fingerprint(cli.resolve_config(path)) == a
-    path.write_text(json.dumps(tiny_config(seed=6)))
-    assert cli.config_fingerprint(cli.resolve_config(path)) != a
+    path.write_text(json.dumps(cfg))
+    return cli.resolve_config(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("output_dir", "elsewhere", "config: unknown key 'output_dir'; known keys: seed, method, "
+                                "streaming, hyperparameters, scene, spectral, labeled, "
+                                "unlabeled, test, srp"),
+    ("streaming", "banana", "config: 'streaming' must be true or false, got 'banana'"),
+    ("streaming", 1, "config: 'streaming' must be true or false, got 1"),
+])
+def test_top_level_is_closed(tmp_path, key, value, message):
+    # nothing reads an unknown key or a non-boolean streaming flag, so neither is hashed
+    with pytest.raises(ValueError) as err:
+        _resolve(tmp_path, tiny_config(**{key: value}))
+    assert str(err.value) == message
+    assert _resolve(tmp_path, tiny_config(streaming=True))["streaming"] is True
+
+
+def test_signal_recipe_and_positions_are_checked_by_the_config(tmp_path):
+    # at the 64 ms window of tiny_config a signal needs 1024 samples at 16 kHz
+    where = "'test' section's 'signal': "
+    for signal, message in [
+            ({"kind": "hum"}, "'kind' must be one of 'wgn', 'speech', got 'hum'"),
+            ({"kind": "file"}, "'kind' must be one of 'wgn', 'speech', got 'file'"),
+            ({"duration_s": 0.0}, "'duration_s' must be at least one spectral window, "
+                                  "1024 samples at 16000.0 Hz, got 0.0"),
+            ({"duration_s": -1}, "'duration_s' must be at least one spectral window"),
+            ({"duration_s": 0.0639}, "'duration_s' must be at least one spectral window"),
+            ({"duration_s": 1e305}, "'duration_s' must be at least one spectral window"),
+            *[({"duration_s": v}, "'duration_s' must be a finite number")
+              for v in (np.nan, np.inf, -np.inf)]]:
+        cfg = tiny_config()
+        cfg["test"]["signal"].update(signal)
+        with pytest.raises(ValueError, match=re.escape(where + message)):
+            _resolve(tmp_path, cfg)
+    cfg = tiny_config()
+    cfg["test"]["signal"] = {"kind": "speech", "duration_s": 0.064}
+    assert _resolve(tmp_path, cfg)["test"]["signal"] == {"kind": "speech", "duration_s": 0.064}
+    with pytest.raises(ValueError, match="'test' section: 'positions' must be a list of"):
+        _resolve(tmp_path, tiny_config(test={"positions": [[1.0, 1.0]]}))
+    sec = _resolve(tmp_path, tiny_config(test={"positions": [[1, 1, 1], [2, 2, 1]]}))["test"]
+    assert cli._positions_for(sec, "test").shape == (2, 3)
+
+
+def test_spectral_rate_is_the_scene_rate(tmp_path, capsys):
+    # the signals are recorded at the scene rate; features read at another would be refused
+    cfg = tiny_config()
+    cfg["spectral"]["sample_rate"] = 8000.0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(path), "--output", str(tmp_path / "ds")]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "'spectral' section: 'sample_rate' must be the scene's 16000.0, got 8000.0",
+        "type": "ValueError"}
+    assert not (tmp_path / "ds").exists()
+    # spelling the scene's rate out resolves to the same config as leaving it to the default
+    cfg["spectral"]["sample_rate"] = 16000.0
+    assert _resolve(tmp_path, cfg) == _resolve(tmp_path, tiny_config())
+
+
+def test_empty_positions_are_an_empty_set(tmp_path):
+    # "positions": [] places no source, as a zero-count draw does, in any order
+    blobs = []
+    none = {"random": {"low": [1.5, 2.0, 1.5], "high": [1.5, 2.0, 1.5], "count": 0}}
+    for unlabeled in ({"positions": []}, none, {**none, "order": "nearest"}):
+        work = tmp_path / f"run{len(blobs)}"
+        work.mkdir()
+        (work / "c.json").write_text(json.dumps(tiny_config(unlabeled=unlabeled)))
+        assert cli.main(["simulate", "--config", str(work / "c.json"),
+                         "--output", str(work / "ds")]) == 0
+        manifest = dio.load_manifest(work / "ds")
+        assert dio.records_by_role(manifest, "unlabeled") == []
+        blobs.append({r["id"]: (work / "ds" / r["signal"]["path"]).read_bytes()
+                      for r in manifest["records"]})
+    assert len(blobs[0]) == 7 and blobs[0] == blobs[1] == blobs[2]
+
+
+_ADDED_KEYS = ["zz_unknown", "output_dir", "streaming", "jitter", "order", "seed", "positions",
+               "path", "sample_rate"]
+_CONFIG_JUNK = [None, True, False, 0, -1, 2.5, float("nan"), "", "x", "nearest", "inf", [],
+                [1], [[1.6, 2.1, 1.5]], {}, {"path": 3}]
+
+
+def _stub_render(scene, source_pos, source_signal, seed):
+    # simulate runs end to end on each mutant; a mutated t60 or reflection order
+    # would make the real render slow, and the test is about reading the config
+    return types.SimpleNamespace(signals=np.zeros((2 * scene.num_nodes, 1)))
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_simulates_or_is_refused(tmp_path, monkeypatch, capsys, data):
+    # dropped, retyped and added keys at every level of the config: simulate
+    # either runs or stops with a ValueError, never another exception
+    import mmgploc.acoustic_sim as sim
+
+    monkeypatch.setattr(sim, "render_measurement", _stub_render)
+    cfg = tiny_config()
+    mutations = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        action = data.draw(st.sampled_from(["drop", "junk", "add"]))
+        junk = copy.deepcopy(data.draw(st.sampled_from(_CONFIG_JUNK)))
+        if action == "add":
+            where = data.draw(st.sampled_from([p for p in _json_paths(cfg)
+                                               if isinstance(_at(cfg, p), dict)]))
+            key = data.draw(st.sampled_from(_ADDED_KEYS))
+            _at(cfg, where)[key] = junk
+        else:
+            where = data.draw(st.sampled_from(list(_json_paths(cfg))[1:]))
+            key = None
+            if action == "drop":
+                del _at(cfg, where[:-1])[where[-1]]
+            else:
+                _at(cfg, where[:-1])[where[-1]] = junk
+        mutations.append((action, where, key))
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["simulate", "--config", str(path), "--output", str(tmp_path / "ds")])
+    err = capsys.readouterr().err.strip()
+    assert code == 0 or json.loads(err)["type"] == "ValueError", (mutations, err)
+    if len(mutations) == 1 and mutations[0][2] in ("zz_unknown", "output_dir"):
+        # a key no section knows is refused wherever it is added
+        assert code == 1 and f"unknown key {mutations[0][2]!r}" in err, (mutations, err)
+
+
+def _at(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
 
 
 # ---------------------------------------------------------------------------

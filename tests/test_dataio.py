@@ -267,14 +267,15 @@ def test_signal_roundtrip_and_feature_attach(tmp_path):
     rng = np.random.default_rng(3)
     feats = {r["id"]: rng.standard_normal((1, 7)) + 1j * rng.standard_normal((1, 7))
              for r in manifest["records"]}
+    evaluation = (tmp_path / "ds" / dio.EVALUATION_NAME).read_bytes()
     dio.attach_features(tmp_path / "ds", feats)
     manifest = dio.load_manifest(tmp_path / "ds")
     for rec in manifest["records"]:
         assert rec["features"]["path"] == f"features/{rec['id']}.c128"
         np.testing.assert_array_equal(
             dio.read_record_features(manifest, rec), feats[rec["id"]])
-    evaluation = dio.load_manifest(tmp_path / "ds" / dio.EVALUATION_NAME)
-    assert all(r["features"] is not None for r in evaluation["records"])
+    # feature references live in manifest.json only; evaluation.json keeps its bytes
+    assert (tmp_path / "ds" / dio.EVALUATION_NAME).read_bytes() == evaluation
 
     with pytest.raises(ValueError, match="unknown record ids"):
         dio.attach_features(tmp_path / "ds", {"nope_0000": feats[entry["id"]]})
@@ -480,8 +481,10 @@ def test_mutated_manifest_is_rejected_or_loads_correctly(featured_dataset, data)
 
 def _simulate(tmp_path, seed, out):
     """``cmd_simulate`` of a 4-record one-node config at master ``seed``; returns its hash."""
+    # a 32 ms window, so 50 ms signals span one
     role = {"signal": {"duration_s": 0.05}}
     cfg = {"seed": seed, "scene": dio.scene_to_dict(small_scene()),
+           "spectral": {"window_length_s": 0.032},
            "labeled": {**role, "positions": [[1.0, 2.0, 1.5], [2.0, 3.0, 1.5]]},
            "unlabeled": {**role, "positions": [[1.5, 2.5, 1.5]]},
            "test": {**role, "positions": [[2.5, 2.0, 1.5]]}}

@@ -55,6 +55,9 @@ def test_spectral_config_defaults_and_validation():
         rf.SpectralConfig(band_low_hz=3000.0, band_high_hz=2500.0)
     with pytest.raises(ValueError):
         rf.SpectralConfig(band_high_hz=9000.0)  # above Nyquist
+    # 2048-point bins are 7.8 Hz apart at 16 kHz, none of them within 200-201 Hz
+    with pytest.raises(ValueError, match="band 200.0-201.0 Hz holds no bin of the 2048-point FFT"):
+        rf.SpectralConfig(band_low_hz=200.0, band_high_hz=201.0)
 
 
 @pytest.mark.parametrize("kw, message", [
