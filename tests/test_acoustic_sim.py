@@ -544,6 +544,36 @@ def test_make_signal_deterministic_per_index():
         0.3, 16000.0, np.random.default_rng((3, 1, 0))))
 
 
+def _source_set(tmp_path, **signal_and_positions):
+    """The resolved 'test' section of a config whose test set is ``positions``."""
+    from test_cli import _resolve, tiny_config
+    positions = signal_and_positions.pop("positions", [[1, 1, 1]])
+    cfg = tiny_config(test={"positions": positions})
+    cfg["test"]["signal"] = {"kind": "wgn", "duration_s": 0.3, **signal_and_positions}
+    return _resolve(tmp_path, cfg)["test"]
+
+
+@pytest.mark.parametrize("duration_s", [np.nan, np.inf, -np.inf])
+def test_source_set_spec_rejects_non_finite_duration(tmp_path, duration_s):
+    # a source set's recipe is checked where the config is resolved
+    with pytest.raises(ValueError, match="'duration_s' must be a finite number"):
+        _source_set(tmp_path, duration_s=duration_s)
+
+
+def test_source_set_spec_validation(tmp_path):
+    from mmgploc import cli
+    with pytest.raises(ValueError, match="'positions' must be a list of"):
+        _source_set(tmp_path, positions=[[1, 1]])
+    with pytest.raises(ValueError, match="'duration_s' must be at least one spectral window"):
+        _source_set(tmp_path, duration_s=0.0)
+    with pytest.raises(ValueError, match="'kind' must be one of 'wgn', 'speech', got 'hum'"):
+        _source_set(tmp_path, kind="hum")
+    with pytest.raises(ValueError, match="'kind' must be one of 'wgn', 'speech', got 'file'"):
+        _source_set(tmp_path, kind="file")
+    sec = _source_set(tmp_path, positions=[[1, 1, 1], [2, 2, 1]])
+    assert cli._positions_for(sec, "test").shape == (2, 3)
+
+
 def test_measurement_record_rejects_bad_shapes():
     good = np.zeros((2, 10))
     ac.MeasurementRecord(signals=good, sample_rate=16000.0, num_nodes=1)
