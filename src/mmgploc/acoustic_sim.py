@@ -15,7 +15,8 @@ coefficient) and adds all taps with a single ``np.bincount``, which sums
 them in the same order as a tap-by-tap accumulation and so keeps the
 output bits of the unpruned kernel.  ``render_measurement`` convolves by
 overlap-add over excitation segments of ``_SEGMENT`` (2**16) samples, each
-segment transformed once per FFT length and shared by the channels.  An
+segment transformed once per FFT length, by NumPy's FFT, and shared by the
+channels.  An
 excitation of at most 2**16 samples is one segment and keeps the bits of a
 per-channel ``fftconvolve``; a longer one matches it to rounding (within
 1e-14 of the peak amplitude, as tested).  The module renders one record at
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 # tail beyond the nominal decay time kept in each impulse response, so the
 # -60 dB point stays resolvable after truncation
@@ -364,13 +364,28 @@ def make_signal(kind: str, duration_s: float, seed: int, index: int,
     return EXCITATIONS[kind](duration_s, sample_rate, rng)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n: SciPy's ``next_fast_len(n, True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> MeasurementRecord:
     """Propagate one excitation to every microphone and add sensor noise.
 
     Each channel is the full linear convolution of the excitation with its
     impulse response, by overlap-add over excitation segments of
     ``_SEGMENT`` samples.  Each segment is convolved as
-    ``scipy.signal.fftconvolve`` does: both padded to the next fast
+    ``scipy.signal.fftconvolve`` does, with NumPy's copy of the pocketfft
+    transforms it calls: both padded to the next fast (5-smooth)
     real-FFT length of the segment's convolution, multiplied as
     ``segment_spectrum * rir_spectrum`` and transformed back, all segments
     in one batched inverse transform.  The first segment's output is
@@ -411,21 +426,19 @@ def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> M
             clean[i, :size] = source_signal * rir
             continue
         span = seg + rir.size - 1
-        nfft = next_fast_len(span, True)
+        nfft = _next_fast_len(span)
         if nfft not in spectra:
-            # one row per segment, zero-padded to nfft as fftconvolve pads
-            padded = np.zeros((len(starts), nfft))
-            for k, start in enumerate(starts):
-                piece = source_signal[start:start + seg]
-                padded[k, :piece.size] = piece
-            spectra[nfft] = rfftn(padded, axes=[-1])
-            del padded  # not held through the channel transforms
+            # one row per segment, the last zero-filled, each zero-padded to
+            # nfft by the transform as fftconvolve pads
+            rows = np.zeros(len(starts) * seg)
+            rows[:n_in] = source_signal
+            spectra[nfft] = np.fft.rfft(rows.reshape(-1, seg), n=nfft)
         # excitation spectrum first, as fftconvolve multiplies: complex
         # products round differently with the operands swapped, and the
-        # operator form ``spectrum * rfftn(...)`` may run in place in the
+        # operator form ``spectrum * rfft(...)`` may run in place in the
         # temporary, i.e. swapped
-        product = np.multiply(spectra[nfft], rfftn(rir, [nfft], axes=[0]))
-        pieces = irfftn(product, [nfft], axes=[-1])
+        product = np.multiply(spectra[nfft], np.fft.rfft(rir, n=nfft))
+        pieces = np.fft.irfft(product, n=nfft)
         clean[i, :span] = pieces[0, :span]
         for k, start in enumerate(starts[1:], 1):
             stop = min(start + span, size)

@@ -56,8 +56,9 @@ def resolve_config(path, seed=None) -> dict:
     field defaults.  Every fact of the config is checked here, before any
     command runs, and each fault is a ``ValueError`` that names the section
     and the key: a key the top level, a section, a placement or a ``signal``
-    does not know; a master ``seed`` that is not an integer or a
-    ``streaming`` that is not a boolean; a missing or wrongly typed section,
+    does not know; a master or role ``seed`` that is not a non-negative
+    integer, or a ``streaming`` that is not a boolean; a role section that
+    gives more than one placement; a missing or wrongly typed section,
     scene, spectral, role, placement, ``signal``, ``srp`` or
     ``hyperparameters`` field; spectral settings ``SpectralConfig`` refuses,
     or a spectral ``sample_rate`` other than the scene's, at which the
@@ -81,10 +82,12 @@ def resolve_config(path, seed=None) -> dict:
     if cfg["method"] not in METHODS:
         raise ValueError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
     dio.check_fields(cfg, "config", {"seed": dio.INTEGER, "streaming": _BOOLEAN})
+    # type first, then range, so a seed of another type reads as before
+    dio.check_fields(cfg, "config", {"seed": dio.COUNT})
     defaults = _field_defaults(SceneConfig)
     scene = dio.check_fields(cfg.get("scene"), "'scene' section", dio.SCENE, optional=defaults,
                              known=dio.SCENE)
-    spectral = dio.check_fields(cfg.get("spectral") or {}, "'spectral' section", dio.SPECTRAL,
+    spectral = dio.check_fields(cfg.get("spectral", {}), "'spectral' section", dio.SPECTRAL,
                                 optional=dio.SPECTRAL, known=dio.SPECTRAL)
     scene = {**defaults, **scene}
     rate = scene["sample_rate"]
@@ -106,12 +109,17 @@ def resolve_config(path, seed=None) -> dict:
         where = f"'{role}' section"
         sec = dict(dio.check_fields(cfg.get(role), where, _ROLE, optional=_ROLE,
                                     known=_ROLE_KEYS))
-        # the placement _positions_for will use is the first of the four present;
-        # a section with none resolves, and _positions_for refuses it
-        kind = next((k for k in ("positions", *_PLACEMENTS) if k in sec), None)
-        if kind in _PLACEMENTS:
-            dio.check_fields(sec[kind], f"{where}'s {kind!r}", _PLACEMENTS[kind],
-                             optional=("jitter",), known=_PLACEMENTS[kind])
+        dio.check_fields(sec, where, {"seed": dio.COUNT}, optional=("seed",))
+        # a section places its sources one way; one with none resolves, and
+        # _positions_for refuses it
+        placed = [k for k in ("positions", *_PLACEMENTS) if k in sec]
+        if len(placed) > 1:
+            raise ValueError(f"{where} gives {' and '.join(map(repr, placed))}; "
+                             "give one of 'positions', 'grid', 'random' and 'loop'")
+        for kind in placed:
+            if kind in _PLACEMENTS:
+                dio.check_fields(sec[kind], f"{where}'s {kind!r}", _PLACEMENTS[kind],
+                                 optional=("jitter",), known=_PLACEMENTS[kind])
         sec.setdefault("seed", 1000 * cfg["seed"] + _ROLE_OFFSETS[role])
         sig = dict(dio.check_fields(sec.get("signal", {}), f"{where}'s 'signal'", _SIGNAL,
                                     optional=_SIGNAL, known=_SIGNAL))
@@ -295,10 +303,11 @@ def _load_pool(manifest):
 
 def _resolve_hyperparameters(cfg: dict, pool, positions):
     """The hyperparameters, and the optimizer's result when the config learns them."""
-    from . import hyperopt as ho
-
     spec = cfg["hyperparameters"]
     if spec == "learn":
+        # only learning needs scipy.optimize
+        from . import hyperopt as ho
+
         result = ho.optimize(pool, positions)
         if result.warning:
             print(f"warning: {result.warning}", file=sys.stderr)

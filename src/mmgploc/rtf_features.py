@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
 
 # relative weight of the spectral-floor guard added to the denominator
 _DENOM_DELTA = 1e-10
@@ -174,7 +173,7 @@ def _node_spectra(pair: np.ndarray, window: np.ndarray, hop: int, num_frames: in
     frames = sliding_window_view(pair, window.size, axis=-1)[:, : num_frames * hop : hop]
     windowed = frames - frames.mean(axis=-1, keepdims=True)
     windowed *= window
-    return sp_fft.rfft(windowed, n=fft_size, axis=-1)
+    return np.fft.rfft(windowed, n=fft_size, axis=-1)
 
 
 def _band_rtfs(record, cfg: SpectralConfig) -> np.ndarray:

@@ -301,6 +301,18 @@ def test_render_bits_match_fftconvolve_reference():
     assert two_lengths >= 3
 
 
+def test_next_fast_len_is_scipys():
+    # the render pads to this length, so a one-segment excitation keeps
+    # fftconvolve's bits only where it is SciPy's real-transform length
+    assert all(ac._next_fast_len(n) == next_fast_len(n, True) for n in range(1, 2**17 + 1))
+    # a 63 s spot recording of the online stream: the spans of its
+    # segments, and those of one fftconvolve of the whole excitation
+    scene = _scene(t60=0.4, snr=20.0, mics=DESK_MICS)
+    sizes = {ac.simulate_rir(scene, [2.0, 2.5, 1.5], mic).size for mic in scene.flat_mics()}
+    spans = {n + size - 1 for n in (ac._SEGMENT, 63 * 16000) for size in sizes}
+    assert all(ac._next_fast_len(span) == next_fast_len(span, True) for span in spans)
+
+
 @pytest.mark.parametrize("fs, snr, samples", [
     (16000.0, 20.0, ac._SEGMENT),
     (8000.0, np.inf, ac._SEGMENT),

@@ -165,7 +165,8 @@ _CONFIG_FAULTS = {
                              "'labeled' section's 'signal': 'kind' must be a string, got 1"),
     "signal with a path": (_set("test", "signal", "path", value="talk.wav"),
                            "'test' section's 'signal': unknown key 'path'"),
-    "source outside the room": (_set("test", "positions", value=[[1.5, 2.0, 3.5]]),
+    # the test section's one placement, not a second beside its 'random'
+    "source outside the room": (_set("test", value={"positions": [[1.5, 2.0, 3.5]]}),
                                 "test source position [1.5, 2.0, 3.5] outside room"),
     "srp a list": (_set("srp", value=[1]), "'srp' section must be an object, got [1]"),
     "srp without resolution": (_set("srp", "resolution", drop=True),
@@ -176,6 +177,13 @@ _CONFIG_FAULTS = {
     "hyperparameters a list": (_set("hyperparameters", value=[1.0]), "hyperparameters must be"),
     "seed a list": (_set("seed", value=[1]), "config: 'seed' must be an integer, got [1]"),
     "seed a bool": (_set("seed", value=True), "config: 'seed' must be an integer, got True"),
+    "seed negative": (_set("seed", value=-1),
+                      "config: 'seed' must be a non-negative integer, got -1"),
+    "role seed negative": (_set("labeled", "seed", value=-3),
+                           "'labeled' section: 'seed' must be a non-negative integer, got -3"),
+    "two placements": (_set("test", "positions", value=[[1.5, 2.0, 1.5]]),
+                       "'test' section gives 'positions' and 'random'; give one of "
+                       "'positions', 'grid', 'random' and 'loop'"),
     "sigma2 a list": (_set("hyperparameters", "sigma2", value=[1]),
                       "'hyperparameters': 'sigma2' must be a finite number, got [1]"),
     "jitter a string": (_set("hyperparameters", "jitter", value="0.01"),
@@ -220,6 +228,29 @@ def test_malformed_config_sections_are_rejected(tmp_path, capsys, fault):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["type"] == "ValueError"
     assert message in err["error"]
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("spectral", [None, [], 0, "", False],
+                         ids=["null", "empty list", "zero", "empty string", "false"])
+def test_only_an_absent_spectral_section_takes_the_defaults(tmp_path, spectral):
+    # null, an empty list, zero or an empty string is refused as any other non-object is
+    with pytest.raises(ValueError) as err:
+        _resolve(tmp_path, tiny_config(spectral=spectral))
+    assert str(err.value) == f"'spectral' section must be an object, got {spectral!r}"
+    absent = tiny_config()
+    del absent["spectral"]
+    assert _resolve(tmp_path, absent) == _resolve(tmp_path, tiny_config(spectral={}))
+
+
+def test_negative_seed_on_the_command_line_is_refused(tmp_path, capsys):
+    # NumPy's generators take no negative seed; refused before simulate writes anything
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_config()))
+    assert cli.main(["simulate", "--config", str(path), "--seed", "-1",
+                     "--output", str(tmp_path / "ds")]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "config: 'seed' must be a non-negative integer, got -1", "type": "ValueError"}
     assert not (tmp_path / "ds").exists()
 
 
@@ -889,23 +920,53 @@ def test_thread_cap_is_set_before_numpy_loads(pipeline, tmp_path, run):
     assert result.stdout.splitlines()[-1] == "['1']"
 
 
-@pytest.mark.parametrize("run", ["python -m mmgploc evaluate", "dataio.load_manifest"])
-def test_manifest_checks_load_no_scipy(pipeline, tmp_path, run):
-    # the scene and spectral tables live in dataio, so checking a manifest
-    # never imports the SciPy-backed simulator or feature modules
-    if run == "dataio.load_manifest":
-        argv = ["-c", f"from mmgploc import dataio; dataio.load_manifest({str(pipeline['ds'])!r})"]
-    else:
-        argv = ["-m", "mmgploc", "evaluate", "--estimates", str(pipeline["est"]),
-                "--dataset", str(pipeline["ds"]), "--output", str(tmp_path / "m.csv")]
-    result = subprocess.run([sys.executable, "-X", "importtime", *argv],
+def _stage_argv(stage, pipeline, work):
+    """The child's argv for ``stage`` over the pipeline's artifacts; it writes only in ``work``."""
+    if stage == "dataio.load_manifest":
+        return ["-c", f"from mmgploc import dataio; dataio.load_manifest({str(pipeline['ds'])!r})"]
+    ds, cfg = str(pipeline["ds"]), str(pipeline["cfg"])
+    command, _, method = stage.partition(" ")
+    if command == "features":
+        # features rewrites its dataset, so it runs on a copy
+        ds = str(shutil.copytree(pipeline["ds"], work / "ds"))
+    argv = {"simulate": ["--config", cfg, "--output", str(work / "ds")],
+            "features": ["--dataset", ds],
+            "fit": ["--config", cfg, "--dataset", ds, "--output", str(work / "model.bin")],
+            "localize": ["--model", str(pipeline["model"]), "--dataset", ds,
+                         "--output", str(work / "est.csv")],
+            "baseline": ["--config", cfg, "--method", method, "--dataset", ds,
+                         "--output", str(work / "est.csv")],
+            "evaluate": ["--estimates", str(pipeline["est"]), "--dataset", ds,
+                         "--output", str(work / "m.csv")]}[command]
+    return ["-m", "mmgploc", command, *argv]
+
+
+# the SciPy modules each stage imports, as users run it: those it needs, and
+# those it must not load; the simulator and the features take NumPy's FFT,
+# and checking a manifest reads only the scene and spectral tables of dataio
+_NO_SCIPY = ((), ("scipy",))
+_GP_ONLY = (("scipy.linalg",), ("scipy.fft", "scipy.optimize"))
+_STAGE_SCIPY = {"dataio.load_manifest": _NO_SCIPY, "simulate": _NO_SCIPY,
+                "features": _NO_SCIPY, "evaluate": _NO_SCIPY,
+                "fit": (("scipy.optimize",), ()), "localize": _GP_ONLY,
+                "baseline mean": _GP_ONLY, "baseline kernel-product": _GP_ONLY,
+                "baseline srp-phat": _GP_ONLY}
+
+
+@pytest.mark.parametrize("stage", list(_STAGE_SCIPY))
+def test_each_stage_imports_only_the_scipy_it_needs(pipeline, tmp_path, stage):
+    result = subprocess.run([sys.executable, "-X", "importtime",
+                             *_stage_argv(stage, pipeline, tmp_path)],
                             capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0, result.stderr
     # -X importtime lists each module as it is first imported
-    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
-                if line.startswith("import time:")]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
     assert "mmgploc.dataio" in imported
-    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    needs, leaves = _STAGE_SCIPY[stage]
+    assert set(needs) <= imported
+    assert sorted(name for name in imported
+                  if any(name == out or name.startswith(out + ".") for out in leaves)) == []
 
 
 def _simulate_peak(tmp_path, count) -> int:
