@@ -26,6 +26,7 @@ rendered record, with its id, role and position, to ``dataio.write_dataset``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -298,28 +299,22 @@ def _accumulate_images(n, dims, src, mic, beta, half, max_order, samples_per_met
     count = images.shape[1]
     taps = np.empty(count, dtype=np.int64)
     amps = np.empty(count)
-    # int32 to intp once into a reused buffer: np.take converts other
-    # index types on every call.  Every cached index is within its table,
-    # so mode="clip" only skips the bounds check and its buffering
-    index = np.empty(min(8 * _CHUNK, count), dtype=np.intp)
-    work = np.empty(index.size)
-    for start in range(0, count, index.size):
-        stop = min(start + index.size, count)
-        i, w, d = index[:stop - start], work[:stop - start], amps[start:stop]
-        np.copyto(i, images[0, start:stop])
-        np.take(xy, i, out=d, mode="clip")
-        np.copyto(i, images[1, start:stop])
-        d += np.take(z, i, out=w, mode="clip")
+    # every cached index is within its table, so mode="clip" only skips
+    # the bounds check and its buffering
+    for start in range(0, count, 8 * _CHUNK):
+        stop = min(start + 8 * _CHUNK, count)
+        d = amps[start:stop]
+        np.take(xy, images[0, start:stop], out=d, mode="clip")
+        d += np.take(z, images[1, start:stop], mode="clip")
         np.sqrt(d, out=d)
         # round half up; d is never negative
-        np.multiply(d, samples_per_meter, out=w)
+        w = d * samples_per_meter
         w += 0.5
         np.floor(w, out=w)
         np.minimum(w, n, out=w)
         taps[start:stop] = w
-        np.copyto(i, images[2, start:stop])
         np.multiply(d, _FOUR_PI, out=d)
-        np.divide(np.take(bpow, i, out=w, mode="clip"), d, out=d)
+        np.divide(np.take(bpow, images[2, start:stop], mode="clip"), d, out=d)
     return np.bincount(taps, weights=amps, minlength=n + 1)[:n]
 
 
@@ -364,18 +359,26 @@ def make_signal(kind: str, duration_s: float, seed: int, index: int,
     return EXCITATIONS[kind](duration_s, sample_rate, rng)
 
 
-def _next_fast_len(n: int) -> int:
-    """The smallest 2**a * 3**b * 5**c >= n: SciPy's ``next_fast_len(n, True)``."""
-    best = 1 << (n - 1).bit_length()
+@functools.cache
+def _five_smooth(bits: int) -> tuple:
+    """Every 2**a * 3**b * 5**c up to 2**bits, sorted; built once per bit length."""
+    top = 1 << bits
+    smooth = []
     p5 = 1
-    while p5 < best:
+    while p5 <= top:
         p35 = p5
-        while p35 < best:
-            # the smallest power-of-two multiple of p35 that reaches n
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
+        while p35 <= top:
+            smooth.extend(p35 << a for a in range((top // p35).bit_length()))
             p35 *= 3
         p5 *= 5
-    return best
+    return tuple(sorted(smooth))
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n: SciPy's ``next_fast_len(n, True)``."""
+    # the table of one bit length ends at a power of two, which is >= n
+    table = _five_smooth((n - 1).bit_length())
+    return table[bisect.bisect_left(table, n)]
 
 
 def render_measurement(scene: SceneConfig, source_pos, source_signal, seed) -> MeasurementRecord:

@@ -323,7 +323,6 @@ def _resolve_hyperparameters(cfg: dict, pool, positions):
 
 
 def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
-    from . import hyperopt as ho
     from . import mmgp_model as mm
 
     manifest = dio.load_manifest(dataset_dir)
@@ -339,6 +338,8 @@ def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
     mm.save_model(model, model_path, manifest["config_hash"])
     trace_path = model_path.with_suffix(".trace.csv")
     if result is not None:
+        from . import hyperopt as ho
+
         ho.write_trace_csv(result, trace_path)
     else:
         trace_path.unlink(missing_ok=True)
@@ -365,6 +366,8 @@ def _check_hash(a: str, b: str, what_a: str, what_b: str) -> None:
 def _test_entries(manifest, shuffle_seed=None):
     entries = dio.records_by_role(manifest, "test")
     if shuffle_seed is not None:
+        if shuffle_seed < 0:
+            raise ValueError(f"--shuffle-seed must be a non-negative integer, got {shuffle_seed}")
         order = np.random.default_rng(shuffle_seed).permutation(len(entries))
         entries = [entries[i] for i in order]
     return entries

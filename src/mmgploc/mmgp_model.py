@@ -225,7 +225,10 @@ class MmgpModel(LabelledGp):
         ``_NOVELTY``; only then does ``update_recursive`` absorb it, and the
         prediction uses its row against the grown pool.  A sample the pool
         already covers is predicted from the row at hand, as ``predict``
-        would, and leaves the model unchanged.
+        would, and leaves the model unchanged.  So the variance of an
+        absorbed sample includes the sample itself: its own pool row adds
+        exactly M to its node-summed Gram row s, which raises its prior
+        variance ||s||^2 / M^2 by exactly 1, to rounding.
         """
         t = as_sample(h_t, self.pool.shape[1:])
         rows = self._gram_row(t)

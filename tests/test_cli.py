@@ -645,6 +645,16 @@ def test_streaming_and_shuffle(pipeline, tmp_path):
     assert est2.read_bytes() == est3.read_bytes()
 
 
+def test_negative_shuffle_seed_is_refused(pipeline, tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    assert cli.main(["localize", "--model", str(pipeline["model"]),
+                     "--dataset", str(pipeline["ds"]), "--output", str(est),
+                     "--streaming", "--shuffle-seed", "-1"]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "--shuffle-seed must be a non-negative integer, got -1", "type": "ValueError"}
+    assert not est.exists()
+
+
 def test_baseline_commands(pipeline, tmp_path):
     for method in ("mean", "kernel-product", "srp-phat"):
         est = tmp_path / f"{method}.csv"
@@ -943,18 +953,23 @@ def _stage_argv(stage, pipeline, work):
 
 # the SciPy modules each stage imports, as users run it: those it needs, and
 # those it must not load; the simulator and the features take NumPy's FFT,
-# and checking a manifest reads only the scene and spectral tables of dataio
+# checking a manifest reads only the scene and spectral tables of dataio, and
+# only a fit that learns its hyperparameters needs the optimizer
 _NO_SCIPY = ((), ("scipy",))
 _GP_ONLY = (("scipy.linalg",), ("scipy.fft", "scipy.optimize"))
 _STAGE_SCIPY = {"dataio.load_manifest": _NO_SCIPY, "simulate": _NO_SCIPY,
                 "features": _NO_SCIPY, "evaluate": _NO_SCIPY,
-                "fit": (("scipy.optimize",), ()), "localize": _GP_ONLY,
+                "fit": _GP_ONLY, "fit learn": (("scipy.optimize",), ()), "localize": _GP_ONLY,
                 "baseline mean": _GP_ONLY, "baseline kernel-product": _GP_ONLY,
                 "baseline srp-phat": _GP_ONLY}
 
 
 @pytest.mark.parametrize("stage", list(_STAGE_SCIPY))
-def test_each_stage_imports_only_the_scipy_it_needs(pipeline, tmp_path, stage):
+def test_each_stage_imports_only_the_scipy_it_needs(pipeline, tmp_path, request, stage):
+    if stage == "fit learn":
+        # a learning fit reads the dataset of a config that learns
+        learned = request.getfixturevalue("two_runs")["old"]
+        pipeline = dict(pipeline, cfg=learned["cfg"], ds=learned["work"] / "ds")
     result = subprocess.run([sys.executable, "-X", "importtime",
                              *_stage_argv(stage, pipeline, tmp_path)],
                             capture_output=True, text=True, env=_child_env())

@@ -177,11 +177,14 @@ def test_oracle_compares_hold_under_other_numerics():
     tests = Path(__file__).parent
     src = str(Path(mm.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for name, value in _OTHER_HOSTS.items():
-        env = dict(os.environ, PYTHONPATH=path, **{name: value})
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             *(str(tests / t) for t in _ORACLE_COMPARES)],
-            cwd=tests.parent, env=env, capture_output=True, text=True)
-        assert run.returncode == 0, f"{name}={value}:\n{run.stdout[-3000:]}{run.stderr[-3000:]}"
-        assert "9 passed" in run.stdout, run.stdout[-500:]
+    # both children start before either is waited on, so they overlap
+    children = {(name, value): subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(str(tests / t) for t in _ORACLE_COMPARES)],
+        cwd=tests.parent, env=dict(os.environ, PYTHONPATH=path, **{name: value}),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for name, value in _OTHER_HOSTS.items()}
+    for (name, value), child in children.items():
+        stdout, stderr = child.communicate()
+        assert child.returncode == 0, f"{name}={value}:\n{stdout[-3000:]}{stderr[-3000:]}"
+        assert "9 passed" in stdout, stdout[-500:]

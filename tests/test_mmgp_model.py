@@ -305,6 +305,20 @@ def test_predict_recursive_is_update_then_predict():
     assert model.update_count == twin.update_count == 1
 
 
+def test_absorbing_a_sample_raises_its_prior_variance_by_one():
+    # the absorbed sample's own pool row adds M to its node-summed Gram row
+    # s, so the prior ||s||^2 / M^2 the streamed variance starts from gains 1
+    rng = np.random.default_rng(73)
+    pool = make_set(rng, 12, 3, 5)
+    model = mm.fit(pool, rng.uniform(0.5, 4.0, (6, 2)),
+                   kn.Hyperparameters(eps=[2.0, 3.0, 4.0], sigma2=0.05))
+    t = make_artf(rng, 3, 5)
+    before = model.predict(t).prior_variance
+    after = model.predict_recursive(t).prior_variance
+    assert model.update_count == 1
+    assert after - before == pytest.approx(1.0, abs=1e-12)
+
+
 def test_repeated_absorption_counts(monkeypatch):
     rng = np.random.default_rng(43)
     model, *_ = fitted(rng)

@@ -1,4 +1,4 @@
-"""Exact work counts of the stream step, taken through monkeypatch wrappers.
+"""Exact work counts of the simulator and the stream step, taken through monkeypatch wrappers.
 
 A count does not move with the host or its load, so a change in the work
 a step does shows here without timing it.
@@ -8,6 +8,7 @@ import numpy as np
 from conftest import make_artf, make_set
 
 from mmgploc import acoustic_sim as ac
+from mmgploc import cli
 from mmgploc import kernels as kn
 from mmgploc import mmgp_model as mm
 from mmgploc import rtf_features as rf
@@ -69,3 +70,15 @@ def test_one_rfft_per_node_over_both_channels(monkeypatch):
     x = np.random.default_rng(79).standard_normal((6, 16000))
     rf.artf_from_record(ac.MeasurementRecord(signals=x, sample_rate=16000.0, num_nodes=3), cfg)
     assert shapes == [((2, 28, 2048), 2048)] * 3
+
+
+def test_simulate_rir_calls_and_images_of_the_tiny_config(monkeypatch, tmp_path):
+    # the tiny config of the CLI tests: 9 records of one node, one response
+    # per microphone, each the direct path alone (anechoic, order cap 0)
+    from test_cli import _resolve, tiny_config
+    lattice = ac._image_lattice
+    rirs = _count(monkeypatch, "simulate_rir", ac)
+    lattices = _count(monkeypatch, "_image_lattice", ac)
+    cli.cmd_simulate(_resolve(tmp_path, tiny_config()), tmp_path / "ds")
+    images = [lattice(*args).shape[1] for args in lattices]
+    assert (len(rirs), images) == (18, [1] * 18)
