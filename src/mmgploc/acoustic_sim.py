@@ -142,6 +142,27 @@ def check_inside(pos, dims, what: str):
         raise ValueError(f"{what} position {pos.tolist()} outside room {dims.tolist()}")
 
 
+def grid_positions(origin, spacing, counts) -> np.ndarray:
+    """Rectangular grid of source or search positions, (G, 3), the last axis fastest."""
+    origin = np.asarray(origin, dtype=float)
+    axes = [origin[i] + spacing * np.arange(int(counts[i])) for i in range(3)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def grid_counts(grid_min, grid_max, resolution) -> list:
+    """Points per axis from ``grid_min`` up to ``grid_max`` at ``resolution``; checks all three."""
+    grid_min, grid_max = np.asarray(grid_min, dtype=float), np.asarray(grid_max, dtype=float)
+    if grid_min.shape != (3,) or grid_max.shape != (3,):
+        raise ValueError("grid extents must be 3-vectors")
+    if np.any(grid_max < grid_min):
+        raise ValueError("grid_max must not be below grid_min")
+    if not resolution > 0:
+        raise ValueError("resolution must be positive")
+    return [int(np.floor((hi - lo) / resolution + 1e-9)) + 1
+            for lo, hi in zip(grid_min, grid_max)]
+
+
 def sabine_absorption(room_dims, t60: float, sound_speed: float = 343.0) -> float:
     """Uniform wall absorption that realizes ``t60`` via Sabine's formula.
 

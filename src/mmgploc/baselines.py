@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acoustic_sim import grid_counts, grid_positions
 from .kernels import Hyperparameters, gram_stack
 from .mmgp_model import LabelledGp, Prediction, as_sample, labelled_pool
 from .mmgp_model import fit as fit_mmgp
@@ -131,12 +132,7 @@ class SrpConfig:
             raise ValueError("mic_positions must be (num_channels, 3)")
         if self.mic_positions.shape[0] < 2:
             raise ValueError("need at least two channels for cross-correlation")
-        if self.grid_min.shape != (3,) or self.grid_max.shape != (3,):
-            raise ValueError("grid extents must be 3-vectors")
-        if np.any(self.grid_max < self.grid_min):
-            raise ValueError("grid_max must not be below grid_min")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        grid_counts(self.grid_min, self.grid_max, self.resolution)   # the grid's range rules
         for name in ("sample_rate", "sound_speed"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
@@ -153,12 +149,8 @@ class SrpConfig:
 
 def grid_points(cfg: SrpConfig) -> np.ndarray:
     """Candidate positions, (G, 3), last axis fastest in the flat index."""
-    axes = []
-    for lo, hi in zip(cfg.grid_min, cfg.grid_max):
-        count = int(np.floor((hi - lo) / cfg.resolution + 1e-9)) + 1
-        axes.append(lo + cfg.resolution * np.arange(count))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return grid_positions(cfg.grid_min, cfg.resolution,
+                          grid_counts(cfg.grid_min, cfg.grid_max, cfg.resolution))
 
 
 def _averaged_gcc(signals: np.ndarray, cfg: SrpConfig):

@@ -61,13 +61,15 @@ def resolve_config(path, seed=None) -> dict:
     gives more than one placement; a missing or wrongly typed section,
     scene, spectral, role, placement, ``signal``, ``srp`` or
     ``hyperparameters`` field; spectral settings ``SpectralConfig`` refuses,
+    an ``srp`` grid or hyperparameter range that ``grid_counts`` or
+    ``Hyperparameters`` refuses, explicit widths that are not one per node,
     or a spectral ``sample_rate`` other than the scene's, at which the
     signals are recorded; a signal ``kind`` other than ``"wgn"`` and
     ``"speech"``, and a ``duration_s`` shorter than one spectral window:
     without the room's echo tail, such a record is too short for feature
     extraction.
     """
-    from .acoustic_sim import EXCITATIONS, SceneConfig
+    from .acoustic_sim import EXCITATIONS, SceneConfig, grid_counts
     from .rtf_features import SpectralConfig
 
     with open(path) as fh:
@@ -84,7 +86,7 @@ def resolve_config(path, seed=None) -> dict:
     dio.check_fields(cfg, "config", {"seed": dio.INTEGER, "streaming": _BOOLEAN})
     # type first, then range, so a seed of another type reads as before
     dio.check_fields(cfg, "config", {"seed": dio.COUNT})
-    defaults = _field_defaults(SceneConfig)
+    defaults = dio.field_defaults(SceneConfig)
     scene = dio.check_fields(cfg.get("scene"), "'scene' section", dio.SCENE, optional=defaults,
                              known=dio.SCENE)
     spectral = dio.check_fields(cfg.get("spectral", {}), "'spectral' section", dio.SPECTRAL,
@@ -96,7 +98,7 @@ def resolve_config(path, seed=None) -> dict:
                      {"sample_rate": (lambda v: v == rate, f"the scene's {rate}")},
                      optional=("sample_rate",))
     cfg["scene"] = scene
-    cfg["spectral"] = {**_field_defaults(SpectralConfig), "sample_rate": rate, **spectral}
+    cfg["spectral"] = {**dio.field_defaults(SpectralConfig), "sample_rate": rate, **spectral}
     window = SpectralConfig(**cfg["spectral"]).window_samples
     # kind and duration are checked for type first, then for what make_signal can render
     # and feature extraction can read; a duration is rounded to samples as the excitations do
@@ -129,7 +131,9 @@ def resolve_config(path, seed=None) -> dict:
         cfg[role] = sec
 
     if "srp" in cfg:
-        dio.check_fields(cfg["srp"], "'srp' section", _SRP_FIELDS, known=_SRP_FIELDS)
+        srp = dio.check_fields(cfg["srp"], "'srp' section", _SRP_FIELDS, known=_SRP_FIELDS)
+        _in_section("'srp' section", grid_counts, srp["grid_min"], srp["grid_max"],
+                    srp["resolution"])
     hp = cfg["hyperparameters"]
     if not (hp == "learn" or (isinstance(hp, dict) and
                               (hp.get("strategy") == "median" or "eps" in hp))):
@@ -141,7 +145,22 @@ def resolve_config(path, seed=None) -> dict:
         dio.check_fields(hp, "'hyperparameters'", _HYPERPARAMETERS,
                          optional=tuple(_HYPERPARAMETERS) if median else ("jitter",),
                          known=("strategy", *_HYPERPARAMETERS) if median else _HYPERPARAMETERS)
+        # Hyperparameters' range rules; a unit width stands in for the pool's median ones
+        _in_section("'hyperparameters'", Hyperparameters, eps=1.0 if median else hp["eps"],
+                    sigma2=hp.get("sigma2", 0.0), jitter=hp.get("jitter"))
+        nodes = len(scene["mic_positions"])
+        if not median and len(hp["eps"]) != nodes:
+            raise ValueError(f"'hyperparameters': 'eps' must give one width per node, "
+                             f"{nodes}, got {hp['eps']!r}")
     return cfg
+
+
+def _in_section(where: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, whose ValueError is raised again prefixed with ``where``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 _TOP_LEVEL = ("seed", "method", "streaming", "hyperparameters", "scene", "spectral",
@@ -168,22 +187,8 @@ _EPS = (lambda v: isinstance(v, list) and all(map(dio.is_number, v)), "a list of
 _HYPERPARAMETERS = {"eps": _EPS, "sigma2": dio.NUMBER, "jitter": dio.NUMBER}
 
 
-def _field_defaults(cls) -> dict:
-    """A dataclass's field defaults, by field name."""
-    return {f.name: f.default for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING}
-
-
 # the hash of a resolved config, which every artifact of its run carries
 config_fingerprint = dio.config_hash
-
-
-def grid_positions(origin, spacing, counts):
-    """Rectangular grid of source positions, first axis slowest."""
-    origin = np.asarray(origin, dtype=float)
-    axes = [origin[i] + spacing * np.arange(int(counts[i])) for i in range(3)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def random_positions(low, high, count, seed):
@@ -225,6 +230,8 @@ def _positions_for(sec: dict, role: str):
     if "positions" in sec:
         pts = np.asarray(sec["positions"], dtype=float).reshape(-1, 3)
     elif "grid" in sec:
+        from .acoustic_sim import grid_positions
+
         g = sec["grid"]
         pts = grid_positions(g["origin"], g["spacing"], g["counts"])
     elif "random" in sec:
@@ -301,9 +308,16 @@ def _load_pool(manifest):
     return np.stack(rows), positions
 
 
-def _resolve_hyperparameters(cfg: dict, pool, positions):
-    """The hyperparameters, and the optimizer's result when the config learns them."""
+def _hyperparameters(cfg: dict, pool, positions, model=None):
+    """The config's hyperparameters, and the optimizer's result when it learns them.
+
+    A loaded ``model`` carries this config's hash, so its widths and noise
+    are what the spec gave; only the jitter is read from the config.
+    """
     spec = cfg["hyperparameters"]
+    jitter = spec.get("jitter") if isinstance(spec, dict) else None
+    if model is not None:
+        return dataclasses.replace(model.hyperparameters, jitter=jitter), None
     if spec == "learn":
         # only learning needs scipy.optimize
         from . import hyperopt as ho
@@ -312,25 +326,33 @@ def _resolve_hyperparameters(cfg: dict, pool, positions):
         if result.warning:
             print(f"warning: {result.warning}", file=sys.stderr)
         return result.hyperparameters, result
-    if isinstance(spec, dict) and spec.get("strategy") == "median":
-        eps = median_heuristic(pool)
-        sigma2 = float(spec.get("sigma2", 0.1))
-        return Hyperparameters(eps=eps, sigma2=sigma2,
-                               jitter=spec.get("jitter")), None
-    return Hyperparameters(eps=np.asarray(spec["eps"], dtype=float),
-                           sigma2=float(spec["sigma2"]),
-                           jitter=spec.get("jitter")), None
+    eps = median_heuristic(pool) if spec.get("strategy") == "median" else spec["eps"]
+    return Hyperparameters(eps=eps, sigma2=float(spec.get("sigma2", 0.1)), jitter=jitter), None
+
+
+def _config_manifest(cfg: dict, dataset_dir) -> dict:
+    """The dataset's manifest, checked to have been made by ``cfg``."""
+    manifest = dio.load_manifest(dataset_dir)
+    _check_hash(manifest["config_hash"], config_fingerprint(cfg), "dataset", "config")
+    return manifest
+
+
+def _dataset_model(model_path, manifest: dict):
+    """The model at ``model_path``, checked to have been fit on the dataset's config."""
+    from . import mmgp_model as mm
+
+    model = mm.load_model(model_path)
+    _check_hash(model.config_hash, manifest["config_hash"], "model", "dataset")
+    return model
 
 
 def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
     from . import mmgp_model as mm
 
-    manifest = dio.load_manifest(dataset_dir)
-    _check_hash(manifest["config_hash"], config_fingerprint(cfg),
-                "dataset", "config")
+    manifest = _config_manifest(cfg, dataset_dir)
     pool, positions = _load_pool(manifest)
     model_path = Path(model_path)
-    hp, result = _resolve_hyperparameters(cfg, pool, positions)
+    hp, result = _hyperparameters(cfg, pool, positions)
     model = mm.fit(pool, positions, hp)
     # the model file carries the hash and is all later stages read; the trace
     # and sidecar are views for people, written after it, and a fit that does
@@ -351,9 +373,7 @@ def cmd_fit(cfg: dict, dataset_dir, model_path) -> str:
         "jitter_used": model.jitter_used,
         "learned": result is not None,
     }
-    with dio.atomic_write(str(model_path) + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    dio._dump_json(str(model_path) + ".meta.json", sidecar)
     return str(model_path)
 
 
@@ -375,11 +395,8 @@ def _test_entries(manifest, shuffle_seed=None):
 
 def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
                  shuffle_seed=None) -> str:
-    from . import mmgp_model as mm
-
     manifest = dio.load_manifest(dataset_dir)
-    model = mm.load_model(model_path)
-    _check_hash(model.config_hash, manifest["config_hash"], "model", "dataset")
+    model = _dataset_model(model_path, manifest)
     rows = []
     for entry in _test_entries(manifest, shuffle_seed):
         features = dio.read_record_features(manifest, entry)
@@ -393,13 +410,10 @@ def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
 def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
                  model_path=None) -> str:
     from . import baselines as bl
-    from . import mmgp_model as mm
 
     if method not in METHODS[1:]:
         raise ValueError(f"unknown baseline {method!r}")
-    manifest = dio.load_manifest(dataset_dir)
-    _check_hash(manifest["config_hash"], config_fingerprint(cfg),
-                "dataset", "config")
+    manifest = _config_manifest(cfg, dataset_dir)
     entries = _test_entries(manifest)
     rows = []
     if method == "srp-phat":
@@ -422,15 +436,8 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
             rows.append((entry["id"], pos, np.full(3, math.nan)))
     else:
         pool, positions = _load_pool(manifest)
-        if model_path is not None:
-            model = mm.load_model(model_path)
-            _check_hash(model.config_hash, manifest["config_hash"], "model", "dataset")
-            # the hashes match, so the model was fit with this config's jitter
-            spec = cfg["hyperparameters"]
-            hp = dataclasses.replace(model.hyperparameters, jitter=spec.get("jitter")
-                                     if isinstance(spec, dict) else None)
-        else:
-            hp, _ = _resolve_hyperparameters(cfg, pool, positions)
+        model = None if model_path is None else _dataset_model(model_path, manifest)
+        hp, _ = _hyperparameters(cfg, pool, positions, model)
         fitted = bl.fit_mean_of_nodes(pool, positions, hp) if method == "mean" \
             else bl.fit_kernel_product(pool, positions, hp)
         for entry in entries:
@@ -472,19 +479,22 @@ def cmd_evaluate(estimates_path, dataset_dir, out_path, block_size=5) -> dict:
 
 def _write_metrics(path, config_hash: str, ids, errors, rmse: float, block_size: int) -> None:
     """Metrics CSV: the RMSE, one error per sample and per-block means."""
+    rows = [["summary", "rmse", repr(rmse)], ["summary", "num_samples", str(len(errors))]]
+    rows += [["sample", rec_id, repr(float(err))] for rec_id, err in zip(ids, errors)]
+    rows += [["block", str(b // block_size + 1), repr(float(np.mean(errors[b:b + block_size])))]
+             for b in range(0, len(errors), block_size)]
+    _write_hashed_csv(path, config_hash, ["section", "key", "value"], rows)
+
+
+def _write_hashed_csv(path, config_hash: str, header, rows) -> None:
+    """A CSV artifact: the config hash line, then ``header`` and ``rows``; replaced atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with dio.atomic_write(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
-        writer.writerow(["section", "key", "value"])
-        writer.writerow(["summary", "rmse", repr(rmse)])
-        writer.writerow(["summary", "num_samples", str(len(errors))])
-        for rec_id, err in zip(ids, errors):
-            writer.writerow(["sample", rec_id, repr(float(err))])
-        for b in range(0, len(errors), block_size):
-            block_mean = float(np.mean(errors[b:b + block_size]))
-            writer.writerow(["block", str(b // block_size + 1), repr(block_mean)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +511,10 @@ def _estimates_header(c: int) -> list:
 
 
 def _write_estimates(path, config_hash: str, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     c = len(rows[0][1]) if rows else 3
-    with dio.atomic_write(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_estimates_header(c))
-        for rec_id, pos, var in rows:
-            writer.writerow([rec_id] + [repr(float(v)) for v in pos]
-                            + [repr(float(v)) for v in var])
+    _write_hashed_csv(path, config_hash, _estimates_header(c),
+                      ([rec_id] + [repr(float(v)) for v in (*pos, *var)]
+                       for rec_id, pos, var in rows))
 
 
 def _read_estimates(path):

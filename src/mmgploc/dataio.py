@@ -173,24 +173,25 @@ def config_hash(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def field_defaults(cls) -> dict:
+    """A dataclass's field defaults, by field name."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
 def scene_to_dict(scene) -> dict:
-    return {
-        "room_dims": scene.room_dims.tolist(),
-        "mic_positions": scene.mic_positions.tolist(),
-        "t60": scene.t60,
-        "snr_db": "inf" if math.isinf(scene.snr_db) else scene.snr_db,
-        "sample_rate": scene.sample_rate,
-        "sound_speed": scene.sound_speed,
-        "max_reflection_order": scene.max_reflection_order,
-    }
+    """A ``SceneConfig`` as JSON: its fields in order, arrays as lists, an infinite SNR as "inf"."""
+    d = {f.name: getattr(scene, f.name) for f in dataclasses.fields(scene)}
+    return {**d, "room_dims": scene.room_dims.tolist(),
+            "mic_positions": scene.mic_positions.tolist(),
+            "snr_db": "inf" if math.isinf(scene.snr_db) else scene.snr_db}
 
 
 def scene_from_dict(d: dict):
     """A ``SceneConfig`` from its dict; absent optional fields take the class defaults."""
     from .acoustic_sim import SceneConfig
 
-    check_fields(d, "scene", SCENE, optional=("sound_speed", "max_reflection_order"),
-                 known=SCENE)
+    check_fields(d, "scene", SCENE, optional=field_defaults(SceneConfig), known=SCENE)
     snr = d["snr_db"]
     return SceneConfig(**{**d, "snr_db": math.inf if snr == "inf" else float(snr)})
 

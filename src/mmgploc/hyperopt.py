@@ -23,7 +23,8 @@ from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from .dataio import atomic_write
-from .kernels import Hyperparameters, fused_from_sums, median_heuristic, sq_dists
+from .kernels import (Hyperparameters, fused_from_sums, gaussian_kernels, median_heuristic,
+                      sq_dist_stack)
 from .mmgp_model import labelled_pool, spd_factor
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -57,10 +58,7 @@ class _Problem:
         self.y = positions - positions.mean(axis=0)   # (n_L, C)
         self.num_coords = self.y.shape[1]
         # per-node squared distances labelled x pool, fixed across iterates
-        self.d2 = np.stack([
-            sq_dists(self.pool[: self.n_l, m, :], self.pool[:, m, :])
-            for m in range(self.num_nodes)
-        ])
+        self.d2 = sq_dist_stack(self.pool[: self.n_l], self.pool)
 
     def evaluate(self, eps: np.ndarray, sig2: float):
         """Log-likelihood and its gradients w.r.t. eps (M,) and sigma2.
@@ -73,7 +71,7 @@ class _Problem:
         sums over the whole pool, not just the labelled block; W is
         symmetric, so that trace is <W, H_m> / M^2.
         """
-        grams = np.exp(-self.d2 / eps[:, None, None])
+        grams = gaussian_kernels(self.d2, eps)
         s = grams.sum(axis=0)      # (n_L, n_D) node-summed Gram
         cf, gamma = spd_factor(fused_from_sums(s, None, self.num_nodes), sig2)
         alphas = cho_solve(cf, self.y)                    # (n_L, C)

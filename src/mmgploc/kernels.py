@@ -69,33 +69,50 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x.real, x.real) + np.einsum("ij,ij->i", x.imag, x.imag)
 
 
-def sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise squared complex Euclidean distances between row sets."""
-    return _sq_dists_to(x, y.conj(), _sq_norms(y))
-
-
-def _sq_dists_to(x: np.ndarray, y_conj: np.ndarray, y_norms: np.ndarray) -> np.ndarray:
-    """``sq_dists(x, y)`` from y's conjugated rows and squared row norms."""
-    cross = (x @ y_conj.T).real
-    return np.clip(_sq_norms(x)[:, None] + y_norms[None, :] - 2.0 * cross, 0.0, None)
-
-
 def prepare_rows(b: np.ndarray) -> list:
     """Per node of an (n, M, D) set, its conjugated (n, D) rows and their (n,) squared norms.
 
-    What ``gram_stack`` needs of its B set; a caller that reuses B may
+    What ``sq_dist_stack`` needs of its B set; a caller that reuses B may
     prepare them once and pass them in.
     """
     return [(b[:, m, :].conj(), _sq_norms(b[:, m, :])) for m in range(b.shape[1])]
 
 
-def _sq_dists_symmetric(x: np.ndarray) -> np.ndarray:
-    # using the product's own diagonal as the squared norms zeroes the
-    # distance diagonal exactly, keeping the kernel diagonal at 1
-    g = (x @ x.conj().T).real
-    g = 0.5 * (g + g.T)
-    nn = np.diag(g)
-    return np.clip(nn[:, None] + nn[None, :] - 2.0 * g, 0.0, None)
+def sq_dist_stack(a: np.ndarray, b: np.ndarray | None = None,
+                  b_rows: list | None = None) -> np.ndarray:
+    """Per-node squared complex Euclidean distances between two (n, M, D) sets, (M, |A|, |B|).
+
+    Only the shapes are checked here.  ``b=None`` is the symmetric A=A case:
+    each node's product gives its own diagonal as the squared norms, which
+    zeroes the diagonal exactly and keeps the stack exactly symmetric.
+    ``b_rows`` are ``prepare_rows(b)`` when the caller holds them; without
+    them the call prepares its own, with the same bits.
+    """
+    symmetric = b is None
+    if symmetric:
+        b = a
+    if a.shape[1:] != b.shape[1:]:
+        raise ValueError(f"inconsistent (M, D): {a.shape[1:]} vs {b.shape[1:]}")
+    if not symmetric and b_rows is None:
+        b_rows = prepare_rows(b)
+    d2 = np.empty((a.shape[1], a.shape[0], b.shape[0]))
+    for m in range(a.shape[1]):
+        x = a[:, m, :]
+        if symmetric:
+            g = (x @ x.conj().T).real
+            g = 0.5 * (g + g.T)
+            x_norms = y_norms = np.diag(g)
+        else:
+            y_conj, y_norms = b_rows[m]
+            g = (x @ y_conj.T).real
+            x_norms = _sq_norms(x)
+        d2[m] = np.clip(x_norms[:, None] + y_norms[None, :] - 2.0 * g, 0.0, None)
+    return d2
+
+
+def gaussian_kernels(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Per-node Gaussian kernels exp(-d2 / eps_m) of an (M, |A|, |B|) distance stack."""
+    return np.exp(-d2 / eps[:, None, None])
 
 
 def gram_stack(a: np.ndarray, b: np.ndarray | None, hp: Hyperparameters,
@@ -103,29 +120,12 @@ def gram_stack(a: np.ndarray, b: np.ndarray | None, hp: Hyperparameters,
     """All M per-node Gram matrices between two sample sets and their sum.
 
     The operands are checked (n, M, D) complex arrays, as ``stack_features``,
-    ``labelled_pool`` and ``as_sample`` return them; only their shapes are
-    checked here.  Pass ``b=None`` for the symmetric A=A case; that path has
-    an exactly-unit diagonal and exact symmetry.  ``b_rows`` are
-    ``prepare_rows(b)`` when the caller holds them; without them the call
-    prepares its own, with the same bits.
+    ``labelled_pool`` and ``as_sample`` return them, taken as ``sq_dist_stack``
+    takes them: ``b=None`` has an exactly-unit diagonal and exact symmetry.
     """
-    symmetric = b is None
-    if symmetric:
-        b = a
-    if a.shape[1:] != b.shape[1:]:
-        raise ValueError(f"inconsistent (M, D): {a.shape[1:]} vs {b.shape[1:]}")
     if a.shape[1] != hp.num_nodes:
         raise ValueError(f"features have M={a.shape[1]} nodes, hyperparameters {hp.num_nodes}")
-    if not symmetric and b_rows is None:
-        b_rows = prepare_rows(b)
-    per_node = np.empty((a.shape[1], a.shape[0], b.shape[0]))
-    for m in range(a.shape[1]):
-        x = a[:, m, :]
-        if symmetric:
-            d2 = _sq_dists_symmetric(x)
-        else:
-            d2 = _sq_dists_to(x, *b_rows[m])
-        per_node[m] = np.exp(-d2 / hp.eps[m])
+    per_node = gaussian_kernels(sq_dist_stack(a, b, b_rows), hp.eps)
     return GramStack(per_node=per_node, summed=per_node.sum(axis=0))
 
 
@@ -163,12 +163,8 @@ def median_heuristic(training_set) -> np.ndarray:
     back to 1.0 for that node.
     """
     pool = stack_features(training_set)
-    n, num_nodes = pool.shape[0], pool.shape[1]
-    if n < 2:
+    if pool.shape[0] < 2:
         raise ValueError("median heuristic needs at least two samples")
-    iu = np.triu_indices(n, k=1)
-    eps = np.empty(num_nodes)
-    for m in range(num_nodes):
-        med = float(np.median(_sq_dists_symmetric(pool[:, m, :])[iu]))
-        eps[m] = med if med > 0 else 1.0
-    return eps
+    iu = np.triu_indices(pool.shape[0], k=1)
+    med = np.median(sq_dist_stack(pool)[:, iu[0], iu[1]], axis=1)
+    return np.where(med > 0, med, 1.0)

@@ -67,8 +67,8 @@ def cross_node_kernel(r, l, q: int, w: int, training_set, hp) -> float:
         raise ValueError("empty training set")
     if not (1 <= q <= hp.num_nodes and 1 <= w <= hp.num_nodes):
         raise ValueError("node indices are 1-based")
-    kr = np.exp(-kn.sq_dists(r[None, q - 1], pool[:, q - 1, :]) / hp.eps[q - 1])[0]
-    kl = np.exp(-kn.sq_dists(l[None, w - 1], pool[:, w - 1, :]) / hp.eps[w - 1])[0]
+    kr = np.exp(-kn.sq_dist_stack(r[None], pool)[q - 1, 0] / hp.eps[q - 1])
+    kl = np.exp(-kn.sq_dist_stack(l[None], pool)[w - 1, 0] / hp.eps[w - 1])
     return float(kr @ kl)
 
 
@@ -115,6 +115,11 @@ def conditional_gaussian_oracle(labeled, test, pool, hp, positions, diag):
     return mu, var, s_tt
 
 
+def _sum_xyz(a):
+    """``a.sum(axis=-1)`` over a last axis of 3, with its bits: NumPy sums it left to right."""
+    return a[..., 0] + a[..., 1] + a[..., 2]
+
+
 def reference_image_rir(rir, dims, src, mic, beta, half, max_order, samples_per_meter):
     """Add every image-source tap of one source/mic pair to ``rir`` in place.
 
@@ -139,9 +144,9 @@ def reference_image_rir(rir, dims, src, mic, beta, half, max_order, samples_per_
         idx = lattice[start:start + _CHUNK]
         rm = 2.0 * idx * dims
         delta = _SIGNS * src + rm[:, None, :] - mic
-        d = np.sqrt((delta * delta).sum(axis=2)).ravel()
+        d = np.sqrt(_sum_xyz(delta * delta)).ravel()
         if max_order >= 0:
-            order = np.abs(2 * idx[:, None, :] - _FLIPS).sum(axis=2).ravel()
+            order = _sum_xyz(np.abs(2 * idx[:, None, :] - _FLIPS)).ravel()
             keep = order <= max_order
         else:
             keep = np.ones(d.size, dtype=bool)
@@ -150,8 +155,7 @@ def reference_image_rir(rir, dims, src, mic, beta, half, max_order, samples_per_
         keep &= tap < n
         if not np.any(keep):
             continue
-        e = (np.abs(idx[:, None, :] - _FLIPS)
-             + np.abs(idx)[:, None, :]).sum(axis=2).ravel()
+        e = _sum_xyz(np.abs(idx[:, None, :] - _FLIPS) + np.abs(idx)[:, None, :]).ravel()
         np.add.at(rir, tap[keep], bpow[e[keep]] / (_FOUR_PI * d[keep]))
     return rir
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from test_dataio import _json_paths
 from test_rtf_features import desk_features_config
 
+import mmgploc.acoustic_sim as ac
 import mmgploc.cli as cli
 import mmgploc.dataio as dio
 
@@ -192,6 +193,21 @@ _CONFIG_FAULTS = {
                           "'hyperparameters': 'eps' must be a list of finite numbers"),
     "eps without sigma2": (_set("hyperparameters", value={"eps": [1.0]}),
                            "'hyperparameters' needs 'sigma2'"),
+    "srp resolution zero": (_set("srp", "resolution", value=0),
+                            "'srp' section: resolution must be positive"),
+    "srp grid_max below grid_min": (_set("srp", "grid_max", value=[2.0, 1.5, 1.5]),
+                                    "'srp' section: grid_max must not be below grid_min"),
+    "eps negative": (_set("hyperparameters", value={"eps": [-1.0], "sigma2": 0.1}),
+                     "'hyperparameters': eps must be a vector of positive finite scalars"),
+    "eps empty": (_set("hyperparameters", value={"eps": [], "sigma2": 0.1}),
+                  "'hyperparameters': 'eps' must give one width per node, 1, got []"),
+    "eps two for one node": (_set("hyperparameters", value={"eps": [1.0, 2.0], "sigma2": 0.1}),
+                        "'hyperparameters': 'eps' must give one width per node, 1, "
+                        "got [1.0, 2.0]"),
+    "sigma2 negative": (_set("hyperparameters", "sigma2", value=-0.01),
+                        "'hyperparameters': sigma2 must be finite and >= 0"),
+    "jitter negative": (_set("hyperparameters", "jitter", value=-1e-6),
+                        "'hyperparameters': jitter must be finite and >= 0 when given"),
     "scene without sample_rate": (_set("scene", "sample_rate", drop=True),
                                   "'scene' section needs 'sample_rate'"),
     "t60 a string": (_set("scene", "t60", value="0.4"),
@@ -427,7 +443,7 @@ def _at(doc, keys):
 
 
 def test_grid_positions_layout():
-    pts = cli.grid_positions([1.0, 2.0, 1.5], 0.5, [2, 3, 1])
+    pts = ac.grid_positions([1.0, 2.0, 1.5], 0.5, [2, 3, 1])
     assert pts.shape == (6, 3)
     np.testing.assert_allclose(pts[0], [1.0, 2.0, 1.5])
     np.testing.assert_allclose(pts[-1], [1.5, 3.0, 1.5])
