@@ -40,8 +40,6 @@ from .kernels import Hyperparameters, median_heuristic  # noqa: E402
 
 METHODS = ("mmgp", "mean", "kernel-product", "srp-phat")
 
-_ROLE_OFFSETS = {"labeled": 1, "unlabeled": 2, "test": 3}
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -55,13 +53,15 @@ def resolve_config(path, seed=None) -> dict:
     and spectral defaults are the ``SceneConfig`` and ``SpectralConfig``
     field defaults.  Every fact of the config is checked here, before any
     command runs, and each fault is a ``ValueError`` that names the section
-    and the key: a key the top level, a section, a placement or a ``signal``
-    does not know; a master or role ``seed`` that is not a non-negative
-    integer, or a ``streaming`` that is not a boolean; a role section that
-    gives more than one placement; a missing or wrongly typed section,
-    scene, spectral, role, placement, ``signal``, ``srp`` or
-    ``hyperparameters`` field; spectral settings ``SpectralConfig`` refuses,
-    an ``srp`` grid or hyperparameter range that ``grid_counts`` or
+    and the key: a key the top level, a section, a placement, a ``signal``
+    or the hyperparameters do not know, widths beside the median strategy
+    among them; a master or role ``seed`` that is not a non-negative
+    integer, a grid ``spacing`` that is not positive, or a ``streaming``
+    that is not a boolean; a role section that gives more than one
+    placement; a missing or wrongly typed section, scene, spectral, role,
+    placement, ``signal``, ``srp`` or ``hyperparameters`` field; scene and
+    spectral settings ``SceneConfig`` and ``SpectralConfig`` refuse, an
+    ``srp`` grid or hyperparameter range that ``grid_counts`` or
     ``Hyperparameters`` refuses, explicit widths that are not one per node,
     or a spectral ``sample_rate`` other than the scene's, at which the
     signals are recorded; a signal ``kind`` other than ``"wgn"`` and
@@ -92,6 +92,8 @@ def resolve_config(path, seed=None) -> dict:
     spectral = dio.check_fields(cfg.get("spectral", {}), "'spectral' section", dio.SPECTRAL,
                                 optional=dio.SPECTRAL, known=dio.SPECTRAL)
     scene = {**defaults, **scene}
+    # SceneConfig's range rules: room, microphones inside it, rates, speed and a feasible t60
+    _in_section("'scene' section", dio.scene_from_dict, scene)
     rate = scene["sample_rate"]
     # the signals are recorded at the scene's rate, and features are read at the spectral one
     dio.check_fields(spectral, "'spectral' section",
@@ -107,7 +109,7 @@ def resolve_config(path, seed=None) -> dict:
                              and round(v * rate) >= window,
                              f"at least one spectral window, {window} samples at {rate} Hz")}
 
-    for role in ("labeled", "unlabeled", "test"):
+    for offset, role in enumerate(dio.ROLES, 1):
         where = f"'{role}' section"
         sec = dict(dio.check_fields(cfg.get(role), where, _ROLE, optional=_ROLE,
                                     known=_ROLE_KEYS))
@@ -122,7 +124,10 @@ def resolve_config(path, seed=None) -> dict:
             if kind in _PLACEMENTS:
                 dio.check_fields(sec[kind], f"{where}'s {kind!r}", _PLACEMENTS[kind],
                                  optional=("jitter",), known=_PLACEMENTS[kind])
-        sec.setdefault("seed", 1000 * cfg["seed"] + _ROLE_OFFSETS[role])
+        if "grid" in sec:
+            # type first, then range, as the seeds are checked
+            dio.check_fields(sec["grid"], f"{where}'s 'grid'", {"spacing": _POSITIVE})
+        sec.setdefault("seed", 1000 * cfg["seed"] + offset)
         sig = dict(dio.check_fields(sec.get("signal", {}), f"{where}'s 'signal'", _SIGNAL,
                                     optional=_SIGNAL, known=_SIGNAL))
         sig.setdefault("kind", "wgn")
@@ -142,16 +147,19 @@ def resolve_config(path, seed=None) -> dict:
     if isinstance(hp, dict):
         # the median strategy derives eps and defaults sigma2; the explicit form needs both
         median = hp.get("strategy") == "median"
-        dio.check_fields(hp, "'hyperparameters'", _HYPERPARAMETERS,
-                         optional=tuple(_HYPERPARAMETERS) if median else ("jitter",),
-                         known=("strategy", *_HYPERPARAMETERS) if median else _HYPERPARAMETERS)
+        if median:
+            dio.check_fields(hp, "'hyperparameters'", _NOISE, optional=_NOISE,
+                             known=("strategy", *_NOISE))
+        else:
+            dio.check_fields(hp, "'hyperparameters'", _HYPERPARAMETERS, optional=("jitter",),
+                             known=_HYPERPARAMETERS)
+            nodes = len(scene["mic_positions"])
+            if len(hp["eps"]) != nodes:
+                raise ValueError(f"'hyperparameters': 'eps' must give one width per node, "
+                                 f"{nodes}, got {hp['eps']!r}")
         # Hyperparameters' range rules; a unit width stands in for the pool's median ones
         _in_section("'hyperparameters'", Hyperparameters, eps=1.0 if median else hp["eps"],
                     sigma2=hp.get("sigma2", 0.0), jitter=hp.get("jitter"))
-        nodes = len(scene["mic_positions"])
-        if not median and len(hp["eps"]) != nodes:
-            raise ValueError(f"'hyperparameters': 'eps' must give one width per node, "
-                             f"{nodes}, got {hp['eps']!r}")
     return cfg
 
 
@@ -163,12 +171,13 @@ def _in_section(where: str, check, *args, **kwargs):
         raise ValueError(f"{where}: {exc}") from None
 
 
-_TOP_LEVEL = ("seed", "method", "streaming", "hyperparameters", "scene", "spectral",
-              "labeled", "unlabeled", "test", "srp")
+_TOP_LEVEL = ("seed", "method", "streaming", "hyperparameters", "scene", "spectral", *dio.ROLES,
+              "srp")
 # field -> (check, what it expects), as dataio.check_fields takes them
 _BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
 _POINTS = (lambda v: isinstance(v, list) and all(map(dio.is_point, v)),
            "a list of [x, y, z] points of finite numbers")
+_POSITIVE = (lambda v: v > 0, "positive")
 _PLACEMENTS = {
     "grid": {"origin": dio.POINT, "spacing": dio.NUMBER,
              "counts": (lambda v: isinstance(v, list) and len(v) == 3
@@ -184,7 +193,8 @@ _ROLE_KEYS = ("positions", *_PLACEMENTS, "order", "seed", "signal")
 _SIGNAL = {"kind": dio.TEXT, "duration_s": dio.NUMBER}
 _SRP_FIELDS = {"grid_min": dio.POINT, "grid_max": dio.POINT, "resolution": dio.NUMBER}
 _EPS = (lambda v: isinstance(v, list) and all(map(dio.is_number, v)), "a list of finite numbers")
-_HYPERPARAMETERS = {"eps": _EPS, "sigma2": dio.NUMBER, "jitter": dio.NUMBER}
+_NOISE = {"sigma2": dio.NUMBER, "jitter": dio.NUMBER}
+_HYPERPARAMETERS = {"eps": _EPS, **_NOISE}
 
 
 # the hash of a resolved config, which every artifact of its run carries
@@ -262,8 +272,7 @@ def cmd_simulate(cfg: dict, out_dir) -> str:
 
     scene = dio.scene_from_dict(cfg["scene"])
     spectral = dio.spectral_from_dict(cfg["spectral"])
-    positions = {role: _positions_for(cfg[role], role)
-                 for role in ("labeled", "unlabeled", "test")}
+    positions = {role: _positions_for(cfg[role], role) for role in dio.ROLES}
     for role, pts in positions.items():
         for pos in pts:
             sim.check_inside(pos, scene.room_dims, f"{role} source")
@@ -393,16 +402,21 @@ def _test_entries(manifest, shuffle_seed=None):
     return entries
 
 
+def _predictions(predict, manifest, entries) -> list:
+    """``(id, position, variance)`` of each entry, ``predict`` applied to its features."""
+    rows = []
+    for entry in entries:
+        pred = predict(dio.read_record_features(manifest, entry))
+        rows.append((entry["id"], pred.position, pred.variance))
+    return rows
+
+
 def cmd_localize(model_path, dataset_dir, out_path, streaming=False,
                  shuffle_seed=None) -> str:
     manifest = dio.load_manifest(dataset_dir)
     model = _dataset_model(model_path, manifest)
-    rows = []
-    for entry in _test_entries(manifest, shuffle_seed):
-        features = dio.read_record_features(manifest, entry)
-        pred = model.predict_recursive(features) if streaming else \
-            model.predict(features)
-        rows.append((entry["id"], pred.position, pred.variance))
+    predict = model.predict_recursive if streaming else model.predict
+    rows = _predictions(predict, manifest, _test_entries(manifest, shuffle_seed))
     _write_estimates(out_path, manifest["config_hash"], rows)
     return str(out_path)
 
@@ -415,7 +429,6 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
         raise ValueError(f"unknown baseline {method!r}")
     manifest = _config_manifest(cfg, dataset_dir)
     entries = _test_entries(manifest)
-    rows = []
     if method == "srp-phat":
         srp = cfg.get("srp")
         if not srp:
@@ -430,20 +443,15 @@ def cmd_baseline(cfg: dict, method: str, dataset_dir, out_path,
             band_high_hz=cfg["spectral"]["band_high_hz"],
             sample_rate=manifest["scene"]["sample_rate"],
             sound_speed=manifest["scene"]["sound_speed"])
-        for entry in entries:
-            signals = dio.read_record_signals(manifest, entry)
-            pos = bl.srp_phat(signals, srp_cfg)
-            rows.append((entry["id"], pos, np.full(3, math.nan)))
+        rows = [(entry["id"], bl.srp_phat(dio.read_record_signals(manifest, entry), srp_cfg),
+                 np.full(3, math.nan)) for entry in entries]
     else:
         pool, positions = _load_pool(manifest)
         model = None if model_path is None else _dataset_model(model_path, manifest)
         hp, _ = _hyperparameters(cfg, pool, positions, model)
         fitted = bl.fit_mean_of_nodes(pool, positions, hp) if method == "mean" \
             else bl.fit_kernel_product(pool, positions, hp)
-        for entry in entries:
-            features = dio.read_record_features(manifest, entry)
-            pred = fitted.predict(features)
-            rows.append((entry["id"], pred.position, pred.variance))
+        rows = _predictions(fitted.predict, manifest, entries)
     _write_estimates(out_path, manifest["config_hash"], rows)
     return str(out_path)
 
@@ -483,18 +491,7 @@ def _write_metrics(path, config_hash: str, ids, errors, rmse: float, block_size:
     rows += [["sample", rec_id, repr(float(err))] for rec_id, err in zip(ids, errors)]
     rows += [["block", str(b // block_size + 1), repr(float(np.mean(errors[b:b + block_size])))]
              for b in range(0, len(errors), block_size)]
-    _write_hashed_csv(path, config_hash, ["section", "key", "value"], rows)
-
-
-def _write_hashed_csv(path, config_hash: str, header, rows) -> None:
-    """A CSV artifact: the config hash line, then ``header`` and ``rows``; replaced atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with dio.atomic_write(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    dio.write_csv(path, ["section", "key", "value"], rows, config_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +509,9 @@ def _estimates_header(c: int) -> list:
 
 def _write_estimates(path, config_hash: str, rows) -> None:
     c = len(rows[0][1]) if rows else 3
-    _write_hashed_csv(path, config_hash, _estimates_header(c),
-                      ([rec_id] + [repr(float(v)) for v in (*pos, *var)]
-                       for rec_id, pos, var in rows))
+    dio.write_csv(path, _estimates_header(c),
+                  ([rec_id] + [repr(float(v)) for v in (*pos, *var)] for rec_id, pos, var in rows),
+                  config_hash)
 
 
 def _read_estimates(path):
@@ -550,31 +547,39 @@ def _read_estimates(path):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI; each subcommand's ``handler`` takes the parsed arguments and returns its line."""
     parser = argparse.ArgumentParser(
         prog="mmgploc",
         description="Semi-supervised acoustic source localization harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_config=True):
+    def add(name, help_text, handler, needs_config=True):
         p = sub.add_parser(name, help=help_text)
+        # ``run`` resolves the config into ``cfg`` before the handler reads it
+        p.set_defaults(handler=handler)
         if needs_config:
             p.add_argument("--config", required=True, help="experiment JSON file")
             p.add_argument("--seed", type=int, default=None,
                            help="override the master seed")
         return p
 
-    p = add("simulate", "render a dataset directory from the config")
+    p = add("simulate", "render a dataset directory from the config",
+            lambda a: cmd_simulate(a.cfg, a.output))
     p.add_argument("--output", required=True, help="dataset directory")
 
     p = add("features", "extract aggregated RTFs for every record",
+            lambda a: f"extracted features for {cmd_features(a.dataset)} records",
             needs_config=False)
     p.add_argument("--dataset", required=True)
 
-    p = add("fit", "fit the localization model on the training records")
+    p = add("fit", "fit the localization model on the training records",
+            lambda a: cmd_fit(a.cfg, a.dataset, a.output))
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True, help="model file path")
 
     p = add("localize", "estimate test-record positions with a fitted model",
+            lambda a: cmd_localize(a.model, a.dataset, a.output, streaming=a.streaming,
+                                   shuffle_seed=a.shuffle_seed),
             needs_config=False)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
@@ -584,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffle-seed", type=int, default=None,
                    help="re-order the test stream for robustness checks")
 
-    p = add("baseline", "run a comparison method on the test records")
+    p = add("baseline", "run a comparison method on the test records",
+            lambda a: cmd_baseline(a.cfg, a.method, a.dataset, a.output, model_path=a.model))
     p.add_argument("--method", required=True, choices=METHODS[1:])
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True, help="estimates CSV path")
@@ -592,6 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reuse hyperparameters from a fitted model")
 
     p = add("evaluate", "score estimates against the evaluation manifest",
+            lambda a: "rmse={:.6f}".format(cmd_evaluate(a.estimates, a.dataset, a.output,
+                                                        block_size=a.block_size)["rmse"]),
             needs_config=False)
     p.add_argument("--estimates", required=True)
     p.add_argument("--dataset", required=True)
@@ -602,28 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        cfg = resolve_config(args.config, seed=args.seed)
-        path = cmd_simulate(cfg, args.output)
-        print(path)
-    elif args.command == "features":
-        count = cmd_features(args.dataset)
-        print(f"extracted features for {count} records")
-    elif args.command == "fit":
-        cfg = resolve_config(args.config, seed=args.seed)
-        print(cmd_fit(cfg, args.dataset, args.output))
-    elif args.command == "localize":
-        print(cmd_localize(args.model, args.dataset, args.output,
-                           streaming=args.streaming,
-                           shuffle_seed=args.shuffle_seed))
-    elif args.command == "baseline":
-        cfg = resolve_config(args.config, seed=args.seed)
-        print(cmd_baseline(cfg, args.method, args.dataset, args.output,
-                           model_path=args.model))
-    elif args.command == "evaluate":
-        metrics = cmd_evaluate(args.estimates, args.dataset, args.output,
-                               block_size=args.block_size)
-        print(f"rmse={metrics['rmse']:.6f}")
+    if "config" in args:
+        args.cfg = resolve_config(args.config, seed=args.seed)
+    print(args.handler(args))
     return 0
 
 

@@ -12,6 +12,7 @@ dataset holds one record's signals at a time.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import json
@@ -30,7 +31,8 @@ MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 EVALUATION_NAME = "evaluation.json"
 
-_ROLES = ("labeled", "unlabeled", "test")
+# a record's role; a config section's default seed offset is its 1-based index here
+ROLES = ("labeled", "unlabeled", "test")
 _DTYPE_CODES = {1: np.dtype("<f8"), 2: np.dtype("<c16")}
 _CODE_OF_KIND = {"f": 1, "c": 2}
 
@@ -57,6 +59,18 @@ def atomic_write(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows, config_hash: str | None = None) -> None:
+    """``header`` and ``rows`` as CSV, after a ``# config_hash=`` line if given; atomic."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_write(path, "w", newline="") as fh:
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +246,7 @@ def write_dataset(out_dir, scene, records, spectral, config_hash: str) -> str:
     entries, eval_entries = [], []
     seen = set()
     for role, rec_id, position, signals in records:
-        if role not in _ROLES:
+        if role not in ROLES:
             raise ValueError(f"unknown role {role!r}")
         if rec_id in seen:
             raise ValueError(f"duplicate record id {rec_id!r}")
@@ -309,12 +323,12 @@ _MANIFEST = {
     "records": (lambda v: isinstance(v, list), "a list of record objects"),
 }
 # any position given, on a record of any role, is a finite 3-vector
-_RECORD = {"role": (lambda v: v in _ROLES, f"one of {', '.join(_ROLES)}"),
+_RECORD = {"role": (lambda v: v in ROLES, f"one of {', '.join(ROLES)}"),
            "true_position": (lambda v: v is None or is_point(v), "null or a finite 3-vector")}
 
 
 def records_by_role(manifest: dict, role: str) -> list:
-    if role not in _ROLES:
+    if role not in ROLES:
         raise ValueError(f"unknown role {role!r}")
     return [r for r in manifest["records"] if r["role"] == role]
 

@@ -14,7 +14,6 @@ The likelihood and its gradient share one factor of Sigma_L + sigma2*I from
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
-from .dataio import atomic_write
+from .dataio import write_csv
 from .kernels import (Hyperparameters, fused_from_sums, gaussian_kernels, median_heuristic,
                       sq_dist_stack)
 from .mmgp_model import labelled_pool, spd_factor
@@ -135,7 +134,4 @@ def write_trace_csv(result: OptimizeResult, path) -> None:
     num_nodes = result.hyperparameters.num_nodes
     header = (["iteration", "log_likelihood"]
               + [f"eps_{m}" for m in range(1, num_nodes + 1)] + ["sigma2"])
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(result.trace)
+    write_csv(path, header, result.trace)

@@ -36,6 +36,8 @@ class Hyperparameters:
         self.eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
         if self.eps.ndim != 1 or np.any(self.eps <= 0) or not np.all(np.isfinite(self.eps)):
             raise ValueError("eps must be a vector of positive finite scalars")
+        if self.eps.size == 0:
+            raise ValueError("eps must give at least one width")
         if self.sigma2 < 0 or not np.isfinite(self.sigma2):
             raise ValueError("sigma2 must be finite and >= 0")
         if self.jitter is not None and (self.jitter < 0 or not np.isfinite(self.jitter)):

@@ -140,9 +140,8 @@ class MmgpModel(LabelledGp):
 
     ``pool_rows`` is ``kernels.prepare_rows(pool)``, which every Gram
     against the pool takes.  It is derived state, not model state: ``fit``
-    hands over the rows it built S_LD with, a model built without them
-    prepares its own, an absorb prepares them for the grown pool, and a
-    model file does not hold them.
+    hands over the rows it built S_LD with, an absorb prepares them for the
+    grown pool, and a model file does not hold them.
 
     ``update_count`` is the number of samples absorbed into the pool after
     the fit, whether by ``update_recursive`` or by ``predict_recursive``
@@ -154,15 +153,13 @@ class MmgpModel(LabelledGp):
     n_labeled: int
     labelled_gram: np.ndarray     # (n_L, n_D)
     update_count: int = 0
-    pool_rows: list | None = field(default=None, repr=False)   # prepare_rows(pool)
+    pool_rows: list = field(repr=False)   # prepare_rows(pool)
     config_hash: str | None = field(default=None, init=False)   # the file's, set by load_model
     sigma_l: np.ndarray = field(init=False)   # (n_L, n_L)
 
     def __post_init__(self):
         _read_only(self.pool)
         _read_only(self.labelled_gram)
-        if self.pool_rows is None:
-            self.pool_rows = prepare_rows(self.pool)
         self._recondition()
 
     def _recondition(self) -> None:

@@ -213,6 +213,17 @@ def reference_artf_from_record(record, cfg):
     return np.stack(rows)
 
 
+def true_transfer_ratio(rir_ref, rir_sec, cfg):
+    """Band samples of the true channel-transfer ratio from known responses."""
+    n = cfg.fft_size
+    reps = int(np.ceil(max(rir_ref.size, rir_sec.size) / n))
+    pad = n * max(reps, 1)
+    a_ref = np.fft.rfft(rir_ref, pad)
+    a_sec = np.fft.rfft(rir_sec, pad)
+    k = rf.band_bins(cfg) * (pad // n)
+    return a_sec[k] / a_ref[k]
+
+
 def log_likelihood_and_grad(hp: kn.Hyperparameters, training_set, labelled_positions) -> tuple:
     """(L, dL/deps as an (M,) array, dL/dsigma2) for the centered labels.
 

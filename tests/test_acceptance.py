@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 from conftest import (brute_mmgp, conditional_gaussian_oracle, log_likelihood_and_grad,
-                      make_artf, make_set)
+                      make_artf, make_set, true_transfer_ratio)
 
 import mmgploc.acoustic_sim as ac
 import mmgploc.cli as cli
@@ -217,16 +217,6 @@ def test_p4_gradient_checks():
 # P5 - feature fidelity on a simulated node
 
 
-def _true_transfer_ratio(rir_ref, rir_sec, cfg):
-    n = cfg.fft_size
-    reps = int(np.ceil(max(rir_ref.size, rir_sec.size) / n))
-    pad = n * max(reps, 1)
-    a_ref = np.fft.rfft(rir_ref, pad)
-    a_sec = np.fft.rfft(rir_sec, pad)
-    k = rf.band_bins(cfg) * (pad // n)
-    return a_sec[k] / a_ref[k]
-
-
 def test_p5a_rtf_fidelity():
     scene = ac.SceneConfig(room_dims=[4.0, 5.0, 3.0],
                            mic_positions=[[[1.2, 1.0, 1.4], [1.2, 1.1, 1.4]]],
@@ -240,8 +230,8 @@ def test_p5a_rtf_fidelity():
     rec = ac.render_measurement(scene, src, sig, seed=(18, 0))
     v = rf.artf_from_record(rec, cfg).stack()[0]
     mics = scene.flat_mics()
-    truth = _true_transfer_ratio(ac.simulate_rir(scene, src, mics[0]),
-                                 ac.simulate_rir(scene, src, mics[1]), cfg)
+    truth = true_transfer_ratio(ac.simulate_rir(scene, src, mics[0]),
+                                ac.simulate_rir(scene, src, mics[1]), cfg)
     rel = np.abs(v - truth) / np.abs(truth)
     frac = float(np.mean(rel <= 0.10))
     assert frac >= 0.90

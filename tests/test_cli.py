@@ -136,6 +136,10 @@ _CONFIG_FAULTS = {
                             "'labeled' section's 'grid' needs 'origin'"),
     "grid spacing a bool": (_set("labeled", "grid", "spacing", value=True),
                             "'grid': 'spacing' must be a finite number"),
+    "grid spacing zero": (_set("labeled", "grid", "spacing", value=0.0),
+                          "'labeled' section's 'grid': 'spacing' must be positive, got 0.0"),
+    "grid spacing negative": (_set("labeled", "grid", "spacing", value=-0.5),
+                              "'labeled' section's 'grid': 'spacing' must be positive, got -0.5"),
     "random count a float": (_set("unlabeled", "random", "count", value=2.0),
                              "'unlabeled' section's 'random': 'count' must be a non-negative"),
     "random low of length 2": (_set("test", "random", "low", value=[1.5, 2.0]),
@@ -193,6 +197,9 @@ _CONFIG_FAULTS = {
                           "'hyperparameters': 'eps' must be a list of finite numbers"),
     "eps without sigma2": (_set("hyperparameters", value={"eps": [1.0]}),
                            "'hyperparameters' needs 'sigma2'"),
+    "median with eps": (_set("hyperparameters", "eps", value=[-1.0]),
+                        "'hyperparameters': unknown key 'eps'; known keys: strategy, sigma2, "
+                        "jitter"),
     "srp resolution zero": (_set("srp", "resolution", value=0),
                             "'srp' section: resolution must be positive"),
     "srp grid_max below grid_min": (_set("srp", "grid_max", value=[2.0, 1.5, 1.5]),
@@ -214,6 +221,14 @@ _CONFIG_FAULTS = {
                      "'scene' section: 't60' must be a finite number, got '0.4'"),
     "room_dims a string": (_set("scene", "room_dims", value="4x5x3"),
                            "'scene' section: 'room_dims' must be a list of 3 finite numbers"),
+    "room_dims negative": (_set("scene", "room_dims", value=[4.0, -5.0, 3.0]),
+                           "'scene' section: room_dims must be 3 finite positive lengths"),
+    "microphone outside the room": (_set("scene", "mic_positions",
+                                         value=[[[0.8, 0.9, 1.2], [0.8, 5.1, 1.2]]]),
+                                    "'scene' section: microphone position [0.8, 5.1, 1.2] "
+                                    "outside room [4.0, 5.0, 3.0]"),
+    "sound_speed zero": (_set("scene", "sound_speed", value=0.0),
+                         "'scene' section: sound_speed must be finite and positive"),
     "mic_positions one point per node": (_set("scene", "mic_positions", value=[[0.8, 0.9, 1.2]]),
                                          "'mic_positions' must be a non-empty list of per-node "
                                          "microphone pairs"),

@@ -29,6 +29,8 @@ def test_hyperparameters_validation():
             kn.Hyperparameters(eps=[1.0], sigma2=0.1, jitter=jitter)
     with pytest.raises(ValueError):
         kn.Hyperparameters(eps=[np.inf])
+    with pytest.raises(ValueError, match="eps must give at least one width"):
+        kn.Hyperparameters(eps=[], sigma2=0.1)
 
 
 def test_gaussian_kernel_identity_and_scale():

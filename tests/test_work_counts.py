@@ -154,7 +154,7 @@ def test_work_of_each_stage_of_the_tiny_pipeline(monkeypatch, tmp_path):
          lambda a, k, r: work.update(blob_bytes_read=Path(a[0]).stat().st_size))
     wrap("write_blob", [dio],
          lambda a, k, r: work.update(blob_bytes_written=Path(a[0]).stat().st_size))
-    wrap("atomic_write", [dio, mm, ho], lambda a, k, r: work.update(atomic_writes=1))
+    wrap("atomic_write", [dio, mm], lambda a, k, r: work.update(atomic_writes=1))
 
     cfg = _resolve(tmp_path, tiny_config())
     ds, model = tmp_path / "ds", tmp_path / "model.bin"
